@@ -1,10 +1,15 @@
 """P1 finite-element operator assembly.
 
 All element matrices are closed-form (stiffness, mass, lumped mass) or use
-the degree-4 triangle rule (quartic integrands such as the double wells).
-Sparse operators are plain ``scipy.sparse.csr_matrix`` objects; explicit
-stored zeros are kept so the sparsity pattern always equals the mesh
-adjacency pattern (the weak-acuteness audit relies on this).
+the degree-4 triangle rule (quartic integrands such as the double wells),
+written as products with constant matrices.  Sparse operators are plain
+``scipy.sparse.csr_matrix`` objects on the mesh's fixed pattern
+(``TriMesh.pattern``, built once per mesh): one ``np.bincount`` sums the
+element blocks into its data slots.  Explicit stored zeros are kept, so
+the sparsity pattern always equals the mesh adjacency pattern (the
+weak-acuteness audit relies on this), and operators on one mesh share
+their index arrays: a linear combination of them is one of their
+``data`` arrays.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature as quad
-from .mesh import MeshError, TriMesh
+from .mesh import FreeBlock, MeshError, SparsityPattern, TriMesh
 
 SparseOperator = sp.csr_matrix
 
@@ -54,43 +59,56 @@ def element_geometry(mesh: TriMesh) -> ElementGeometry:
 
 
 def _scatter(mesh: TriMesh, ke: np.ndarray) -> SparseOperator:
-    """Scatter per-element 3x3 blocks into a global CSR matrix."""
-    e = mesh.elements
-    rows = np.repeat(e, 3, axis=1).ravel()
-    cols = np.tile(e, (1, 3)).ravel()
-    n = mesh.n_nodes
-    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    """Sum per-element 3x3 blocks, shape (ne, 3, 3) or (ne, 9) row-major,
+    into a CSR matrix on the mesh pattern."""
+    p = mesh.pattern
+    return p.csr(np.bincount(p.slots.ravel(), ke.ravel(), minlength=p.nnz))
+
+
+def vertex_sum(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
+    """Nodal sums of per-element vertex values, shape (ne, 3)."""
+    return np.bincount(mesh.elements.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
+
+
+def element_sum(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
+    """Nodal sums of per-element values, shape (ne,) or (ne, k), over the
+    elements containing each node."""
+    idx = mesh.elements.ravel()
+    rep = np.repeat(values, 3, axis=0)
+    if rep.ndim == 1:
+        return np.bincount(idx, rep, minlength=mesh.n_nodes)
+    return np.column_stack([np.bincount(idx, c, minlength=mesh.n_nodes) for c in rep.T])
+
+
+def _grad_products(geom: ElementGeometry, elem_weights) -> np.ndarray:
+    """Element blocks w_T |T| grad(eta_a) . grad(eta_b), shape (ne, 3, 3)."""
+    gx, gy = geom.grads[:, :, 0], geom.grads[:, :, 1]
+    w = (geom.areas * elem_weights)[:, None, None]
+    return (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]) * w
 
 
 def assemble_stiffness(mesh: TriMesh, geom: ElementGeometry | None = None) -> SparseOperator:
     """Matrix of the gradient inner product, entry (i,j) = integral of
     grad(eta_i) . grad(eta_j).  Symmetric PSD with constants in the kernel."""
     geom = geom or element_geometry(mesh)
-    ke = np.einsum("eai,ebi,e->eab", geom.grads, geom.grads, geom.areas)
-    return _scatter(mesh, ke)
+    return _scatter(mesh, _grad_products(geom, 1.0))
 
 
 def assemble_mass(mesh: TriMesh, geom: ElementGeometry | None = None) -> SparseOperator:
     """Consistent mass matrix, entry (i,j) = integral of eta_i eta_j."""
     geom = geom or element_geometry(mesh)
-    ke = geom.areas[:, None, None] * _MASS_REF[None, :, :]
-    return _scatter(mesh, ke)
+    return weighted_mass(mesh, geom, 1.0)
 
 
 def assemble_lumped_mass(mesh: TriMesh, geom: ElementGeometry | None = None) -> SparseOperator:
     """Diagonal (vertex-rule) mass matrix; diagonal i = sum of |T|/3 over
     elements touching node i.  Trace equals the domain area."""
-    geom = geom or element_geometry(mesh)
-    diag = np.zeros(mesh.n_nodes)
-    np.add.at(diag, mesh.elements.ravel(), np.repeat(geom.areas / 3.0, 3))
-    return sp.diags(diag).tocsr()
+    return sp.diags(lumped_mass_diagonal(mesh, geom)).tocsr()
 
 
 def lumped_mass_diagonal(mesh: TriMesh, geom: ElementGeometry | None = None) -> np.ndarray:
     geom = geom or element_geometry(mesh)
-    diag = np.zeros(mesh.n_nodes)
-    np.add.at(diag, mesh.elements.ravel(), np.repeat(geom.areas / 3.0, 3))
-    return diag
+    return element_sum(mesh, geom.areas / 3.0)
 
 
 def element_gradients(mesh: TriMesh, values: np.ndarray, geom: ElementGeometry | None = None) -> np.ndarray:
@@ -102,50 +120,57 @@ def element_gradients(mesh: TriMesh, values: np.ndarray, geom: ElementGeometry |
     vals = np.asarray(values, dtype=float)
     if vals.shape != (mesh.n_nodes,):
         raise ValueError(f"expected {mesh.n_nodes} nodal values, got {vals.shape}")
-    return np.einsum("ea,eai->ei", vals[mesh.elements], geom.grads)
+    vE, g = vals[mesh.elements], geom.grads
+    return vE[:, 0, None] * g[:, 0] + vE[:, 1, None] * g[:, 1] + vE[:, 2, None] * g[:, 2]
 
 
-def weighted_mass(mesh: TriMesh, geom: ElementGeometry, elem_weights: np.ndarray) -> SparseOperator:
+def weighted_mass(mesh: TriMesh, geom: ElementGeometry, elem_weights) -> SparseOperator:
     """Mass matrix with a piecewise-constant weight: integral of
     w_T eta_i eta_j."""
-    ke = (geom.areas * elem_weights)[:, None, None] * _MASS_REF[None, :, :]
-    return _scatter(mesh, ke)
+    return _scatter(mesh, (geom.areas * elem_weights)[:, None] * _MASS_REF.ravel())
 
 
 def weighted_stiffness(mesh: TriMesh, geom: ElementGeometry, elem_weights: np.ndarray) -> SparseOperator:
     """Stiffness matrix with a piecewise-constant scalar weight."""
-    ke = np.einsum("eai,ebi,e->eab", geom.grads, geom.grads, geom.areas * elem_weights)
-    return _scatter(mesh, ke)
+    return _scatter(mesh, _grad_products(geom, elem_weights))
 
 
 def tensor_stiffness(mesh: TriMesh, geom: ElementGeometry, tensors: np.ndarray) -> SparseOperator:
     """Stiffness matrix with a piecewise-constant 2x2 tensor weight:
     entry (i,j) = sum_T |T| grad(eta_i) . H_T grad(eta_j)."""
-    ke = np.einsum("eai,eij,ebj,e->eab", geom.grads, tensors, geom.grads, geom.areas)
+    g = geom.grads
+    H = tensors * geom.areas[:, None, None]
+    # (H grad eta_b) per element and vertex, then its product with grad eta_a
+    hx = H[:, None, 0, 0] * g[:, :, 0] + H[:, None, 0, 1] * g[:, :, 1]
+    hy = H[:, None, 1, 0] * g[:, :, 0] + H[:, None, 1, 1] * g[:, :, 1]
+    ke = g[:, :, None, 0] * hx[:, None, :] + g[:, :, None, 1] * hy[:, None, :]
     return _scatter(mesh, ke)
+
+
+# degree-4 rule as constant matrices: _QUAD_LOAD[q, a] = w_q bary[q, a]
+# and _QUAD_MASS[q, 3a + b] = w_q bary[q, a] bary[q, b]
+_QUAD_LOAD = quad.TRI4_WEIGHTS[:, None] * quad.TRI4_BARY
+_QUAD_MASS = (_QUAD_LOAD[:, :, None] * quad.TRI4_BARY[:, None, :]).reshape(6, 9)
+
+
+def quad_weighted_mass(mesh: TriMesh, geom: ElementGeometry,
+                       values_at_quad: np.ndarray) -> SparseOperator:
+    """Matrix with entries integral of g eta_i eta_j for ``g`` given at
+    the degree-4 quadrature points, shape (ne, 6)."""
+    return _scatter(mesh, (values_at_quad * geom.areas[:, None]) @ _QUAD_MASS)
 
 
 def squared_field_mass(mesh: TriMesh, geom: ElementGeometry, values: np.ndarray) -> SparseOperator:
     """Matrix with entries integral of (v_h)^2 eta_i eta_j for P1 ``v_h``
     (degree-4 rule, exact)."""
     vq = quad.at_quad_points(values[mesh.elements])  # (ne, 6)
-    bary = quad.TRI4_BARY  # (6, 3)
-    w = quad.TRI4_WEIGHTS
-    ke = np.einsum(
-        "eq,q,qa,qb,e->eab", vq * vq, w, bary, bary, geom.areas
-    )
-    return _scatter(mesh, ke)
+    return quad_weighted_mass(mesh, geom, vq * vq)
 
 
 def nodal_load(mesh: TriMesh, geom: ElementGeometry, values_at_quad: np.ndarray) -> np.ndarray:
     """Load vector L_i = integral of g eta_i with ``g`` given at the
     degree-4 quadrature points, shape (ne, 6)."""
-    contrib = np.einsum(
-        "eq,q,qa,e->ea", values_at_quad, quad.TRI4_WEIGHTS, quad.TRI4_BARY, geom.areas
-    )
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return out
+    return vertex_sum(mesh, (values_at_quad * geom.areas[:, None]) @ _QUAD_LOAD)
 
 
 def integrate_p1_function(mesh: TriMesh, geom: ElementGeometry, f, values: np.ndarray) -> float:
@@ -167,17 +192,13 @@ def edge_table(stiffness: SparseOperator):
     return coo.row[upper], coo.col[upper], -coo.data[upper]
 
 
-def graph_laplacian(n: int, ei: np.ndarray, ej: np.ndarray, weights: np.ndarray) -> SparseOperator:
-    """Weighted graph Laplacian: sum over edges of w (e_i - e_j)(e_i - e_j)^T."""
-    rows = np.concatenate([ei, ej, ei, ej])
-    cols = np.concatenate([ei, ej, ej, ei])
-    data = np.concatenate([weights, weights, -weights, -weights])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-
 @dataclass(frozen=True)
 class Operators:
-    """Per-mesh discrete structures reused across time steps."""
+    """Per-mesh discrete structures reused across time steps.
+
+    The three matrices are on the mesh pattern (``mesh.pattern``);
+    ``edge_i``, ``edge_j`` are its edges and ``edge_k`` their stiffness
+    couplings."""
 
     mesh: TriMesh
     geom: ElementGeometry
@@ -187,10 +208,7 @@ class Operators:
     edge_i: np.ndarray
     edge_j: np.ndarray
     edge_k: np.ndarray
-
-    @property
-    def lumped_mass(self) -> SparseOperator:
-        return sp.diags(self.lumped_diag).tocsr()
+    lumped_mass: SparseOperator
 
     def mass_dt(self, lumped: bool) -> SparseOperator:
         """Mass operator used in time-derivative inner products."""
@@ -207,7 +225,7 @@ class Operators:
         return float(np.sum(u * (self.stiffness @ v)))
 
     def l2_form(self, u: np.ndarray, v: np.ndarray, lumped: bool = False) -> float:
-        M = self.lumped_mass if lumped else self.mass
+        M = self.mass_dt(lumped)
         if u.ndim == 1:
             return float(u @ (M @ v))
         return float(np.sum(u * (M @ v)))
@@ -218,22 +236,30 @@ def build_operators(mesh: TriMesh) -> Operators:
     K = assemble_stiffness(mesh, geom)
     M = assemble_mass(mesh, geom)
     diag = lumped_mass_diagonal(mesh, geom)
-    ei, ej, kij = edge_table(K)
-    return Operators(mesh, geom, K, M, diag, ei, ej, kij)
+    p = mesh.pattern
+    lumped = np.zeros(p.nnz)
+    lumped[p.diag] = diag
+    return Operators(mesh, geom, K, M, diag, p.edge_lo, p.edge_hi, -K.data[p.upper],
+                     p.csr(lumped))
 
 
-def apply_dirichlet(A: SparseOperator, b: np.ndarray, fixed: np.ndarray, values: np.ndarray):
+def apply_dirichlet(A: SparseOperator, b: np.ndarray, fixed: np.ndarray, values: np.ndarray,
+                    pattern: SparsityPattern | None = None):
     """Symmetric row/column elimination of Dirichlet constraints.
 
     Returns (A_ff, b_f, free) where ``free`` is the boolean mask of
     retained dofs and the right-hand side has been lifted by the
-    prescribed values.
+    prescribed values.  When ``A`` is on ``pattern`` (``mesh.pattern``),
+    the pattern's cached index map to the free block is used; otherwise
+    the map is built from ``A``'s own structure.
     """
+    A = A.tocsr()
     n = A.shape[0]
     free = np.ones(n, dtype=bool)
     free[fixed] = False
     g = np.zeros(n)
     g[fixed] = values
     b_f = (b - A @ g)[free]
-    A_ff = A[free][:, free].tocsc()
-    return A_ff, b_f, free
+    block = (pattern.free_block(free) if pattern is not None
+             else FreeBlock.build(A.indptr, A.indices, free))
+    return block.csr(A.data), b_f, free

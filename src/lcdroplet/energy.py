@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
 
 from . import assembly, quadrature as quad
@@ -147,9 +146,19 @@ def eform(ops: Operators, s, z, n, w) -> float:
     sz = np.asarray(s) * np.asarray(z)
     dn = n[ei] - n[ej]
     dw_ = w[ei] - w[ej]
-    pair = np.sum(dn * dw_, axis=-1) if dn.ndim == 2 else dn * dw_
+    pair = dn[:, 0] * dw_[:, 0] + dn[:, 1] * dw_[:, 1] if dn.ndim == 2 else dn * dw_
     # ordered double sum = 2x the edge sum, cancelling the 1/2 average
     return float(np.sum(k * (sz[ei] + sz[ej]) * pair))
+
+
+def _coupling_tensors(ops: Operators, gphi, gpsi) -> np.ndarray:
+    """Nodal 2x2 tensors G_i = sum over elements T containing i of
+    |T|/3 * [(gphi_T . gpsi_T) I - gphi_T gpsi_T^T], flattened to (n, 4)."""
+    px, py = gphi[:, 0], gphi[:, 1]
+    qx, qy = gpsi[:, 0], gpsi[:, 1]
+    gg = px * qx + py * qy
+    per_elem = np.column_stack([gg - px * qx, -px * qy, -py * qx, gg - py * qy])
+    return assembly.element_sum(ops.mesh, (ops.geom.areas / 3.0)[:, None] * per_elem)
 
 
 def cform_scalar_diag(ops: Operators, v, gphi, w, gpsi) -> np.ndarray:
@@ -158,19 +167,12 @@ def cform_scalar_diag(ops: Operators, v, gphi, w, gpsi) -> np.ndarray:
         cform(v, gphi, w, gpsi, s, z) = sum_i s_i z_i gamma_i,
 
     gamma_i = sum over elements T containing i of
-        |T|/3 * [ (gphi_T . gpsi_T)(v_i . w_i) - (v_i . gphi_T)(w_i . gpsi_T) ].
+        |T|/3 * [ (gphi_T . gpsi_T)(v_i . w_i) - (v_i . gphi_T)(w_i . gpsi_T) ]
+            = v_i . G_i w_i  (see ``anchoring_nodal_tensors``).
     """
-    mesh, geom = ops.mesh, ops.geom
-    e = mesh.elements
-    gg = np.sum(gphi * gpsi, axis=1)
-    vE, wE = v[e], w[e]
-    vw = np.sum(vE * wE, axis=2)
-    vgp = np.einsum("ead,ed->ea", vE, gphi)
-    wgq = np.einsum("ead,ed->ea", wE, gpsi)
-    contrib = (geom.areas / 3.0)[:, None] * (gg[:, None] * vw - vgp * wgq)
-    gamma = np.zeros(mesh.n_nodes)
-    np.add.at(gamma, e.ravel(), contrib.ravel())
-    return gamma
+    G = _coupling_tensors(ops, gphi, gpsi)
+    return (v[:, 0] * (G[:, 0] * w[:, 0] + G[:, 1] * w[:, 1])
+            + v[:, 1] * (G[:, 2] * w[:, 0] + G[:, 3] * w[:, 1]))
 
 
 def cform(ops: Operators, v, gphi, w, gpsi, s, z) -> float:
@@ -201,28 +203,23 @@ def anchoring_nodal_tensors(ops: Operators, s, z, gphi, gpsi) -> np.ndarray:
 
         cform(v, gphi, w, gpsi, s, z) = sum_i v_i . G_i w_i.
     """
-    mesh, geom = ops.mesh, ops.geom
-    d = mesh.dim
-    gg = np.sum(gphi * gpsi, axis=1)
-    Ht = gg[:, None, None] * np.eye(d)[None] - np.einsum("ei,ej->eij", gphi, gpsi)
-    contrib = (geom.areas / 3.0)[:, None, None] * Ht
-    G = np.zeros((mesh.n_nodes, d, d))
-    np.add.at(G, mesh.elements.ravel(), np.repeat(contrib, 3, axis=0))
+    G = _coupling_tensors(ops, gphi, gpsi).reshape(-1, 2, 2)
     return G * (np.asarray(s) * np.asarray(z))[:, None, None]
 
 
 def anchoring_phi_matrix(ops: Operators, s, n) -> SparseOperator:
     """Matrix of the coupling form in its gradient slots: entry (i, j) =
     cform(n, grad eta_j, n, grad eta_i, s, s).  Symmetric PSD."""
-    mesh, geom = ops.mesh, ops.geom
-    e = mesh.elements
-    d = mesh.dim
-    s2E = (np.asarray(s) ** 2)[e]
-    nE = n[e]
-    iso = np.einsum("ea,ead,ead->e", s2E, nE, nE)
-    outer = np.einsum("ea,ead,eac->edc", s2E, nE, nE)
-    Ht = (iso[:, None, None] * np.eye(d)[None] - outer) / 3.0
-    return assembly.tensor_stiffness(mesh, geom, Ht)
+    e = ops.mesh.elements
+    s = np.asarray(s)
+    s2E = (s * s)[e]
+    nx, ny = n[e, 0], n[e, 1]
+    xx = np.sum(s2E * nx * nx, axis=1)
+    xy = np.sum(s2E * nx * ny, axis=1)
+    yy = np.sum(s2E * ny * ny, axis=1)
+    # (|n|^2 I - n n^T) summed over the vertices with weights s^2
+    Ht = np.stack([yy, -xy, -xy, xx], axis=1).reshape(-1, 2, 2) / 3.0
+    return assembly.tensor_stiffness(ops.mesh, ops.geom, Ht)
 
 
 def was_phi_matrix(ops: Operators, s, s_star: float) -> SparseOperator:
@@ -230,7 +227,7 @@ def was_phi_matrix(ops: Operators, s, s_star: float) -> SparseOperator:
     integral of (s_h - s_star)^2 grad eta_i . grad eta_j."""
     e = ops.mesh.elements
     q = (np.asarray(s) - s_star)[e]
-    per_elem = np.einsum("ea,ab,eb->e", q, assembly._MASS_REF, q)
+    per_elem = np.sum((q @ assembly._MASS_REF) * q, axis=1)
     return assembly.weighted_stiffness(ops.mesh, ops.geom, per_elem)
 
 
@@ -310,27 +307,23 @@ def total_energy(ops: Operators, weights: ModelWeights, s, n, phi) -> EnergyRepo
 def eform_derivative_n(ops: Operators, s, n) -> np.ndarray:
     """Vector D with sum_i D_i . w_i = eform(s, s, n, w)."""
     ei, ej, k = ops.edge_i, ops.edge_j, ops.edge_k
+    nn = ops.mesh.n_nodes
     s2 = np.asarray(s) ** 2
     wgt = 2.0 * k * 0.5 * (s2[ei] + s2[ej])
-    diff = n[ei] - n[ej]
-    D = np.zeros_like(n)
-    np.add.at(D, ei, wgt[:, None] * diff)
-    np.add.at(D, ej, -wgt[:, None] * diff)
-    return D
+    both = np.concatenate([ei, ej])
+    return np.column_stack([
+        np.bincount(both, np.concatenate([w, -w]), minlength=nn)
+        for w in (wgt[:, None] * (n[ei] - n[ej])).T
+    ])
 
 
 def eform_scalar_diag(ops: Operators, n) -> np.ndarray:
     """Nodal coefficients D with eform(s, z, n, n) = sum_i s_i z_i D_i."""
     ei, ej, k = ops.edge_i, ops.edge_j, ops.edge_k
     diff2 = np.sum((n[ei] - n[ej]) ** 2, axis=1)
-    D = np.zeros(ops.mesh.n_nodes)
-    np.add.at(D, ei, k * diff2)
-    np.add.at(D, ej, k * diff2)
-    return D
-
-
-def derivative_erk_n(ops, s, n, kappa=None):
-    return eform_derivative_n(ops, s, n)
+    kd = k * diff2
+    return np.bincount(np.concatenate([ei, ej]), np.concatenate([kd, kd]),
+                       minlength=ops.mesh.n_nodes)
 
 
 def derivative_erk_s(ops, s, n, kappa: float) -> np.ndarray:
@@ -347,7 +340,7 @@ def derivative_dw_s(ops, s, dw: DoubleWell) -> np.ndarray:
 def cubic_load(ops: Operators, phi) -> np.ndarray:
     """Vector with entries integral of (phi_h)^3 eta_i (degree-4 rule)."""
     pq = quad.at_quad_points(np.asarray(phi)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, ops.geom, pq**3)
+    return assembly.nodal_load(ops.mesh, ops.geom, pq * pq * pq)
 
 
 def derivative_ch_phi(ops, phi, eps: float) -> np.ndarray:
@@ -400,23 +393,27 @@ def residual_director(
     nodes, with the trial director n~ = n_prev + tau * v.  Returns
     (A, b) with A symmetric positive definite on the free tangent dofs.
     """
-    mesh = ops.mesh
+    p = ops.mesh.pattern
     s2 = np.asarray(s_prev) ** 2
-    ei, ej, k = ops.edge_i, ops.edge_j, ops.edge_k
-    c_edge = 0.5 * (s2[ei] + s2[ej])
-    L = assembly.graph_laplacian(mesh.n_nodes, ei, ej, k * c_edge)
-    S = (weights.rho * ops.mass_dt(lumped) + 2.0 * tau * weights.w_erk * L).tocoo()
-    tdot = np.sum(tangent[S.row] * tangent[S.col], axis=1)
-    A = sp.coo_matrix((S.data * tdot, (S.row, S.col)), shape=S.shape).tocsr()
+    ei, ej = ops.edge_i, ops.edge_j
+    # weighted graph Laplacian sum_edges w (e_i - e_j)(e_i - e_j)^T, w = k c
+    w = ops.edge_k * 0.5 * (s2[ei] + s2[ej])
+    L = np.zeros(p.nnz)
+    L[p.upper] = L[p.lower] = -w
+    L[p.diag] = np.bincount(np.concatenate([ei, ej]), np.concatenate([w, w]),
+                            minlength=p.n)
+    tx, ty = tangent[:, 0], tangent[:, 1]
+    tdot = tx[p.rows] * tx[p.indices] + ty[p.rows] * ty[p.indices]
+    A = (weights.rho * ops.mass_dt(lumped).data + (2.0 * tau * weights.w_erk) * L) * tdot
 
     G = anchoring_nodal_tensors(ops, s_prev, s_prev, gphi_prev, gphi_prev)
-    tGt = np.einsum("id,idc,ic->i", tangent, G, tangent)
-    A = A + sp.diags(tau * weights.w_wan * weights.eps * tGt)
+    Gt = np.einsum("idc,ic->id", G, tangent)
+    A[p.diag] += tau * weights.w_wan * weights.eps * np.sum(tangent * Gt, axis=1)
 
     Dn = weights.w_erk * eform_derivative_n(ops, s_prev, n_prev)
     Dn += weights.w_wan * weights.eps * np.einsum("idc,ic->id", G, n_prev)
     b = -np.sum(Dn * tangent, axis=1)
-    return A[free][:, free].tocsc(), b[free]
+    return p.free_block(free).csr(A), b[free]
 
 
 def residual_s(
@@ -440,19 +437,13 @@ def residual_s(
         raise ValueError("convex part of the double well is not quadratic")
     s_prev = np.asarray(s_prev)
     M_dt = ops.mass_dt(lumped)
-    De = eform_scalar_diag(ops, n_new)
     gamma = cform_scalar_diag(ops, n_new, gphi_prev, n_new, gphi_prev)
     W_phi = grad_weighted_mass(ops, gphi_prev)
     fc = weights.dw.fc_coeffs + (0.0, 0.0, 0.0)
     c1, c2 = fc[1], fc[2]
 
-    A = (
-        M_dt / tau
-        + weights.w_erk * (2.0 * weights.kappa * ops.stiffness + sp.diags(De))
-        + (2.0 * c2 * weights.w_dw) * ops.mass
-        + (weights.w_was * weights.eps) * W_phi
-        + sp.diags(0.5 * weights.w_wan * weights.eps * gamma)
-    ).tocsr()
+    A = _s_matrix(ops, weights, tau, n_new, gamma, W_phi, lumped)
+    A.data += (2.0 * c2 * weights.w_dw) * ops.mass.data
 
     mass_rows = ops.mass @ np.ones(ops.mesh.n_nodes)
     b = (
@@ -463,6 +454,22 @@ def residual_s(
         - 0.5 * weights.w_wan * weights.eps * gamma * s_prev
     )
     return A, b
+
+
+def _s_matrix(ops: Operators, weights: ModelWeights, tau: float, n_new, gamma,
+              W_phi: SparseOperator, lumped: bool) -> SparseOperator:
+    """The part of the orientation system's matrix that is common to the
+    linear and the Newton form: time derivative, elastic, axial and
+    (half the) anchoring terms."""
+    p = ops.mesh.pattern
+    data = (
+        ops.mass_dt(lumped).data / tau
+        + (2.0 * weights.w_erk * weights.kappa) * ops.stiffness.data
+        + (weights.w_was * weights.eps) * W_phi.data
+    )
+    data[p.diag] += (weights.w_erk * eform_scalar_diag(ops, n_new)
+                     + 0.5 * weights.w_wan * weights.eps * gamma)
+    return p.csr(data)
 
 
 def explicit_dw_load(ops: Operators, dw: DoubleWell, s_prev) -> np.ndarray:
@@ -492,16 +499,10 @@ def residual_s_nonlinear(
     s_guess = np.asarray(s_guess)
     s_prev = np.asarray(s_prev)
     M_dt = ops.mass_dt(lumped)
-    De = eform_scalar_diag(ops, n_new)
     gamma = cform_scalar_diag(ops, n_new, gphi_prev, n_new, gphi_prev)
     W_phi = grad_weighted_mass(ops, gphi_prev)
 
-    base = (
-        M_dt / tau
-        + weights.w_erk * (2.0 * weights.kappa * ops.stiffness + sp.diags(De))
-        + (weights.w_was * weights.eps) * W_phi
-        + sp.diags(0.5 * weights.w_wan * weights.eps * gamma)
-    ).tocsr()
+    base = _s_matrix(ops, weights, tau, n_new, gamma, W_phi, lumped)
     sq = quad.at_quad_points(s_guess[ops.mesh.elements])
     fc_load = assembly.nodal_load(ops.mesh, ops.geom, weights.dw.dfc(sq))
     R = (
@@ -513,26 +514,20 @@ def residual_s_nonlinear(
     )
     fc2 = npoly.polyder(np.array(weights.dw.fc_coeffs), 2)
     fcpp = npoly.polyval(sq, fc2)
-    Jdw = np.einsum(
-        "eq,q,qa,qb,e->eab",
-        fcpp,
-        quad.TRI4_WEIGHTS,
-        quad.TRI4_BARY,
-        quad.TRI4_BARY,
-        ops.geom.areas,
-    )
-    J = base + weights.w_dw * assembly._scatter(ops.mesh, Jdw)
-    return R, J.tocsr()
+    Jdw = assembly.quad_weighted_mass(ops.mesh, ops.geom, fcpp)
+    base.data += weights.w_dw * Jdw.data
+    return R, base
 
 
 def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new) -> SparseOperator:
     """phi-coefficient matrix of the chemical-potential equation that stays
     fixed across Newton iterations (gradient + anchoring blocks)."""
-    return (
-        weights.w_chgd * weights.eps * ops.stiffness
-        + weights.w_wan * weights.eps * anchoring_phi_matrix(ops, s_new, n_new)
-        + weights.w_was * weights.eps * was_phi_matrix(ops, s_new, weights.s_star)
-    ).tocsr()
+    eps = weights.eps
+    return ops.mesh.pattern.csr(
+        (weights.w_chgd * eps) * ops.stiffness.data
+        + (weights.w_wan * eps) * anchoring_phi_matrix(ops, s_new, n_new).data
+        + (weights.w_was * eps) * was_phi_matrix(ops, s_new, weights.s_star).data
+    )
 
 
 def residual_ch(
@@ -562,6 +557,20 @@ def residual_ch(
     return np.concatenate([r_phi, r_mu])
 
 
+def jacobian_ch_fixed(ops: Operators, weights: ModelWeights, tau: float,
+                      lumped: bool = False) -> np.ndarray:
+    """Data of the interface Jacobian with its three blocks that do not
+    depend on phi written (M_dt/tau, eps K, -M_dt) and zeros in the
+    fourth; computed once per step."""
+    blocks = ops.mesh.pattern.blocks
+    M_dt = ops.mass_dt(lumped).data
+    data = np.zeros(blocks.nnz)
+    data[blocks.slots[0, 0]] = M_dt / tau
+    data[blocks.slots[0, 1]] = weights.eps * ops.stiffness.data
+    data[blocks.slots[1, 1]] = -M_dt
+    return data
+
+
 def jacobian_ch(
     ops: Operators,
     weights: ModelWeights,
@@ -569,10 +578,13 @@ def jacobian_ch(
     phi,
     A0: SparseOperator,
     lumped: bool = False,
+    fixed: np.ndarray | None = None,
 ) -> SparseOperator:
-    M_dt = ops.mass_dt(lumped)
+    """Jacobian [[M_dt/tau, eps K], [3 W_chdw/eps M(phi^2) + A0, -M_dt]]
+    of the interface system, as a CSR matrix on the mesh's block pattern.
+    ``fixed`` is ``jacobian_ch_fixed``'s data, computed here when absent."""
+    blocks = ops.mesh.pattern.blocks
+    data = jacobian_ch_fixed(ops, weights, tau, lumped) if fixed is None else fixed.copy()
     M2 = assembly.squared_field_mass(ops.mesh, ops.geom, np.asarray(phi))
-    J21 = (3.0 * weights.w_chdw / weights.eps) * M2 + A0
-    return sp.bmat(
-        [[M_dt / tau, weights.eps * ops.stiffness], [J21, -M_dt]], format="csc"
-    )
+    data[blocks.slots[1, 0]] = (3.0 * weights.w_chdw / weights.eps) * M2.data + A0.data
+    return blocks.csr(data)

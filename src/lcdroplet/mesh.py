@@ -1,4 +1,4 @@
-"""Conforming simplicial meshes and the weak-acuteness audit.
+"""Triangle meshes, their sparsity pattern and the weak-acuteness audit.
 
 The simulator relies on the discrete maximum principle: the off-diagonal
 entries ``k_ij = -(stiffness)_ij`` of the P1 stiffness matrix must be
@@ -11,6 +11,7 @@ given its assembled stiffness matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,18 +21,38 @@ class MeshError(ValueError):
     """Raised for malformed meshes or invalid generator arguments."""
 
 
+# local vertex pairs of a triangle's three edges; column k of
+# ``MeshEdges.of_element`` is the edge between local vertices _EDGE_PAIRS[k]
+_EDGE_PAIRS = ((0, 1), (1, 2), (2, 0))
+
+
+@dataclass(frozen=True)
+class MeshEdges:
+    """Unordered node pairs of a triangulation, sorted by (lo, hi).
+
+    ``of_element[e, k]`` is the edge between local vertices
+    ``_EDGE_PAIRS[k]`` of element ``e``; ``counts`` the number of elements
+    sharing each edge.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    of_element: np.ndarray
+    counts: np.ndarray
+
+
 @dataclass(frozen=True)
 class TriMesh:
-    """Conforming simplicial triangulation.
+    """Conforming triangulation of a planar domain.
 
     Attributes
     ----------
     dim : int
-        Spatial dimension (2 for triangles, 3 for tetrahedra).
-    nodes : ndarray, shape (n_nodes, dim)
+        Spatial dimension; must be 2.
+    nodes : ndarray, shape (n_nodes, 2)
         Node coordinates.
-    elements : ndarray, shape (n_elements, dim + 1)
-        Vertex indices of each simplex, positively oriented.
+    elements : ndarray, shape (n_elements, 3)
+        Vertex indices of each triangle, positively oriented.
     boundary_nodes : ndarray
         Sorted indices of nodes on the Dirichlet boundary.
     boundary_tag : dict
@@ -45,16 +66,18 @@ class TriMesh:
     boundary_tag: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.dim != 2:
+            raise MeshError(f"only triangle meshes (dim=2) are supported, got dim={self.dim}")
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
         elements = np.ascontiguousarray(np.asarray(self.elements, dtype=np.int64))
         bnodes = np.unique(np.asarray(self.boundary_nodes, dtype=np.int64))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "boundary_nodes", bnodes)
-        if nodes.ndim != 2 or nodes.shape[1] != self.dim:
-            raise MeshError(f"nodes must have shape (n, {self.dim})")
-        if elements.ndim != 2 or elements.shape[1] != self.dim + 1:
-            raise MeshError(f"elements must have shape (n, {self.dim + 1})")
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise MeshError("nodes must have shape (n, 2)")
+        if elements.ndim != 2 or elements.shape[1] != 3:
+            raise MeshError("elements must have shape (n, 3)")
         if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
             raise MeshError("element vertex index out of range")
         if bnodes.size and (bnodes.min() < 0 or bnodes.max() >= len(nodes)):
@@ -64,30 +87,51 @@ class TriMesh:
             if np.any(srt[:, 1:] == srt[:, :-1]):
                 bad = int(np.nonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))[0][0])
                 raise MeshError(f"element {bad} has repeated vertices")
-        if self.dim == 2 and len(elements):
             v1 = nodes[elements[:, 1]] - nodes[elements[:, 0]]
             v2 = nodes[elements[:, 2]] - nodes[elements[:, 0]]
             det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
             if np.any(det <= 0):
                 bad = int(np.argmin(det))
                 raise MeshError(f"element {bad} is degenerate or negatively oriented")
-        self._check_conforming(elements)
+        self._check_conforming()
 
-    @staticmethod
-    def _check_conforming(elements: np.ndarray) -> None:
-        # A facet (edge in 2D, face in 3D) may be shared by at most two
-        # simplices; hanging nodes are outside the supported mesh family.
-        if not elements.size:
-            return
-        d1 = elements.shape[1]
-        srt = np.sort(elements, axis=1)
-        facets = np.concatenate(
-            [np.delete(srt, k, axis=1) for k in range(d1)], axis=0
-        )
-        _, counts = np.unique(facets, axis=0, return_counts=True)
-        if np.any(counts > 2):
+    def _check_conforming(self) -> None:
+        # An edge may be shared by at most two triangles; hanging nodes are
+        # outside the supported mesh family.
+        counts = self.edges.counts
+        if counts.size and counts.max() > 2:
             raise MeshError("mesh is not conforming: a facet is shared by "
                             f"{int(counts.max())} elements")
+
+    @cached_property
+    def edges(self) -> MeshEdges:
+        """The mesh edges, found by one sort of int64 keys lo * n + hi.
+
+        Computed once, by validation; the sparsity pattern reuses it."""
+        n = self.n_nodes
+        e = self.elements
+        a = e[:, [p for p, _ in _EDGE_PAIRS]]
+        b = e[:, [q for _, q in _EDGE_PAIRS]]
+        # edge by edge, not element by element: then the keys of a
+        # structured mesh come in long sorted runs, which a stable sort
+        # merges fast
+        keys = (np.minimum(a, b) * n + np.maximum(a, b)).T.ravel()
+        # np.unique(keys, return_inverse=True, return_counts=True)
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        inverse = np.empty(keys.size, dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
+        unique = ordered[first]
+        counts = np.diff(np.append(np.flatnonzero(first), keys.size))
+        lo = unique // n
+        return MeshEdges(lo, unique - lo * n, inverse.reshape(3, -1).T, counts)
+
+    @cached_property
+    def pattern(self) -> "SparsityPattern":
+        """CSR pattern shared by every P1 operator on this mesh."""
+        return SparsityPattern(self)
 
     @property
     def n_nodes(self) -> int:
@@ -119,6 +163,138 @@ class TriMesh:
         ).tocsr()
         adj.data[:] = 1
         return adj
+
+
+@dataclass(frozen=True)
+class FreeBlock:
+    """Index map from a CSR structure to its block of free rows and
+    columns: ``data[keep]`` is the block's data on (indptr, indices)."""
+
+    keep: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def build(cls, indptr, indices, free: np.ndarray) -> "FreeBlock":
+        n = len(indptr) - 1
+        rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+        keep = np.flatnonzero(free[rows] & free[indices])
+        new = np.cumsum(free, dtype=indices.dtype) - 1
+        n_free = int(np.count_nonzero(free))
+        sub = np.zeros(n_free + 1, dtype=indices.dtype)
+        np.cumsum(np.bincount(new[rows[keep]], minlength=n_free), out=sub[1:])
+        return cls(keep, sub, new[indices[keep]])
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The free block of the matrix with full data ``data``."""
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((data[self.keep], self.indices, self.indptr), shape=(n, n))
+
+
+class SparsityPattern:
+    """CSR pattern of the P1 operators on a mesh, built once per mesh.
+
+    Row i stores the columns of its neighbours and itself, in increasing
+    order; stored zeros stay, so the pattern always equals the mesh
+    adjacency plus the diagonal.  ``slots[e]`` maps element e's 3x3 block,
+    row-major, to data slots; ``diag``, ``upper`` and ``lower`` are the
+    slots of (i, i), (lo, hi) and (hi, lo) for node i and edge (lo, hi)
+    (``edge_lo``, ``edge_hi``, the mesh edges in the order of their keys).
+    Every operator built on the pattern shares ``indptr`` and ``indices``,
+    so a linear combination of operators is one of their ``data`` arrays.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        n = mesh.n_nodes
+        edges = mesh.edges
+        lo, hi = edges.lo, edges.hi
+        n_up = np.bincount(lo, minlength=n)
+        n_low = np.bincount(hi, minlength=n)
+        idx = np.int32 if n + 2 * lo.size < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(n_up + n_low + 1, out=indptr[1:])
+        diag = indptr[:-1] + n_low
+        # the keys sort the edges by (lo, hi): edges with the same lo are
+        # consecutive and in column order
+        k = np.arange(lo.size, dtype=idx)
+        upper = diag[lo] + 1 + k - (np.cumsum(n_up) - n_up)[lo]
+        # edges with the same hi are in order of lo too; a stable sort by
+        # hi groups them without reordering
+        by_hi = np.argsort(hi, kind="stable")
+        rank = np.empty_like(k)
+        rank[by_hi] = k - (np.cumsum(n_low) - n_low)[hi[by_hi]]
+        lower = indptr[hi] + rank
+        indices = np.empty(indptr[-1], dtype=idx)
+        indices[diag] = np.arange(n)
+        indices[upper] = hi
+        indices[lower] = lo
+
+        e = mesh.elements
+        slots = np.empty((len(e), 3, 3), dtype=idx)
+        for a in range(3):
+            slots[:, a, a] = diag[e[:, a]]
+        for k, (a, b) in enumerate(_EDGE_PAIRS):
+            edge = edges.of_element[:, k]
+            a_lo = e[:, a] < e[:, b]
+            slots[:, a, b] = np.where(a_lo, upper[edge], lower[edge])
+            slots[:, b, a] = np.where(a_lo, lower[edge], upper[edge])
+
+        self.n = n
+        self.nnz = int(indptr[-1])
+        self.indptr, self.indices = indptr, indices
+        self.diag, self.upper, self.lower = diag, upper, lower
+        self.edge_lo, self.edge_hi = lo, hi
+        self.slots = slots.reshape(len(e), 9)
+        self._free_blocks = {}
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with ``data`` in the pattern's slots."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row index of every slot."""
+        return np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
+
+    def free_block(self, free: np.ndarray) -> FreeBlock:
+        """Index map to the block of free rows and columns (boolean mask
+        ``free``), computed once per mask."""
+        key = np.asarray(free, dtype=bool).tobytes()
+        block = self._free_blocks.get(key)
+        if block is None:
+            if len(self._free_blocks) >= 4:
+                self._free_blocks.clear()
+            block = FreeBlock.build(self.indptr, self.indices, np.frombuffer(key, dtype=bool))
+            self._free_blocks[key] = block
+        return block
+
+    @cached_property
+    def blocks(self) -> "BlockPattern":
+        """Pattern of 2x2 block matrices whose blocks are on this pattern."""
+        return BlockPattern(self)
+
+
+class BlockPattern:
+    """CSR pattern of a 2n x 2n matrix [[A, B], [C, D]] with all four
+    blocks on one n x n pattern.  ``slots[r, c]`` maps block (r, c)'s data
+    to the matrix's data slots."""
+
+    def __init__(self, p: SparsityPattern):
+        rows = p.rows
+        count = np.diff(p.indptr)
+        left = p.indptr[rows] + np.arange(p.nnz, dtype=p.indptr.dtype)
+        right = left + count[rows]
+        self.n = 2 * p.n
+        self.nnz = 4 * p.nnz
+        self.indptr = np.concatenate([2 * p.indptr, 2 * p.nnz + 2 * p.indptr[1:]])
+        self.indices = np.empty(self.nnz, dtype=p.indices.dtype)
+        self.slots = np.array([[left, right], [left + 2 * p.nnz, right + 2 * p.nnz]])
+        for r in range(2):
+            self.indices[self.slots[r, 0]] = p.indices
+            self.indices[self.slots[r, 1]] = p.indices + p.n
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,9 @@ def _solve_spd(A, b, config: SchemeConfig) -> np.ndarray:
         if info != 0:
             raise StepError(f"conjugate gradient failed to converge (info={info})")
         return x
-    return spla.spsolve(A.tocsc(), b)
+    # minimum degree on A^T + A: the pattern is symmetric, and this
+    # ordering fills less than the default COLAMD
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
 
 
 def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
@@ -232,7 +234,9 @@ def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
 
     if weights.dw.fc_is_quadratic:
         A, b = en.residual_s(ops, weights, config.tau, s_prev, n_new, gphi_prev, lumped)
-        A_ff, b_f, freemask = assembly.apply_dirichlet(A, b, bc.s_nodes, bc.s_values)
+        A_ff, b_f, freemask = assembly.apply_dirichlet(
+            A, b, bc.s_nodes, bc.s_values, mesh.pattern
+        )
         s_new = np.empty(mesh.n_nodes)
         s_new[bc.s_nodes] = bc.s_values
         s_new[freemask] = _solve_spd(A_ff, b_f, config)
@@ -247,7 +251,7 @@ def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
             ops, weights, config.tau, s_new, s_prev, n_new, gphi_prev, lumped
         )
         J_ff, r_f, freemask = assembly.apply_dirichlet(
-            J, -R, bc.s_nodes, np.zeros(len(bc.s_nodes))
+            J, -R, bc.s_nodes, np.zeros(len(bc.s_nodes)), mesh.pattern
         )
         # the lift is zero here: s_new already satisfies the boundary data
         res = float(np.linalg.norm(r_f))
@@ -325,6 +329,7 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
     phi, mu = phi_prev.copy(), state.mu.values.copy()
     A0 = en.ch_step_matrix(ops, weights, s_new, n_new)
     lumped = config.mass_lumping_timederiv
+    fixed = en.jacobian_ch_fixed(ops, weights, config.tau, lumped)
     n = ops.mesh.n_nodes
 
     history = []
@@ -337,7 +342,7 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
             return phi, mu, iters, history, R
         if it == config.newton_max_iter:
             break
-        J = en.jacobian_ch(ops, weights, config.tau, phi, A0, lumped)
+        J = en.jacobian_ch(ops, weights, config.tau, phi, A0, lumped, fixed)
         delta = cache.solve(J, -R, min(_NEWTON_LINEAR_RTOL, _NEWTON_FORCING * res))
         phi = phi + delta[:n]
         mu = mu + delta[n:]
@@ -378,11 +383,13 @@ def _weighted_grad_sq(ops: Operators, s_like: np.ndarray, shift: float, g: np.nd
 def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
                        config: SchemeConfig, bc: BoundaryConditions,
                        phi_mass_ref: float | None = None,
-                       cache: JacobianCache | None = None):
+                       cache: JacobianCache | None = None,
+                       before: EnergyReport | None = None):
     """One full step; returns (new_state, StepReport).
 
     ``cache`` carries interface Jacobian factors between the steps of a
-    run (see :func:`ch_step`)."""
+    run (see :func:`ch_step`).  ``before`` is the energy of ``state``
+    (the previous step's ``after``), evaluated here when absent."""
     mesh = ops.mesh
     tau = config.tau
     eps = weights.eps
@@ -390,7 +397,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     s_prev, n_prev, phi_prev = state.s.values, state.n.values, state.phi.values
     gphi_prev = assembly.element_gradients(mesh, phi_prev, ops.geom)
 
-    before = en.total_energy(ops, weights, s_prev, n_prev, phi_prev)
+    if before is None:
+        before = en.total_energy(ops, weights, s_prev, n_prev, phi_prev)
 
     n_tilde, n_new, v = director_step(ops, state, weights, config, bc)
     s_new = s_step(ops, state, n_new, weights, config, bc)
@@ -503,17 +511,19 @@ def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
     mass0 = float(mass_rows @ initial.phi.values)
     cache = JacobianCache()
 
-    report0 = en.total_energy(
+    energy = en.total_energy(
         ops, weights, initial.s.values, initial.n.values, initial.phi.values
     )
     for sink in sinks:
         if hasattr(sink, "on_start"):
-            sink.on_start(state, report0)
+            sink.on_start(state, energy)
     try:
         for _ in range(n_steps):
             state, report = gradient_flow_step(
-                ops, state, weights, config, bc, phi_mass_ref=mass0, cache=cache
+                ops, state, weights, config, bc, phi_mass_ref=mass0, cache=cache,
+                before=energy,
             )
+            energy = report.after
             for sink in sinks:
                 if hasattr(sink, "on_step"):
                     sink.on_step(state, report)

@@ -565,9 +565,10 @@ def flow_trajectory(problem, mutate: str | None = None):
     state = problem.initial
     mass_rows = ops.mass @ np.ones(ops.mesh.n_nodes)
     mass0 = float(mass_rows @ state.phi.values)
-    e0 = en.total_energy(
+    energy = en.total_energy(
         ops, weights, state.s.values, state.n.values, state.phi.values
-    ).total
+    )
+    e0 = energy.total
     n_steps = int(round(scheme.t_final / scheme.tau))
     reports = []
     # the same Jacobian reuse as ``sv.run``, so the audited trajectory is
@@ -576,8 +577,10 @@ def flow_trajectory(problem, mutate: str | None = None):
     for _ in range(n_steps):
         prev = state
         state, rep = sv.gradient_flow_step(
-            ops, state, weights, scheme, bc, phi_mass_ref=mass0, cache=cache
+            ops, state, weights, scheme, bc, phi_mass_ref=mass0, cache=cache,
+            before=energy,
         )
+        energy = rep.after
         if mutate == "convex-split-sign":
             ds = state.s.values - prev.s.values
             wrong_pairing = float(

@@ -21,33 +21,29 @@ def write_vtk(path, mesh: TriMesh, point_scalars=None, point_vectors=None,
     point_vectors = point_vectors or {}
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
-    ]
-    for p in mesh.nodes:
-        lines.append(f"{p[0]:.17g} {p[1]:.17g} 0")
     ne = mesh.n_elements
-    lines.append(f"CELLS {ne} {4 * ne}")
-    for tri in mesh.elements:
-        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
-    lines.append(f"CELL_TYPES {ne}")
-    lines.extend([str(VTK_TRIANGLE)] * ne)
-
+    blocks = [
+        "# vtk DataFile Version 3.0\n"
+        f"{title}\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_nodes} double\n",
+        _rows("%.17g %.17g 0\n", mesh.nodes),
+        f"CELLS {ne} {4 * ne}\n",
+        _rows("3 %d %d %d\n", mesh.elements),
+        f"CELL_TYPES {ne}\n",
+        f"{VTK_TRIANGLE}\n" * ne,
+    ]
     if point_scalars or point_vectors:
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
+        blocks.append(f"POINT_DATA {mesh.n_nodes}\n")
     for name, values in point_scalars.items():
-        values = np.asarray(values)
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.17g}" for v in values)
+        blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        blocks.append(_rows("%.17g\n", np.asarray(values, dtype=float)))
     for name, values in point_vectors.items():
-        values = np.asarray(values)
-        lines.append(f"VECTORS {name} double")
-        lines.extend(f"{v[0]:.17g} {v[1]:.17g} 0" for v in values)
+        blocks.append(f"VECTORS {name} double\n")
+        blocks.append(_rows("%.17g %.17g 0\n", np.asarray(values, dtype=float)[:, :2]))
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(blocks))
+
+
+def _rows(fmt: str, values: np.ndarray) -> str:
+    """One ``fmt`` line per row of ``values``, formatted by a single ``%``."""
+    return (fmt * len(values)) % tuple(values.ravel().tolist())

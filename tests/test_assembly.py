@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import naive_assembly as naive
 from lcdroplet import (
     TriMesh,
     assemble_lumped_mass,
@@ -18,6 +21,10 @@ from lcdroplet.assembly import (
     edge_table,
     integrate_p1_function,
     element_geometry,
+    squared_field_mass,
+    tensor_stiffness,
+    weighted_mass,
+    weighted_stiffness,
 )
 from lcdroplet.mesh import MeshError
 
@@ -179,3 +186,80 @@ def test_apply_dirichlet_symmetric_elimination():
     x[fixed] = vals
     x[free] = spla.spsolve(A_ff, b_f)
     assert np.allclose(x, m.nodes[:, 0], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fixed pattern: every operator against a naive COO assembly
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["structured", "shuffled"])
+def pattern_mesh(request):
+    m = build_structured_mesh(5, 4, ((0.0, 0.0), (1.0, 0.8)))
+    return m if request.param == "structured" else naive.shuffled(m)
+
+
+def test_pattern_is_adjacency_plus_diagonal(pattern_mesh):
+    m = pattern_mesh
+    ref = (m.node_adjacency() + sp.eye(m.n_nodes, format="csr")).tocsr()
+    ref.sort_indices()
+    p = m.pattern
+    assert np.array_equal(p.indptr, ref.indptr)
+    assert np.array_equal(p.indices, ref.indices)
+    assert np.array_equal(p.indices[p.diag], np.arange(m.n_nodes))
+    assert np.array_equal(p.indices[p.upper], p.edge_hi)
+    assert np.array_equal(p.indices[p.lower], p.edge_lo)
+    # every operator stores the full pattern, exact zeros included
+    K = assemble_stiffness(m)
+    assert K.nnz == p.nnz and np.array_equal(K.indices, p.indices)
+    assert np.any(K.data[p.upper] == 0.0)
+
+
+def test_fixed_pattern_operators_match_coo_assembly(pattern_mesh, rng):
+    m = pattern_mesh
+    geom = element_geometry(m)
+    w = rng.uniform(0.5, 2.0, m.n_elements)
+    H = rng.standard_normal((m.n_elements, 2, 2))
+    v = rng.standard_normal(m.n_nodes)
+    pairs = [
+        (assemble_stiffness(m), naive.stiffness(m)),
+        (assemble_mass(m), naive.mass(m)),
+        (weighted_stiffness(m, geom, w), naive.stiffness(m, w)),
+        (weighted_mass(m, geom, w), naive.mass(m, w)),
+        (tensor_stiffness(m, geom, H), naive.tensor_stiffness(m, H)),
+        (squared_field_mass(m, geom, v), naive.squared_field_mass(m, v)),
+    ]
+    for A, R in pairs:
+        assert np.array_equal(A.indptr, R.indptr) and np.array_equal(A.indices, R.indices)
+        assert naive.relative_error(A, R) <= 1e-13
+
+
+def test_operators_edges_match_stiffness(pattern_mesh):
+    ops = build_operators(pattern_mesh)
+    ei, ej, k = naive.edges(pattern_mesh)
+    assert np.array_equal(ops.edge_i, ei) and np.array_equal(ops.edge_j, ej)
+    assert np.abs(ops.edge_k - k).max() <= 1e-13 * np.abs(k).max()
+
+
+def test_apply_dirichlet_pattern_map_matches_slicing(pattern_mesh, rng):
+    m = pattern_mesh
+    K = assemble_stiffness(m)
+    b = rng.standard_normal(m.n_nodes)
+    vals = rng.standard_normal(len(m.boundary_nodes))
+    A_ff, b_f, free = apply_dirichlet(K, b, m.boundary_nodes, vals, m.pattern)
+    ref = K[free][:, free]
+    assert np.array_equal(A_ff.indptr, ref.indptr) and np.array_equal(A_ff.indices, ref.indices)
+    assert np.array_equal(A_ff.data, ref.data)
+    g = np.zeros(m.n_nodes)
+    g[m.boundary_nodes] = vals
+    assert np.allclose(b_f, (b - K @ g)[free], rtol=0, atol=1e-13)
+
+
+def test_mmd_ordered_spd_solve_matches_spsolve(pattern_mesh, rng):
+    from lcdroplet.solver import SchemeConfig, _solve_spd
+
+    m = pattern_mesh
+    A = assemble_stiffness(m) + 3.0 * assemble_mass(m)
+    b = rng.standard_normal(m.n_nodes)
+    ref = spla.spsolve(A.tocsc(), b)
+    x = _solve_spd(A, b, SchemeConfig())
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()

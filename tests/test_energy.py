@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import naive_assembly as naive
+from lcdroplet import build_operators, build_structured_mesh
 from lcdroplet import energy as en
-from lcdroplet.assembly import element_gradients
+from lcdroplet.assembly import apply_dirichlet, element_gradients
 from lcdroplet.energy import DoubleWell, ModelWeights, default_double_well
 
 
@@ -341,3 +343,64 @@ def test_anisotropic_tension_identity():
     from lcdroplet.verify import anisotropic_identity_check
 
     assert anisotropic_identity_check().passed
+
+
+# ---------------------------------------------------------------------------
+# per-step systems on the fixed pattern against a naive COO assembly
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["structured", "shuffled"])
+def step_case(request):
+    m = build_structured_mesh(5, 4, ((0.0, 0.0), (1.0, 0.8)))
+    m = m if request.param == "structured" else naive.shuffled(m)
+    rng = np.random.default_rng(11)
+    fields = dict(
+        s=rng.uniform(0.1, 0.9, m.n_nodes),
+        n=unit_director(rng.uniform(0, 2 * np.pi, m.n_nodes)),
+        phi=rng.uniform(-1, 1, m.n_nodes),
+    )
+    weights = ModelWeights(w_chdw=3.0, w_wan=2.0, w_was=5.0, rho=1.3, eps=0.07)
+    return build_operators(m), weights, fields
+
+
+def test_ch_matrices_match_coo_assembly(step_case):
+    ops, weights, f = step_case
+    A0 = en.ch_step_matrix(ops, weights, f["s"], f["n"])
+    A0_ref = naive.ch_step_matrix(ops.mesh, weights, f["s"], f["n"])
+    assert naive.relative_error(A0, A0_ref) <= 1e-13
+    J = en.jacobian_ch(ops, weights, 0.002, f["phi"], A0)
+    J_ref = naive.jacobian_ch(ops.mesh, weights, 0.002, f["phi"], A0_ref)
+    assert naive.relative_error(J, J_ref) <= 1e-13
+    assert np.array_equal(J.indptr, J_ref.indptr) and np.array_equal(J.indices, J_ref.indices)
+    fixed = en.jacobian_ch_fixed(ops, weights, 0.002)
+    J2 = en.jacobian_ch(ops, weights, 0.002, f["phi"], A0, fixed=fixed)
+    assert np.array_equal(J2.data, J.data)
+
+
+def test_director_system_matches_coo_assembly(step_case):
+    from lcdroplet.solver import tangent_space
+
+    ops, weights, f = step_case
+    mesh = ops.mesh
+    free = np.ones(mesh.n_nodes, dtype=bool)
+    free[mesh.boundary_nodes] = False
+    t = tangent_space(f["n"])
+    gphi = element_gradients(mesh, f["phi"])
+    A, b = en.residual_director(ops, weights, 0.01, f["s"], f["n"], gphi, t, free)
+    A_ref, b_ref = naive.director_system(mesh, weights, 0.01, f["s"], f["n"], f["phi"], t, free)
+    assert A.shape == A_ref.shape
+    assert naive.relative_error(A, A_ref) <= 1e-13
+    assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+
+
+def test_orientation_system_matches_coo_assembly(step_case):
+    ops, weights, f = step_case
+    mesh = ops.mesh
+    gphi = element_gradients(mesh, f["phi"])
+    A, b = en.residual_s(ops, weights, 0.002, f["s"], f["n"], gphi)
+    A_ref = naive.s_matrix(mesh, weights, 0.002, f["n"], f["phi"])
+    assert naive.relative_error(A, A_ref) <= 1e-13
+    fixed = mesh.boundary_nodes
+    vals = np.full(len(fixed), 0.5)
+    A_ff, b_f, free = apply_dirichlet(A, b, fixed, vals, mesh.pattern)
+    assert naive.relative_error(A_ff, A_ref[free][:, free]) <= 1e-13

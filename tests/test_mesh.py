@@ -166,3 +166,59 @@ def test_count_components():
     assert count_components(m, two_blobs) == 2
     assert count_components(m, np.zeros(m.n_nodes, dtype=bool)) == 0
     assert count_components(m, np.ones(m.n_nodes, dtype=bool)) == 1
+
+
+def test_nonconforming_mesh_rejected_with_large_node_numbers():
+    # the same three triangles on one edge, numbered above 2**16: a key
+    # lo * n + hi that overflowed 32 bits, or collided, would miss it
+    n = 70_005
+    ids = np.array([70_000, 70_001, 70_002, 70_003, 70_004])
+    nodes = np.zeros((n, 2))
+    nodes[ids] = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [2.0, 1.0]]
+    elements = ids[np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]])]
+    with pytest.raises(MeshError, match="shared by 3 elements"):
+        TriMesh(2, nodes, elements, np.array([]))
+    # two of them form a conforming mesh with one interior edge
+    m = TriMesh(2, nodes, elements[:2], np.array([]))
+    assert len(m.edges.lo) == 5
+    assert m.edges.counts.max() == 2
+    shared = np.flatnonzero(m.edges.counts == 2)[0]
+    assert (m.edges.lo[shared], m.edges.hi[shared]) == (70_000, 70_001)
+
+
+def test_only_triangle_meshes():
+    with pytest.raises(MeshError, match="dim=2"):
+        TriMesh(3, np.zeros((4, 3)), np.array([[0, 1, 2, 3]]), np.array([]))
+
+
+def test_vtk_matches_per_line_writer(tmp_path):
+    from lcdroplet.vtkio import write_vtk
+
+    def per_line(path, mesh, scalars, vectors, title):
+        lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+                 "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_nodes} double"]
+        lines += [f"{p[0]:.17g} {p[1]:.17g} 0" for p in mesh.nodes]
+        ne = mesh.n_elements
+        lines.append(f"CELLS {ne} {4 * ne}")
+        lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.elements]
+        lines.append(f"CELL_TYPES {ne}")
+        lines += ["5"] * ne
+        lines.append(f"POINT_DATA {mesh.n_nodes}")
+        for name, values in scalars.items():
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines += [f"{v:.17g}" for v in values]
+        for name, values in vectors.items():
+            lines.append(f"VECTORS {name} double")
+            lines += [f"{v[0]:.17g} {v[1]:.17g} 0" for v in values]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    m = build_structured_mesh(5, 3, ((-1.0, 0.0), (2.0, 1e-3)))
+    rng = np.random.default_rng(3)
+    phi = rng.standard_normal(m.n_nodes) * 10.0 ** rng.integers(-300, 300, m.n_nodes)
+    phi[:3] = [-0.0, 1.0, 1.0 / 3.0]
+    theta = rng.uniform(0, 2 * np.pi, m.n_nodes)
+    scalars = {"phase": phi, "orientation": np.linspace(-0.5, 1.0, m.n_nodes)}
+    vectors = {"director": np.column_stack([np.cos(theta), np.sin(theta)])}
+    write_vtk(tmp_path / "fast.vtk", m, scalars, vectors, title="t")
+    per_line(tmp_path / "ref.vtk", m, scalars, vectors, "t")
+    assert (tmp_path / "fast.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()

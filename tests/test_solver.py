@@ -440,3 +440,15 @@ def test_state_requires_shared_mesh():
             sv.NodalScalarField(m2, phi2),
             sv.NodalScalarField(m1, s),
         )
+
+
+def test_step_with_energy_passed_in_is_bit_identical():
+    problem = small_problem(nx=8, tau=0.004)
+    ops, w, sc, bc = problem.ops, problem.weights, problem.scheme, problem.bc
+    state, first = gradient_flow_step(ops, problem.initial, w, sc, bc)
+    _, fresh = gradient_flow_step(ops, state, w, sc, bc)
+    _, passed = gradient_flow_step(ops, state, w, sc, bc, before=first.after)
+    assert passed == fresh
+    assert passed.before == en.total_energy(
+        ops, w, state.s.values, state.n.values, state.phi.values
+    )
