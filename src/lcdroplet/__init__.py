@@ -11,7 +11,6 @@ implementation against independent oracles.
 
 from .assembly import (
     Operators,
-    assemble_lumped_mass,
     assemble_mass,
     assemble_stiffness,
     build_operators,
@@ -51,9 +50,8 @@ __all__ = [
     "AcutenessReport", "BoundaryConditions", "DirectorField", "DoubleWell",
     "EnergyReport", "ModelWeights", "NodalScalarField", "NodalVectorField",
     "Operators", "PhaseState", "SchemeConfig", "StepReport", "TriMesh",
-    "assemble_lumped_mass", "assemble_mass", "assemble_stiffness",
-    "audit_weak_acuteness", "build_operators", "build_structured_mesh",
-    "cform", "count_components", "default_double_well", "eform",
-    "element_gradients", "gradient_flow_step", "interpolate", "make_state",
-    "mesh_size", "run", "total_energy",
+    "assemble_mass", "assemble_stiffness", "audit_weak_acuteness",
+    "build_operators", "build_structured_mesh", "cform", "count_components",
+    "default_double_well", "eform", "element_gradients", "gradient_flow_step",
+    "interpolate", "make_state", "mesh_size", "run", "total_energy",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature as quad
-from .mesh import FreeBlock, MeshError, SparsityPattern, TriMesh
+from .mesh import MeshError, SparsityPattern, TriMesh
 
 SparseOperator = sp.csr_matrix
 
@@ -40,8 +40,6 @@ class ElementGeometry:
 
 
 def element_geometry(mesh: TriMesh) -> ElementGeometry:
-    if mesh.dim != 2:
-        raise NotImplementedError("assembly is implemented for d=2")
     xy = mesh.nodes[mesh.elements]  # (ne, 3, 2)
     x, y = xy[..., 0], xy[..., 1]
     # b_a = y_{a+1} - y_{a+2}, c_a = x_{a+2} - x_{a+1} (cyclic)
@@ -70,16 +68,6 @@ def vertex_sum(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
     return np.bincount(mesh.elements.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
 
 
-def element_sum(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
-    """Nodal sums of per-element values, shape (ne,) or (ne, k), over the
-    elements containing each node."""
-    idx = mesh.elements.ravel()
-    rep = np.repeat(values, 3, axis=0)
-    if rep.ndim == 1:
-        return np.bincount(idx, rep, minlength=mesh.n_nodes)
-    return np.column_stack([np.bincount(idx, c, minlength=mesh.n_nodes) for c in rep.T])
-
-
 def _grad_products(geom: ElementGeometry, elem_weights) -> np.ndarray:
     """Element blocks w_T |T| grad(eta_a) . grad(eta_b), shape (ne, 3, 3)."""
     gx, gy = geom.grads[:, :, 0], geom.grads[:, :, 1]
@@ -98,17 +86,6 @@ def assemble_mass(mesh: TriMesh, geom: ElementGeometry | None = None) -> SparseO
     """Consistent mass matrix, entry (i,j) = integral of eta_i eta_j."""
     geom = geom or element_geometry(mesh)
     return weighted_mass(mesh, geom, 1.0)
-
-
-def assemble_lumped_mass(mesh: TriMesh, geom: ElementGeometry | None = None) -> SparseOperator:
-    """Diagonal (vertex-rule) mass matrix; diagonal i = sum of |T|/3 over
-    elements touching node i.  Trace equals the domain area."""
-    return sp.diags(lumped_mass_diagonal(mesh, geom)).tocsr()
-
-
-def lumped_mass_diagonal(mesh: TriMesh, geom: ElementGeometry | None = None) -> np.ndarray:
-    geom = geom or element_geometry(mesh)
-    return element_sum(mesh, geom.areas / 3.0)
 
 
 def element_gradients(mesh: TriMesh, values: np.ndarray, geom: ElementGeometry | None = None) -> np.ndarray:
@@ -180,25 +157,15 @@ def integrate_p1_function(mesh: TriMesh, geom: ElementGeometry, f, values: np.nd
     return quad.integrate_elementwise(f(vq), geom.areas)
 
 
-def edge_table(stiffness: SparseOperator):
-    """Unordered node pairs with their stiffness couplings.
-
-    Returns (i, j, kij) arrays over the strict upper triangle of the
-    stored pattern, with ``kij = -stiffness[i, j]`` (nonnegative on weakly
-    acute meshes).  Stored zeros are kept.
-    """
-    coo = sp.coo_matrix(stiffness)
-    upper = coo.row < coo.col
-    return coo.row[upper], coo.col[upper], -coo.data[upper]
-
-
 @dataclass(frozen=True)
 class Operators:
     """Per-mesh discrete structures reused across time steps.
 
     The three matrices are on the mesh pattern (``mesh.pattern``);
-    ``edge_i``, ``edge_j`` are its edges and ``edge_k`` their stiffness
-    couplings."""
+    ``edge_i``, ``edge_j`` are the mesh edges (``mesh.edges``) and
+    ``edge_k`` their stiffness couplings.  ``lumped_mass`` is the
+    vertex-rule mass matrix, whose diagonal ``lumped_diag`` sums |T|/3
+    over the elements touching each node."""
 
     mesh: TriMesh
     geom: ElementGeometry
@@ -235,31 +202,27 @@ def build_operators(mesh: TriMesh) -> Operators:
     geom = element_geometry(mesh)
     K = assemble_stiffness(mesh, geom)
     M = assemble_mass(mesh, geom)
-    diag = lumped_mass_diagonal(mesh, geom)
+    diag = vertex_sum(mesh, np.repeat((geom.areas / 3.0)[:, None], 3, axis=1))
     p = mesh.pattern
     lumped = np.zeros(p.nnz)
     lumped[p.diag] = diag
-    return Operators(mesh, geom, K, M, diag, p.edge_lo, p.edge_hi, -K.data[p.upper],
-                     p.csr(lumped))
+    return Operators(mesh, geom, K, M, diag, mesh.edges.lo, mesh.edges.hi,
+                     -K.data[p.upper], p.csr(lumped))
 
 
 def apply_dirichlet(A: SparseOperator, b: np.ndarray, fixed: np.ndarray, values: np.ndarray,
-                    pattern: SparsityPattern | None = None):
+                    pattern: SparsityPattern):
     """Symmetric row/column elimination of Dirichlet constraints.
 
-    Returns (A_ff, b_f, free) where ``free`` is the boolean mask of
-    retained dofs and the right-hand side has been lifted by the
-    prescribed values.  When ``A`` is on ``pattern`` (``mesh.pattern``),
-    the pattern's cached index map to the free block is used; otherwise
-    the map is built from ``A``'s own structure.
+    ``A`` is a CSR matrix on ``pattern`` (``mesh.pattern``), whose cached
+    index map gives its free block.  Returns (A_ff, b_f, free) where
+    ``free`` is the boolean mask of retained dofs and the right-hand side
+    has been lifted by the prescribed values.
     """
-    A = A.tocsr()
     n = A.shape[0]
     free = np.ones(n, dtype=bool)
     free[fixed] = False
     g = np.zeros(n)
     g[fixed] = values
     b_f = (b - A @ g)[free]
-    block = (pattern.free_block(free) if pattern is not None
-             else FreeBlock.build(A.indptr, A.indices, free))
-    return block.csr(A.data), b_f, free
+    return pattern.free_block(free).csr(A.data), b_f, free

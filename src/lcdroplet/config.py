@@ -3,7 +3,8 @@
 A scenario is described by a nested document with six sections (mesh,
 weights, scheme, initial, bc, output).  The four droplet experiments are
 available as presets; a YAML config file and ``--set key=value`` strings
-override preset values with precedence flag > file > preset.
+override preset values with precedence flag > file > preset.  A key or
+section that the scenario does not know is an error, not ignored.
 
 The interfacial parameter ``eps`` may be the literal string ``"auto"``,
 meaning 3 h / sqrt(2) for the mesh actually used (three cell sides of a
@@ -17,22 +18,19 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
 
 from . import solver as sv
 from .assembly import Operators, build_operators
-from .energy import DoubleWell, ModelWeights
+from .energy import DoubleWell, ModelWeights, default_double_well
 from .expressions import compile_expression
 from .fields import normalized
 from .mesh import TriMesh, build_structured_mesh, mesh_size
 
 PRESET_NAMES = ("droplet_move", "droplet_corner", "droplet_collide", "droplet_split")
-
-_FC_DEFAULT = [0.0, 0.0, 63.0]
-_FE_DEFAULT = [0.0, 0.0, 57.0, 64.0 / 3.0, -16.0]
 
 
 @dataclass
@@ -60,6 +58,7 @@ class ScenarioConfig:
 
 def _base_config(name: str, t_final: float, w_chgd: float, w_wan: float,
                  w_was: float) -> ScenarioConfig:
+    dw = default_double_well()
     return ScenarioConfig(
         mesh={"nx": 64, "ny": 64, "rect": [[0.0, 0.0], [1.0, 1.0]]},
         weights={
@@ -76,7 +75,7 @@ def _base_config(name: str, t_final: float, w_chgd: float, w_wan: float,
             # interface length is eps*sqrt(w_chgd/w_chdw) (0.16-0.30 here)
             "eps": 3.0 / 64.0,
             "s_star": 0.750025,
-            "dw": {"fc": list(_FC_DEFAULT), "fe": list(_FE_DEFAULT)},
+            "dw": {"fc": list(dw.fc_coeffs), "fe": list(dw.fe_coeffs)},
         },
         scheme={
             "tau": 0.002,
@@ -213,7 +212,35 @@ def _eval_vector(exprs, x, y, constants) -> np.ndarray:
     return np.column_stack(comps)
 
 
+# keys of each section; those of weights and scheme are the fields of
+# ModelWeights and SchemeConfig (see ``_dataclass_kwargs``)
+_KNOWN_KEYS = {
+    "mesh": {"nx", "ny", "rect"},
+    "weights": {f.name for f in fields(ModelWeights)},
+    "weights.dw": {"fc", "fe"},
+    "scheme": {f.name for f in fields(sv.SchemeConfig)},
+    "initial": {"s", "n", "phi"},
+    "bc": {"s", "n"},
+    "output": {"dir", "snapshot_every", "energy_log"},
+}
+
+
+def _dataclass_kwargs(cls, section: dict) -> dict:
+    """The fields of dataclass ``cls`` with a plain default (float, int,
+    str or bool) that ``section`` sets, coerced to the default's type; the
+    others keep the dataclass defaults."""
+    return {f.name: type(f.default)(section[f.name]) for f in fields(cls)
+            if f.default is not MISSING and f.name in section}
+
+
 def build_problem(cfg: ScenarioConfig) -> Problem:
+    sections = cfg.to_dict()
+    sections["weights.dw"] = sections["weights"].get("dw", {})
+    unknown = sorted(f"{name}.{key}" for name, known in _KNOWN_KEYS.items()
+                     for key in sections[name] if key not in known)
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+
     mesh_cfg = cfg.mesh
     rect = mesh_cfg.get("rect", [[0.0, 0.0], [1.0, 1.0]])
     mesh = build_structured_mesh(
@@ -223,39 +250,13 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     ops = build_operators(mesh)
 
     wcfg = dict(cfg.weights)
-    eps = wcfg.get("eps", "auto")
-    if eps == "auto":
-        eps = 3.0 * mesh_size(mesh) / math.sqrt(2.0)
-    dw_cfg = wcfg.get("dw", {})
-    dw = DoubleWell(
-        tuple(dw_cfg.get("fc", _FC_DEFAULT)), tuple(dw_cfg.get("fe", _FE_DEFAULT))
-    )
-    weights = ModelWeights(
-        w_erk=float(wcfg.get("w_erk", 1.0)),
-        w_dw=float(wcfg.get("w_dw", 1.0)),
-        w_chdw=float(wcfg.get("w_chdw", 1.0)),
-        w_chgd=float(wcfg.get("w_chgd", 1.0)),
-        w_wan=float(wcfg.get("w_wan", 1.0)),
-        w_was=float(wcfg.get("w_was", 1.0)),
-        kappa=float(wcfg.get("kappa", 1.0)),
-        rho=float(wcfg.get("rho", 1.0)),
-        eps=float(eps),
-        s_star=float(wcfg.get("s_star", 0.750025)),
-        dw=dw,
-    )
-
-    scfg = dict(cfg.scheme)
-    scheme = sv.SchemeConfig(
-        tau=float(scfg.get("tau", 0.002)),
-        t_final=float(scfg.get("t_final", 1.0)),
-        newton_abs_tol=float(scfg.get("newton_abs_tol", 1e-15)),
-        newton_res_tol=float(scfg.get("newton_res_tol", 1e-7)),
-        newton_max_iter=int(scfg.get("newton_max_iter", 50)),
-        linear_solver=str(scfg.get("linear_solver", "direct")),
-        cg_tol=float(scfg.get("cg_tol", 1e-12)),
-        cg_maxiter=int(scfg.get("cg_maxiter", 20000)),
-        mass_lumping_timederiv=bool(scfg.get("mass_lumping_timederiv", False)),
-    )
+    if wcfg.get("eps", "auto") == "auto":
+        wcfg["eps"] = 3.0 * mesh_size(mesh) / math.sqrt(2.0)
+    dw_cfg, default_dw = sections["weights.dw"], default_double_well()
+    dw = DoubleWell(tuple(dw_cfg.get("fc", default_dw.fc_coeffs)),
+                    tuple(dw_cfg.get("fe", default_dw.fe_coeffs)))
+    weights = ModelWeights(dw=dw, **_dataclass_kwargs(ModelWeights, wcfg))
+    scheme = sv.SchemeConfig(**_dataclass_kwargs(sv.SchemeConfig, cfg.scheme))
 
     consts = {"eps": weights.eps, "s_star": weights.s_star}
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]

@@ -158,7 +158,9 @@ def _coupling_tensors(ops: Operators, gphi, gpsi) -> np.ndarray:
     qx, qy = gpsi[:, 0], gpsi[:, 1]
     gg = px * qx + py * qy
     per_elem = np.column_stack([gg - px * qx, -px * qy, -py * qx, gg - py * qy])
-    return assembly.element_sum(ops.mesh, (ops.geom.areas / 3.0)[:, None] * per_elem)
+    per_elem *= (ops.geom.areas / 3.0)[:, None]
+    return np.column_stack([assembly.vertex_sum(ops.mesh, np.repeat(c[:, None], 3, axis=1))
+                            for c in per_elem.T])
 
 
 def cform_scalar_diag(ops: Operators, v, gphi, w, gpsi) -> np.ndarray:

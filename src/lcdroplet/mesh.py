@@ -10,7 +10,7 @@ given its assembled stiffness matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,15 +55,12 @@ class TriMesh:
         Vertex indices of each triangle, positively oriented.
     boundary_nodes : ndarray
         Sorted indices of nodes on the Dirichlet boundary.
-    boundary_tag : dict
-        Node index -> tag string ("dirichlet" for every node here).
     """
 
     dim: int
     nodes: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
-    boundary_tag: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim != 2:
@@ -141,29 +138,6 @@ class TriMesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    def interior_nodes(self) -> np.ndarray:
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.boundary_nodes] = False
-        return np.nonzero(mask)[0]
-
-    def node_adjacency(self) -> sp.csr_matrix:
-        """Boolean node-to-node adjacency (nodes sharing an element)."""
-        e = self.elements
-        d1 = e.shape[1]
-        rows, cols = [], []
-        for a in range(d1):
-            for b in range(d1):
-                if a != b:
-                    rows.append(e[:, a])
-                    cols.append(e[:, b])
-        data = np.ones(len(rows) * self.n_elements, dtype=np.int8)
-        adj = sp.coo_matrix(
-            (data, (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_nodes, self.n_nodes),
-        ).tocsr()
-        adj.data[:] = 1
-        return adj
-
 
 @dataclass(frozen=True)
 class FreeBlock:
@@ -173,17 +147,6 @@ class FreeBlock:
     keep: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-
-    @classmethod
-    def build(cls, indptr, indices, free: np.ndarray) -> "FreeBlock":
-        n = len(indptr) - 1
-        rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-        keep = np.flatnonzero(free[rows] & free[indices])
-        new = np.cumsum(free, dtype=indices.dtype) - 1
-        n_free = int(np.count_nonzero(free))
-        sub = np.zeros(n_free + 1, dtype=indices.dtype)
-        np.cumsum(np.bincount(new[rows[keep]], minlength=n_free), out=sub[1:])
-        return cls(keep, sub, new[indices[keep]])
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The free block of the matrix with full data ``data``."""
@@ -199,7 +162,7 @@ class SparsityPattern:
     adjacency plus the diagonal.  ``slots[e]`` maps element e's 3x3 block,
     row-major, to data slots; ``diag``, ``upper`` and ``lower`` are the
     slots of (i, i), (lo, hi) and (hi, lo) for node i and edge (lo, hi)
-    (``edge_lo``, ``edge_hi``, the mesh edges in the order of their keys).
+    (``mesh.edges``, in the order of their keys).
     Every operator built on the pattern shares ``indptr`` and ``indices``,
     so a linear combination of operators is one of their ``data`` arrays.
     """
@@ -243,7 +206,6 @@ class SparsityPattern:
         self.nnz = int(indptr[-1])
         self.indptr, self.indices = indptr, indices
         self.diag, self.upper, self.lower = diag, upper, lower
-        self.edge_lo, self.edge_hi = lo, hi
         self.slots = slots.reshape(len(e), 9)
         self._free_blocks = {}
 
@@ -264,7 +226,14 @@ class SparsityPattern:
         if block is None:
             if len(self._free_blocks) >= 4:
                 self._free_blocks.clear()
-            block = FreeBlock.build(self.indptr, self.indices, np.frombuffer(key, dtype=bool))
+            free = np.frombuffer(key, dtype=bool)
+            rows, dtype = self.rows, self.indices.dtype
+            keep = np.flatnonzero(free[rows] & free[self.indices])
+            new = np.cumsum(free, dtype=dtype) - 1
+            n_free = int(np.count_nonzero(free))
+            sub = np.zeros(n_free + 1, dtype=dtype)
+            np.cumsum(np.bincount(new[rows[keep]], minlength=n_free), out=sub[1:])
+            block = FreeBlock(keep, sub, new[self.indices[keep]])
             self._free_blocks[key] = block
         return block
 
@@ -354,8 +323,7 @@ def build_structured_mesh(nx: int, ny: int, rect=((0.0, 0.0), (1.0, 1.0))) -> Tr
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
     on_boundary = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
     boundary = np.nonzero(on_boundary.ravel())[0]
-    tags = {int(k): "dirichlet" for k in boundary}
-    return TriMesh(2, nodes, elements, boundary, tags)
+    return TriMesh(2, nodes, elements, boundary)
 
 
 def mesh_size(mesh: TriMesh) -> float:
@@ -407,6 +375,8 @@ def count_components(mesh: TriMesh, node_mask: np.ndarray) -> int:
     idx = np.nonzero(np.asarray(node_mask, dtype=bool))[0]
     if idx.size == 0:
         return 0
-    sub = mesh.node_adjacency()[idx][:, idx]
+    # the pattern's diagonal adds self-loops, which join no components
+    p = mesh.pattern
+    sub = p.csr(np.ones(p.nnz))[idx][:, idx]
     ncomp, _ = sp.csgraph.connected_components(sub, directed=False)
     return int(ncomp)

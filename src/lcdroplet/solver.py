@@ -175,7 +175,7 @@ class StepReport:
 # sub-steps
 # ---------------------------------------------------------------------------
 
-def tangent_space(n_values: np.ndarray, free: np.ndarray | None = None) -> np.ndarray:
+def tangent_space(n_values: np.ndarray) -> np.ndarray:
     """Unit tangent per node (d=2): the +90 degree rotation of the director."""
     if n_values.shape[1] != 2:
         raise NotImplementedError("tangent frames are implemented for d=2")
@@ -364,22 +364,6 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
 # full step with energy budget
 # ---------------------------------------------------------------------------
 
-def _quad_integral(ops: Operators, elem_values_fn) -> float:
-    return quad.integrate_elementwise(elem_values_fn, ops.geom.areas)
-
-
-def _field_at_quad(ops: Operators, values: np.ndarray) -> np.ndarray:
-    return quad.at_quad_points(values[ops.mesh.elements])
-
-
-def _weighted_grad_sq(ops: Operators, s_like: np.ndarray, shift: float, g: np.ndarray) -> float:
-    """integral of (s_like - shift)^2 |g|^2 with per-element constant g."""
-    e = ops.mesh.elements
-    q = (s_like - shift)[e]
-    per_elem = np.einsum("ea,ab,eb->e", q, assembly._MASS_REF, q) * ops.geom.areas
-    return float(np.sum(per_elem * np.sum(g * g, axis=1)))
-
-
 def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
                        config: SchemeConfig, bc: BoundaryConditions,
                        phi_mass_ref: float | None = None,
@@ -421,12 +405,13 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     dphi = phi_new - phi_prev
     gdphi = (gphi_new - gphi_prev) / tau
 
-    pq_new = _field_at_quad(ops, phi_new)
-    pq_prev = _field_at_quad(ops, phi_prev)
+    pq_new = quad.at_quad_points(phi_new[mesh.elements])
+    pq_prev = quad.at_quad_points(phi_prev[mesh.elements])
     dphi_q = (pq_new - pq_prev) / tau
-    norm_dtau_phisq = _quad_integral(ops, ((pq_new**2 - pq_prev**2) / tau) ** 2)
-    norm_phidphi = _quad_integral(ops, (pq_new * dphi_q) ** 2)
-    norm_dphi = _quad_integral(ops, dphi_q**2)
+    areas = ops.geom.areas
+    norm_dtau_phisq = quad.integrate_elementwise(((pq_new**2 - pq_prev**2) / tau) ** 2, areas)
+    norm_phidphi = quad.integrate_elementwise((pq_new * dphi_q) ** 2, areas)
+    norm_dphi = quad.integrate_elementwise(dphi_q**2, areas)
 
     diss = {
         "normalization_eform": 0.5 * weights.w_erk * drop_eform,
@@ -453,12 +438,10 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
             en.cform(ops, n_new, gdphi, n_new, gdphi, s_new, s_new)
             + en.cform(ops, v, gphi_prev, v, gphi_prev, s_prev, s_prev)
         ),
-        "tau2_was": 0.5
-        * weights.w_was
-        * eps
+        "tau2_was": weights.w_was
         * (
-            _weighted_grad_sq(ops, s_new, weights.s_star, gphi_new - gphi_prev)
-            + _weighted_grad_sq(ops, ds, 0.0, gphi_prev)
+            en.energy_was(ops, s_new, gphi_new - gphi_prev, eps, weights.s_star)
+            + en.energy_was(ops, ds, gphi_prev, eps, 0.0)
         ),
     }
     split_term = float(

@@ -555,47 +555,35 @@ def _corner_problem(nx: int = 16, steps: int = 25, tau: float = 0.002):
 def flow_trajectory(problem, mutate: str | None = None):
     """Run a short flow, returning (e0_total, reports, final_state).
 
-    ``mutate="convex-split-sign"`` recomputes the convex-splitting slack
+    The flow is :func:`solver.run` on ``problem``, so the audited
+    trajectory is the one a simulation follows.  ``mutate="convex-split-sign"`` recomputes the convex-splitting slack
     with the explicit part evaluated at the new field (a deliberately
     wrong formula) so that the audit's sensitivity can be demonstrated.
     """
-    ops, weights, scheme, bc = (
-        problem.ops, problem.weights, problem.scheme, problem.bc,
-    )
-    state = problem.initial
-    mass_rows = ops.mass @ np.ones(ops.mesh.n_nodes)
-    mass0 = float(mass_rows @ state.phi.values)
-    energy = en.total_energy(
-        ops, weights, state.s.values, state.n.values, state.phi.values
-    )
-    e0 = energy.total
-    n_steps = int(round(scheme.t_final / scheme.tau))
-    reports = []
-    # the same Jacobian reuse as ``sv.run``, so the audited trajectory is
-    # the simulated one
-    cache = sv.JacobianCache()
-    for _ in range(n_steps):
-        prev = state
-        state, rep = sv.gradient_flow_step(
-            ops, state, weights, scheme, bc, phi_mass_ref=mass0, cache=cache,
-            before=energy,
-        )
-        energy = rep.after
-        if mutate == "convex-split-sign":
-            ds = state.s.values - prev.s.values
-            wrong_pairing = float(
-                (en.implicit_dw_load(ops, weights.dw, state.s.values)
-                 - en.explicit_dw_load(ops, weights.dw, state.s.values)) @ ds
-            )
-            gap = en.energy_dw(ops, state.s.values, weights.dw) - en.energy_dw(
-                ops, prev.s.values, weights.dw
-            )
-            wrong = weights.w_dw * (wrong_pairing - gap)
-            diss = dict(rep.dissipation)
-            diss["convex_split_slack"] = wrong
-            rep = dataclasses.replace(rep, dissipation=diss)
-        reports.append(rep)
-    return e0, reports, state
+    ops, weights = problem.ops, problem.weights
+
+    class Ledger:
+        def on_start(self, state, energy):
+            self.e0, self.reports, self.s_prev = energy.total, [], state.s.values
+
+        def on_step(self, state, rep):
+            s_new, s_prev = state.s.values, self.s_prev
+            if mutate == "convex-split-sign":
+                wrong_pairing = float(
+                    (en.implicit_dw_load(ops, weights.dw, s_new)
+                     - en.explicit_dw_load(ops, weights.dw, s_new)) @ (s_new - s_prev)
+                )
+                gap = (en.energy_dw(ops, s_new, weights.dw)
+                       - en.energy_dw(ops, s_prev, weights.dw))
+                diss = dict(rep.dissipation)
+                diss["convex_split_slack"] = weights.w_dw * (wrong_pairing - gap)
+                rep = dataclasses.replace(rep, dissipation=diss)
+            self.reports.append(rep)
+            self.s_prev = s_new
+
+    ledger = Ledger()
+    final = sv.run(ops, problem.initial, weights, problem.scheme, problem.bc, [ledger])
+    return ledger.e0, ledger.reports, final
 
 
 def director_constraints_check(reports, final_state) -> CheckOutcome:

@@ -32,6 +32,19 @@ def coo(mesh, ke):
     return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def adjacency(mesh):
+    """Node-to-node adjacency: the vertex pairs of every element summed
+    through a COO matrix, then set to one per distinct pair."""
+    e = mesh.elements
+    pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+    rows = np.concatenate([e[:, a] for a, _ in pairs])
+    cols = np.concatenate([e[:, b] for _, b in pairs])
+    n = mesh.n_nodes
+    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    adj.data[:] = 1.0
+    return adj
+
+
 def stiffness(mesh, elem_weights=1.0):
     g = element_geometry(mesh)
     w = g.areas * elem_weights

@@ -8,7 +8,6 @@ import scipy.sparse.linalg as spla
 import naive_assembly as naive
 from lcdroplet import (
     TriMesh,
-    assemble_lumped_mass,
     assemble_mass,
     assemble_stiffness,
     build_structured_mesh,
@@ -18,7 +17,6 @@ from lcdroplet import (
 from lcdroplet.assembly import (
     apply_dirichlet,
     build_operators,
-    edge_table,
     integrate_p1_function,
     element_geometry,
     squared_field_mass,
@@ -84,7 +82,7 @@ def test_mass_pairing_linear():
 def test_lumped_mass_trace_and_constants():
     m = build_structured_mesh(6, 6)
     M = assemble_mass(m)
-    ML = assemble_lumped_mass(m)
+    ML = build_operators(m).lumped_mass
     assert ML.diagonal().sum() == pytest.approx(1.0, rel=1e-13)
     ones = np.ones(m.n_nodes)
     assert np.allclose(ML @ ones, M @ ones, atol=1e-15)
@@ -93,7 +91,7 @@ def test_lumped_mass_trace_and_constants():
 def test_lumped_mass_interior_diagonal():
     nx = 4
     m = build_structured_mesh(nx, nx)
-    ML = assemble_lumped_mass(m).diagonal()
+    ML = build_operators(m).lumped_mass.diagonal()
     h = 1.0 / nx
     interior = [i for i in range(m.n_nodes) if i not in set(m.boundary_nodes)]
     # six incident triangles of area h^2/2, vertex rule weight |T|/3
@@ -152,15 +150,6 @@ def test_stiffness_edge_identity_random(rng):
         assert lhs == pytest.approx(ops.grad_form(s, s), rel=1e-12)
 
 
-def test_edge_table_keeps_stored_zeros():
-    m = build_structured_mesh(2, 2)
-    K = assemble_stiffness(m)
-    ei, ej, kij = edge_table(K)
-    assert kij.min() == pytest.approx(0.0, abs=1e-15)
-    # diagonal-neighbor pairs are stored with exact zero coupling
-    assert np.any(kij == 0.0)
-
-
 def test_degenerate_element_reported():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     mesh = TriMesh.__new__(TriMesh)
@@ -168,7 +157,6 @@ def test_degenerate_element_reported():
     object.__setattr__(mesh, "nodes", nodes)
     object.__setattr__(mesh, "elements", np.array([[0, 1, 2]]))
     object.__setattr__(mesh, "boundary_nodes", np.array([], dtype=np.int64))
-    object.__setattr__(mesh, "boundary_tag", {})
     with pytest.raises(MeshError, match="element 0"):
         element_geometry(mesh)
 
@@ -179,7 +167,7 @@ def test_apply_dirichlet_symmetric_elimination():
     b = np.zeros(m.n_nodes)
     fixed = m.boundary_nodes
     vals = m.nodes[fixed, 0]  # boundary data of the harmonic function x
-    A_ff, b_f, free = apply_dirichlet(K.tolil().tocsr(), b, fixed, vals)
+    A_ff, b_f, free = apply_dirichlet(K.tolil().tocsr(), b, fixed, vals, m.pattern)
     import scipy.sparse.linalg as spla
 
     x = np.empty(m.n_nodes)
@@ -200,14 +188,14 @@ def pattern_mesh(request):
 
 def test_pattern_is_adjacency_plus_diagonal(pattern_mesh):
     m = pattern_mesh
-    ref = (m.node_adjacency() + sp.eye(m.n_nodes, format="csr")).tocsr()
+    ref = (naive.adjacency(m) + sp.eye(m.n_nodes, format="csr")).tocsr()
     ref.sort_indices()
     p = m.pattern
     assert np.array_equal(p.indptr, ref.indptr)
     assert np.array_equal(p.indices, ref.indices)
     assert np.array_equal(p.indices[p.diag], np.arange(m.n_nodes))
-    assert np.array_equal(p.indices[p.upper], p.edge_hi)
-    assert np.array_equal(p.indices[p.lower], p.edge_lo)
+    assert np.array_equal(p.indices[p.upper], m.edges.hi)
+    assert np.array_equal(p.indices[p.lower], m.edges.lo)
     # every operator stores the full pattern, exact zeros included
     K = assemble_stiffness(m)
     assert K.nnz == p.nnz and np.array_equal(K.indices, p.indices)

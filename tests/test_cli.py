@@ -118,6 +118,56 @@ def test_bad_override_rejected():
         cfg.apply_overrides(cfg.preset("droplet_corner"), ["mesh.nx"])
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["mesh.nxx", "weights.w_chdww", "weights.dw.fcc", "scheme.tua",
+     "initial.phii", "bc.nn", "output.snapshot_evry"],
+)
+def test_unknown_key_rejected(key):
+    c = cfg.merge_config(cfg.preset("droplet_corner"), None, [f"{key}=1", "mesh.nx=4"])
+    with pytest.raises(ValueError, match="unknown config keys") as err:
+        cfg.build_problem(c)
+    assert repr(key) in str(err.value)
+
+
+def test_unknown_keys_all_named():
+    c = cfg.merge_config(cfg.preset("droplet_corner"), None,
+                         ["scheme.tua=0.5", "weights.w_chdww=100", "mesh.nxx=3"])
+    with pytest.raises(ValueError) as err:
+        cfg.build_problem(c)
+    assert str(err.value) == (
+        "unknown config keys: ['mesh.nxx', 'scheme.tua', 'weights.w_chdww']"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,w_chgd,w_wan,w_was,t_final",
+    [
+        ("droplet_move", 41.0, 20.0, 20.0, 20.0),
+        ("droplet_corner", 41.0, 20.0, 20.0, 2.0),
+        ("droplet_collide", 21.0, 10.0, 10.0, 2.0),
+        ("droplet_split", 11.0, 20.0, 20.0, 2.0),
+    ],
+)
+def test_presets_build_weights_and_scheme(name, w_chgd, w_wan, w_was, t_final):
+    from lcdroplet.energy import ModelWeights, default_double_well
+    from lcdroplet.solver import SchemeConfig
+
+    c = cfg.merge_config(cfg.preset(name), None, ["mesh.nx=4", "mesh.ny=4"])
+    prob = cfg.build_problem(c)
+    assert prob.weights == ModelWeights(
+        w_erk=1.0, w_dw=100.0, w_chdw=1.0, w_chgd=w_chgd, w_wan=w_wan,
+        w_was=w_was, kappa=1.0, rho=1.0, eps=3.0 / 64.0, s_star=0.750025,
+        dw=default_double_well(),
+    )
+    assert prob.scheme == SchemeConfig(
+        tau=0.002, t_final=t_final, newton_abs_tol=1e-15, newton_res_tol=1e-7,
+        newton_max_iter=50, linear_solver="direct", cg_tol=1e-12,
+        cg_maxiter=20000, mass_lumping_timederiv=False,
+    )
+    assert type(prob.scheme.newton_max_iter) is int
+
+
 # ---------------------------------------------------------------------------
 # expression language
 # ---------------------------------------------------------------------------

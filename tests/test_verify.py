@@ -75,6 +75,28 @@ def test_energy_law_audit_passes_on_coarse_run():
     assert vf.energy_law_audit(e0, reports).passed
 
 
+def test_flow_trajectory_is_the_simulated_run():
+    import lcdroplet.solver as sv
+
+    class Collect:
+        def on_start(self, state, energy):
+            self.e0, self.reports = energy.total, []
+
+        def on_step(self, state, report):
+            self.reports.append(report)
+
+    problem = vf._corner_problem(nx=8, steps=6)
+    e0, reports, final = vf.flow_trajectory(problem)
+    sink = Collect()
+    ref = sv.run(problem.ops, problem.initial, problem.weights, problem.scheme,
+                 problem.bc, [sink])
+    assert e0 == sink.e0
+    assert len(reports) == 6 and reports == sink.reports
+    assert final.time == ref.time and final.step_index == ref.step_index
+    for name in ("s", "n", "phi", "mu"):
+        assert np.array_equal(getattr(final, name).values, getattr(ref, name).values)
+
+
 def test_energy_law_audit_rejects_mutated_budget():
     problem = vf._corner_problem(nx=8, steps=15)
     e0, reports, state = vf.flow_trajectory(problem, mutate="convex-split-sign")
