@@ -130,18 +130,11 @@ _QUAD_LOAD = quad.TRI4_WEIGHTS[:, None] * quad.TRI4_BARY
 _QUAD_MASS = (_QUAD_LOAD[:, :, None] * quad.TRI4_BARY[:, None, :]).reshape(6, 9)
 
 
-def quad_weighted_mass(mesh: TriMesh, geom: ElementGeometry,
-                       values_at_quad: np.ndarray) -> SparseOperator:
-    """Matrix with entries integral of g eta_i eta_j for ``g`` given at
-    the degree-4 quadrature points, shape (ne, 6)."""
-    return _scatter(mesh, (values_at_quad * geom.areas[:, None]) @ _QUAD_MASS)
-
-
 def squared_field_mass(mesh: TriMesh, geom: ElementGeometry, values: np.ndarray) -> SparseOperator:
     """Matrix with entries integral of (v_h)^2 eta_i eta_j for P1 ``v_h``
     (degree-4 rule, exact)."""
     vq = quad.at_quad_points(values[mesh.elements])  # (ne, 6)
-    return quad_weighted_mass(mesh, geom, vq * vq)
+    return _scatter(mesh, (vq * vq * geom.areas[:, None]) @ _QUAD_MASS)
 
 
 def nodal_load(mesh: TriMesh, geom: ElementGeometry, values_at_quad: np.ndarray) -> np.ndarray:

@@ -225,17 +225,35 @@ _KNOWN_KEYS = {
 }
 
 
-def _dataclass_kwargs(cls, section: dict) -> dict:
+def _typed(key: str, value, kind: type):
+    """``value`` as a field of type ``kind`` (float, int, str or bool).
+    Booleans are only YAML booleans and ints only ints; a float also
+    takes an int or a numeric string, as PyYAML reads ``1e-3`` as one."""
+    if kind is float and isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, kind) and (kind is bool) == isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+
+
+def _dataclass_kwargs(cls, name: str, section: dict) -> dict:
     """The fields of dataclass ``cls`` with a plain default (float, int,
-    str or bool) that ``section`` sets, coerced to the default's type; the
-    others keep the dataclass defaults."""
-    return {f.name: type(f.default)(section[f.name]) for f in fields(cls)
-            if f.default is not MISSING and f.name in section}
+    str or bool) that config section ``name`` sets, checked against the
+    default's type; the others keep the dataclass defaults."""
+    return {f.name: _typed(f"{name}.{f.name}", section[f.name], type(f.default))
+            for f in fields(cls) if f.default is not MISSING and f.name in section}
 
 
 def build_problem(cfg: ScenarioConfig) -> Problem:
     sections = cfg.to_dict()
-    sections["weights.dw"] = sections["weights"].get("dw", {})
+    for name, known in _KNOWN_KEYS.items():
+        if name == "weights.dw":
+            sections[name] = sections["weights"].get("dw", {})
+        if not isinstance(sections[name], dict):
+            raise ValueError(f"{name} must be a mapping with keys {sorted(known)}")
     unknown = sorted(f"{name}.{key}" for name, known in _KNOWN_KEYS.items()
                      for key in sections[name] if key not in known)
     if unknown:
@@ -255,8 +273,8 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     dw_cfg, default_dw = sections["weights.dw"], default_double_well()
     dw = DoubleWell(tuple(dw_cfg.get("fc", default_dw.fc_coeffs)),
                     tuple(dw_cfg.get("fe", default_dw.fe_coeffs)))
-    weights = ModelWeights(dw=dw, **_dataclass_kwargs(ModelWeights, wcfg))
-    scheme = sv.SchemeConfig(**_dataclass_kwargs(sv.SchemeConfig, cfg.scheme))
+    weights = ModelWeights(dw=dw, **_dataclass_kwargs(ModelWeights, "weights", wcfg))
+    scheme = sv.SchemeConfig(**_dataclass_kwargs(sv.SchemeConfig, "scheme", cfg.scheme))
 
     consts = {"eps": weights.eps, "s_star": weights.s_star}
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]

@@ -40,7 +40,10 @@ class DoubleWell:
 
     ``fc_coeffs`` and ``fe_coeffs`` are ascending polynomial coefficients.
     Both parts must be convex on the admissible range of the orientation
-    parameter; this is validated on a fine grid at construction.
+    parameter; this is validated on a fine grid at construction.  The
+    implicit part f_c is at most quadratic, so that the orientation stage
+    is one linear solve; any f splits so, as f_c = c s^2 and
+    f_e = c s^2 - f with 2c >= max f'' on the range.
     """
 
     fc_coeffs: tuple
@@ -49,6 +52,12 @@ class DoubleWell:
     def __post_init__(self):
         object.__setattr__(self, "fc_coeffs", tuple(float(c) for c in self.fc_coeffs))
         object.__setattr__(self, "fe_coeffs", tuple(float(c) for c in self.fe_coeffs))
+        if any(c != 0.0 for c in self.fc_coeffs[3:]):
+            raise ValueError(
+                f"f_c must be at most quadratic, got coefficients {self.fc_coeffs}; "
+                "split f again as f_c = c s^2 and f_e = c s^2 - f "
+                "with 2c >= max f'' on [-0.49, 0.99]"
+            )
         grid = np.arange(-0.49, 0.99 + 1e-9, 1e-3)
         for name, coeffs in (("f_c", self.fc_coeffs), ("f_e", self.fe_coeffs)):
             dd = npoly.polyval(grid, npoly.polyder(np.array(coeffs), 2))
@@ -72,10 +81,6 @@ class DoubleWell:
 
     def dfe(self, s):
         return npoly.polyval(s, npoly.polyder(np.array(self.fe_coeffs)))
-
-    @property
-    def fc_is_quadratic(self) -> bool:
-        return all(c == 0.0 for c in self.fc_coeffs[3:])
 
 
 def default_double_well() -> DoubleWell:
@@ -432,20 +437,25 @@ def residual_s(
     The averaged coupling coefficient (s_new + s_prev)/2 in the lumped
     anchoring term puts half the nodal weight in the matrix and half on
     the right-hand side.  Returns (A, b) with A symmetric positive
-    definite; raises ValueError when the convex part is not quadratic
-    (use ``residual_s_nonlinear`` then).
+    definite.
     """
-    if not weights.dw.fc_is_quadratic:
-        raise ValueError("convex part of the double well is not quadratic")
     s_prev = np.asarray(s_prev)
+    p = ops.mesh.pattern
     M_dt = ops.mass_dt(lumped)
     gamma = cform_scalar_diag(ops, n_new, gphi_prev, n_new, gphi_prev)
     W_phi = grad_weighted_mass(ops, gphi_prev)
     fc = weights.dw.fc_coeffs + (0.0, 0.0, 0.0)
     c1, c2 = fc[1], fc[2]
 
-    A = _s_matrix(ops, weights, tau, n_new, gamma, W_phi, lumped)
-    A.data += (2.0 * c2 * weights.w_dw) * ops.mass.data
+    data = (
+        M_dt.data / tau
+        + (2.0 * weights.w_erk * weights.kappa) * ops.stiffness.data
+        + (weights.w_was * weights.eps) * W_phi.data
+    )
+    data[p.diag] += (weights.w_erk * eform_scalar_diag(ops, n_new)
+                     + 0.5 * weights.w_wan * weights.eps * gamma)
+    data += (2.0 * c2 * weights.w_dw) * ops.mass.data
+    A = p.csr(data)
 
     mass_rows = ops.mass @ np.ones(ops.mesh.n_nodes)
     b = (
@@ -458,22 +468,6 @@ def residual_s(
     return A, b
 
 
-def _s_matrix(ops: Operators, weights: ModelWeights, tau: float, n_new, gamma,
-              W_phi: SparseOperator, lumped: bool) -> SparseOperator:
-    """The part of the orientation system's matrix that is common to the
-    linear and the Newton form: time derivative, elastic, axial and
-    (half the) anchoring terms."""
-    p = ops.mesh.pattern
-    data = (
-        ops.mass_dt(lumped).data / tau
-        + (2.0 * weights.w_erk * weights.kappa) * ops.stiffness.data
-        + (weights.w_was * weights.eps) * W_phi.data
-    )
-    data[p.diag] += (weights.w_erk * eform_scalar_diag(ops, n_new)
-                     + 0.5 * weights.w_wan * weights.eps * gamma)
-    return p.csr(data)
-
-
 def explicit_dw_load(ops: Operators, dw: DoubleWell, s_prev) -> np.ndarray:
     """Vector with entries integral of f_e'(s_h) eta_i (explicit part)."""
     sq = quad.at_quad_points(np.asarray(s_prev)[ops.mesh.elements])
@@ -484,41 +478,6 @@ def implicit_dw_load(ops: Operators, dw: DoubleWell, s_new) -> np.ndarray:
     """Vector with entries integral of f_c'(s_h) eta_i (implicit part)."""
     sq = quad.at_quad_points(np.asarray(s_new)[ops.mesh.elements])
     return assembly.nodal_load(ops.mesh, ops.geom, dw.dfc(sq))
-
-
-def residual_s_nonlinear(
-    ops: Operators,
-    weights: ModelWeights,
-    tau: float,
-    s_guess,
-    s_prev,
-    n_new,
-    gphi_prev,
-    lumped: bool = False,
-):
-    """Residual and Jacobian of the orientation equation for a general
-    convex part (Newton fallback)."""
-    s_guess = np.asarray(s_guess)
-    s_prev = np.asarray(s_prev)
-    M_dt = ops.mass_dt(lumped)
-    gamma = cform_scalar_diag(ops, n_new, gphi_prev, n_new, gphi_prev)
-    W_phi = grad_weighted_mass(ops, gphi_prev)
-
-    base = _s_matrix(ops, weights, tau, n_new, gamma, W_phi, lumped)
-    sq = quad.at_quad_points(s_guess[ops.mesh.elements])
-    fc_load = assembly.nodal_load(ops.mesh, ops.geom, weights.dw.dfc(sq))
-    R = (
-        base @ s_guess
-        - M_dt @ s_prev / tau
-        + weights.w_dw * (fc_load - explicit_dw_load(ops, weights.dw, s_prev))
-        - weights.w_was * weights.eps * weights.s_star * (W_phi @ np.ones_like(s_prev))
-        + 0.5 * weights.w_wan * weights.eps * gamma * s_prev
-    )
-    fc2 = npoly.polyder(np.array(weights.dw.fc_coeffs), 2)
-    fcpp = npoly.polyval(sq, fc2)
-    Jdw = assembly.quad_weighted_mass(ops.mesh, ops.geom, fcpp)
-    base.data += weights.w_dw * Jdw.data
-    return R, base
 
 
 def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new) -> SparseOperator:

@@ -38,17 +38,15 @@ def at_quad_points(nodal_on_elements: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    nodal_on_elements : ndarray, shape (ne, 3) or (ne, 3, d)
+    nodal_on_elements : ndarray, shape (ne, 3)
         Vertex values of the affine function on each element.
 
     Returns
     -------
-    ndarray, shape (ne, 6) or (ne, 6, d)
+    ndarray, shape (ne, 6)
         Values at the six quadrature points of each element.
     """
-    if nodal_on_elements.ndim == 2:
-        return nodal_on_elements @ TRI4_BARY.T
-    return np.einsum("qa,ead->eqd", TRI4_BARY, nodal_on_elements)
+    return nodal_on_elements @ TRI4_BARY.T
 
 
 def integrate_elementwise(values_at_quad: np.ndarray, areas: np.ndarray) -> float:

@@ -140,6 +140,56 @@ def test_unknown_keys_all_named():
     )
 
 
+def _build_corner(*sets):
+    c = cfg.merge_config(cfg.preset("droplet_corner"), None,
+                         ["mesh.nx=4", "mesh.ny=4", *sets])
+    return cfg.build_problem(c)
+
+
+@pytest.mark.parametrize(
+    "item,message",
+    [
+        ("scheme.mass_lumping_timederiv='false'",
+         "scheme.mass_lumping_timederiv must be of type bool, got 'false'"),
+        ("scheme.mass_lumping_timederiv=1",
+         "scheme.mass_lumping_timederiv must be of type bool, got 1"),
+        ("scheme.newton_max_iter=2.7", "scheme.newton_max_iter must be of type int, got 2.7"),
+        ("scheme.newton_max_iter=true",
+         "scheme.newton_max_iter must be of type int, got True"),
+        ("scheme.tau=fast", "scheme.tau must be of type float, got 'fast'"),
+        ("scheme.tau=false", "scheme.tau must be of type float, got False"),
+        ("weights.w_dw=[1]", "weights.w_dw must be of type float, got [1]"),
+        ("scheme.linear_solver=3", "scheme.linear_solver must be of type str, got 3"),
+    ],
+)
+def test_config_value_of_wrong_type_rejected(item, message):
+    with pytest.raises(ValueError) as err:
+        _build_corner(item)
+    assert str(err.value) == message
+
+
+def test_config_values_of_right_type_accepted():
+    p = _build_corner("scheme.tau=1e-3", "scheme.t_final=1", "scheme.newton_max_iter=7",
+                      "scheme.mass_lumping_timederiv=true", "scheme.linear_solver=cg")
+    assert p.scheme.tau == 0.001 and p.scheme.t_final == 1.0
+    assert type(p.scheme.t_final) is float
+    assert p.scheme.newton_max_iter == 7 and p.scheme.mass_lumping_timederiv is True
+    assert p.scheme.linear_solver == "cg"
+
+
+@pytest.mark.parametrize("value", ["3", "[1,2]", "null"])
+def test_double_well_not_a_mapping_rejected(value):
+    with pytest.raises(ValueError) as err:
+        _build_corner(f"weights.dw={value}")
+    assert str(err.value) == "weights.dw must be a mapping with keys ['fc', 'fe']"
+
+
+def test_quartic_convex_part_rejected_from_config():
+    with pytest.raises(ValueError, match="f_c must be at most quadratic"):
+        _build_corner("weights.dw.fc=[0, 0, 63, 0, 4]",
+                      "weights.dw.fe=[0, 0, 57, 21.333333333333332, -12]")
+
+
 @pytest.mark.parametrize(
     "name,w_chgd,w_wan,w_was,t_final",
     [

@@ -169,6 +169,12 @@ def test_nonconvex_split_rejected():
         DoubleWell(fc_coeffs=(0, 0, -1.0), fe_coeffs=(0, 0, 1.0))
 
 
+def test_convex_part_above_quadratic_rejected():
+    # the default f, split with a quartic convex part
+    with pytest.raises(ValueError, match="f_c must be at most quadratic"):
+        DoubleWell(fc_coeffs=(0, 0, 63, 0, 4), fe_coeffs=(0, 0, 57, 64 / 3, -12))
+
+
 def test_ch_energy_examples(ops4):
     mesh = ops4.mesh
     eps = 0.05

@@ -7,7 +7,7 @@ from lcdroplet import config as cfg
 from lcdroplet import energy as en
 from lcdroplet.assembly import element_gradients
 from lcdroplet import solver as sv
-from lcdroplet.energy import DoubleWell, ModelWeights
+from lcdroplet.energy import ModelWeights
 from lcdroplet.solver import (
     BoundaryConditions,
     NewtonError,
@@ -139,17 +139,13 @@ def test_s_step_small_tau_limit():
     assert np.abs(s_new - state.s.values).max() <= 1e-6
 
 
-def test_s_step_nonlinear_convex_part():
-    """A quartic convex part routes through the Newton fallback and still
-    matches the linear-path answer when the splittings define the same f."""
+def test_s_step_quartic_well_dissipates():
+    """The quartic double well, given by its quadratic split, goes
+    through the one linear solve and dissipates at fixed (n, phi)."""
     mesh = build_structured_mesh(4, 4)
     ops = build_operators(mesh)
-    # same f = fc - fe, rebalanced so fc is quartic
-    quartic = DoubleWell(
-        fc_coeffs=(0.0, 0.0, 63.0, 0.0, 4.0),
-        fe_coeffs=(0.0, 0.0, 57.0, 64.0 / 3.0, -12.0),
-    )
-    w_nl = ModelWeights(w_dw=100.0, w_wan=5.0, w_was=5.0, s_star=0.75, dw=quartic)
+    w = ModelWeights(w_dw=100.0, w_wan=5.0, w_was=5.0, s_star=0.75,
+                     dw=en.default_double_well())
     rng = np.random.default_rng(5)
     phi = rng.uniform(-1, 1, mesh.n_nodes)
     s0 = np.clip(0.75 + 0.05 * rng.standard_normal(mesh.n_nodes), 0.6, 0.9)
@@ -158,13 +154,11 @@ def test_s_step_nonlinear_convex_part():
     state = make_state(mesh, s0, n, phi)
     bc = full_boundary_bc(mesh)
     scheme = SchemeConfig(tau=0.002, t_final=0.002)
-    assert not quartic.fc_is_quadratic
-    s_new = sv.s_step(ops, state, n, w_nl, scheme, bc)
+    s_new = sv.s_step(ops, state, n, w, scheme, bc)
     assert np.all(np.isfinite(s_new))
     assert np.abs(s_new[mesh.boundary_nodes] - 0.75).max() <= 1e-14
-    # the step still dissipates the energy at fixed (n, phi)
-    e_before = en.total_energy(ops, w_nl, s0, n, phi).total
-    e_after = en.total_energy(ops, w_nl, s_new, n, phi).total
+    e_before = en.total_energy(ops, w, s0, n, phi).total
+    e_after = en.total_energy(ops, w, s_new, n, phi).total
     assert e_after <= e_before + 1e-11
 
 
