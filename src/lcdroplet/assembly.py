@@ -158,7 +158,9 @@ class Operators:
     ``edge_i``, ``edge_j`` are the mesh edges (``mesh.edges``) and
     ``edge_k`` their stiffness couplings.  ``lumped_mass`` is the
     vertex-rule mass matrix, whose diagonal ``lumped_diag`` sums |T|/3
-    over the elements touching each node."""
+    over the elements touching each node.  ``mass_rows`` holds the row
+    sums of ``mass`` (the integrals of the hat functions), computed as
+    ``mass @ ones``."""
 
     mesh: TriMesh
     geom: ElementGeometry
@@ -169,6 +171,7 @@ class Operators:
     edge_j: np.ndarray
     edge_k: np.ndarray
     lumped_mass: SparseOperator
+    mass_rows: np.ndarray
 
     def mass_dt(self, lumped: bool) -> SparseOperator:
         """Mass operator used in time-derivative inner products."""
@@ -200,7 +203,7 @@ def build_operators(mesh: TriMesh) -> Operators:
     lumped = np.zeros(p.nnz)
     lumped[p.diag] = diag
     return Operators(mesh, geom, K, M, diag, mesh.edges.lo, mesh.edges.hi,
-                     -K.data[p.upper], p.csr(lumped))
+                     -K.data[p.upper], p.csr(lumped), M @ np.ones(mesh.n_nodes))
 
 
 def apply_dirichlet(A: SparseOperator, b: np.ndarray, fixed: np.ndarray, values: np.ndarray,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import yaml
@@ -126,6 +127,9 @@ def run_scenario(cfg: cfgmod.ScenarioConfig, out_dir: str | None = None):
     resolved["weights"]["eps"] = problem.weights.eps
     resolved["output"]["dir"] = out
     resolved["output"]["snapshot_every"] = problem.snapshot_every
+    # every scheme field, so the run records the SPD solver and tolerances
+    # that the preset leaves at their defaults
+    resolved["scheme"] = asdict(problem.scheme)
     with open(os.path.join(out, "config.yaml"), "w", encoding="utf-8") as fh:
         yaml.safe_dump(resolved, fh, sort_keys=False)
 

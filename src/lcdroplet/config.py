@@ -83,7 +83,6 @@ def _base_config(name: str, t_final: float, w_chgd: float, w_wan: float,
             "newton_abs_tol": 1e-15,
             "newton_res_tol": 1e-7,
             "newton_max_iter": 50,
-            "linear_solver": "direct",
             "mass_lumping_timederiv": False,
         },
         initial={"s": "s_star"},
@@ -239,6 +238,13 @@ def _typed(key: str, value, kind: type):
     raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
 
 
+def _coefficients(key: str, value) -> tuple:
+    """``value`` as a tuple of polynomial coefficients (floats)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list of polynomial coefficients, got {value!r}")
+    return tuple(_typed(key, c, float) for c in value)
+
+
 def _dataclass_kwargs(cls, name: str, section: dict) -> dict:
     """The fields of dataclass ``cls`` with a plain default (float, int,
     str or bool) that config section ``name`` sets, checked against the
@@ -262,7 +268,8 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     mesh_cfg = cfg.mesh
     rect = mesh_cfg.get("rect", [[0.0, 0.0], [1.0, 1.0]])
     mesh = build_structured_mesh(
-        int(mesh_cfg.get("nx", 64)), int(mesh_cfg.get("ny", 64)),
+        _typed("mesh.nx", mesh_cfg.get("nx", 64), int),
+        _typed("mesh.ny", mesh_cfg.get("ny", 64), int),
         (tuple(rect[0]), tuple(rect[1])),
     )
     ops = build_operators(mesh)
@@ -271,8 +278,8 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     if wcfg.get("eps", "auto") == "auto":
         wcfg["eps"] = 3.0 * mesh_size(mesh) / math.sqrt(2.0)
     dw_cfg, default_dw = sections["weights.dw"], default_double_well()
-    dw = DoubleWell(tuple(dw_cfg.get("fc", default_dw.fc_coeffs)),
-                    tuple(dw_cfg.get("fe", default_dw.fe_coeffs)))
+    dw = DoubleWell(_coefficients("weights.dw.fc", dw_cfg.get("fc", default_dw.fc_coeffs)),
+                    _coefficients("weights.dw.fe", dw_cfg.get("fe", default_dw.fe_coeffs)))
     weights = ModelWeights(dw=dw, **_dataclass_kwargs(ModelWeights, "weights", wcfg))
     scheme = sv.SchemeConfig(**_dataclass_kwargs(sv.SchemeConfig, "scheme", cfg.scheme))
 
@@ -322,4 +329,5 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     snap = cfg.output.get("snapshot_every", "auto")
     if snap == "auto":
         snap = max(1, n_steps // 12) if n_steps else 1
-    return Problem(cfg, mesh, ops, weights, scheme, bc, initial, int(snap))
+    return Problem(cfg, mesh, ops, weights, scheme, bc, initial,
+                   _typed("output.snapshot_every", snap, int))

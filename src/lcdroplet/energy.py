@@ -457,10 +457,9 @@ def residual_s(
     data += (2.0 * c2 * weights.w_dw) * ops.mass.data
     A = p.csr(data)
 
-    mass_rows = ops.mass @ np.ones(ops.mesh.n_nodes)
     b = (
         M_dt @ s_prev / tau
-        - weights.w_dw * c1 * mass_rows
+        - weights.w_dw * c1 * ops.mass_rows
         + weights.w_dw * explicit_dw_load(ops, weights.dw, s_prev)
         + weights.w_was * weights.eps * weights.s_star * (W_phi @ np.ones_like(s_prev))
         - 0.5 * weights.w_wan * weights.eps * gamma * s_prev

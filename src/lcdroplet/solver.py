@@ -14,12 +14,20 @@ One time step advances (s, n, phi, mu) through three stages, in order:
    (:class:`JacobianCache`), which is refactored only when GMRES stalls;
    :func:`run` keeps the factors from step to step.
 
+Both SPD systems are solved by conjugate gradients by default, or by a
+sparse LU factorization (``linear_solver="direct"``), the reference whose
+solutions are exact up to roundoff.
+
 Every step emits a :class:`StepReport` whose dissipation components sum,
 together with the energy difference, to zero up to solver tolerances:
-an auditable per-step energy budget.
+an auditable per-step energy budget.  The residuals of the three solves,
+paired with the test functions of the energy law, are charged to it as
+``solver_defect``, so the charged budget closes to roundoff whatever the
+tolerances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,18 +94,24 @@ class SchemeConfig:
     newton_abs_tol: float = 1e-15
     newton_res_tol: float = 1e-7
     newton_max_iter: int = 50
-    linear_solver: str = "direct"  # "direct" or "cg" (SPD solves only)
+    linear_solver: str = "cg"  # "cg" or "direct" (SPD solves only)
     cg_tol: float = 1e-12
     cg_maxiter: int = 20000
     mass_lumping_timederiv: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
-        if min(self.newton_abs_tol, self.newton_res_tol, self.cg_tol) <= 0.0:
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
+            raise ValueError(f"t_final must be finite and nonnegative, got {self.t_final!r}")
+        if not all(tol > 0.0 for tol in
+                   (self.newton_abs_tol, self.newton_res_tol, self.cg_tol)):
             raise ValueError("tolerances must be positive")
+        # scipy's cg reports success for maxiter=0 without iterating
+        if self.cg_maxiter < 1:
+            raise ValueError(f"cg_maxiter must be at least 1, got {self.cg_maxiter}")
+        if self.newton_max_iter < 0:
+            raise ValueError(f"newton_max_iter must be nonnegative, got {self.newton_max_iter}")
         if self.linear_solver not in ("direct", "cg"):
             raise ValueError("linear_solver must be 'direct' or 'cg'")
 
@@ -166,8 +180,9 @@ class StepReport:
 
     @property
     def closed_budget_residual(self) -> float:
-        """Budget residual with the Newton stopping error charged back;
-        zero to machine precision for a correct implementation."""
+        """Budget residual with the stopping errors of the director, ``s``
+        and interface solves charged back; zero to machine precision for a
+        correct implementation."""
         return self.budget_residual + self.solver_defect
 
 
@@ -182,20 +197,31 @@ def tangent_space(n_values: np.ndarray) -> np.ndarray:
     return np.column_stack([-n_values[:, 1], n_values[:, 0]])
 
 
-def _solve_spd(A, b, config: SchemeConfig) -> np.ndarray:
+def _solve_spd(A, b, config: SchemeConfig, stage: str):
+    """Solve the SPD system of ``stage``; returns (x, b - A x)."""
     if config.linear_solver == "cg":
         x, info = spla.cg(A, b, rtol=config.cg_tol, atol=0.0, maxiter=config.cg_maxiter)
         if info != 0:
-            raise StepError(f"conjugate gradient failed to converge (info={info})")
-        return x
-    # minimum degree on A^T + A: the pattern is symmetric, and this
-    # ordering fills less than the default COLAMD
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+            raise StepError(
+                f"{stage} solve: conjugate gradient failed to converge (info={info})"
+            )
+    else:
+        # minimum degree on A^T + A: the pattern is symmetric, and this
+        # ordering fills less than the default COLAMD
+        try:
+            x = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+        except RuntimeError as exc:
+            raise StepError(f"{stage} solve: {exc}") from exc
+    return x, b - A @ x
 
 
 def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
                   config: SchemeConfig, bc: BoundaryConditions):
-    """Advance the director; returns (n_tilde, n_new, v)."""
+    """Advance the director; returns (n_tilde, n_new, v, r).
+
+    ``r`` is the residual of the tangent-coefficient system as a nodal
+    tangent field (zero at fixed nodes), so that pairing it with a
+    velocity w gives the residual of the stage equation tested with w."""
     mesh = ops.mesh
     n_prev = state.n.values
     s_prev = state.s.values
@@ -209,8 +235,8 @@ def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         ops, weights, config.tau, s_prev, n_prev, gphi_prev, t, free,
         lumped=config.mass_lumping_timederiv,
     )
-    coeff = np.zeros(mesh.n_nodes)
-    coeff[free] = _solve_spd(A, b, config)
+    coeff, resid = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
+    coeff[free], resid[free] = _solve_spd(A, b, config, "director")
     v = coeff[:, None] * t
     n_tilde = n_prev + config.tau * v
     norms = np.linalg.norm(n_tilde, axis=1)
@@ -221,12 +247,13 @@ def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
             "update guarantees |n~| >= 1, so this indicates a defect"
         )
     n_new = n_tilde / norms[:, None]
-    return n_tilde, n_new, v
+    return n_tilde, n_new, v, resid[:, None] * t
 
 
 def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
-           weights: ModelWeights, config: SchemeConfig, bc: BoundaryConditions) -> np.ndarray:
-    """Advance the orientation parameter; returns the new nodal values."""
+           weights: ModelWeights, config: SchemeConfig, bc: BoundaryConditions):
+    """Advance the orientation parameter; returns (s_new, r), the new
+    nodal values and the system's residual (zero at fixed nodes)."""
     mesh = ops.mesh
     s_prev = state.s.values
     gphi_prev = assembly.element_gradients(mesh, state.phi.values, ops.geom)
@@ -236,10 +263,10 @@ def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
     A_ff, b_f, freemask = assembly.apply_dirichlet(
         A, b, bc.s_nodes, bc.s_values, mesh.pattern
     )
-    s_new = np.empty(mesh.n_nodes)
+    s_new, resid = np.empty(mesh.n_nodes), np.zeros(mesh.n_nodes)
     s_new[bc.s_nodes] = bc.s_values
-    s_new[freemask] = _solve_spd(A_ff, b_f, config)
-    return s_new
+    s_new[freemask], resid[freemask] = _solve_spd(A_ff, b_f, config, "s")
+    return s_new, resid
 
 
 class JacobianCache:
@@ -252,7 +279,7 @@ class JacobianCache:
     GMRES (whose residual is the true linear residual) to the requested
     relative tolerance, and the Jacobian is refactored only when GMRES
     needs more than ``MAX_KRYLOV`` iterations.  ``factorizations`` counts
-    the LU factorizations.
+    the LU factorizations.  A singular Jacobian is a :class:`StepError`.
     """
 
     # about two triangular solves per iteration; a factorization costs
@@ -272,7 +299,10 @@ class JacobianCache:
                                  restart=self.MAX_KRYLOV, maxiter=1)
             if info == 0:
                 return lu.solve(y)
-        self.lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        try:
+            self.lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise StepError(f"interface solve: {exc}") from exc
         self.factorizations += 1
         return self.lu.solve(rhs)
 
@@ -361,8 +391,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     if before is None:
         before = en.total_energy(ops, weights, s_prev, n_prev, phi_prev)
 
-    n_tilde, n_new, v = director_step(ops, state, weights, config, bc)
-    s_new = s_step(ops, state, n_new, weights, config, bc)
+    n_tilde, n_new, v, r_n = director_step(ops, state, weights, config, bc)
+    s_new, r_s = s_step(ops, state, n_new, weights, config, bc)
     phi_new, mu_new, iters, _, R_acc = ch_step(
         ops, state, s_new, n_new, weights, config, cache
     )
@@ -427,15 +457,17 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     )
     diss["convex_split_slack"] = weights.w_dw * (split_term - (after.e_dw - before.e_dw))
 
-    # stopping error of the accepted Newton iterate, paired with the test
-    # functions of the energy argument; closes the budget exactly
-    defect = float(dphi @ R_acc[mesh.n_nodes:]) + tau * float(
-        mu_new @ R_acc[: mesh.n_nodes]
+    # stopping errors of the three solves, each paired with the test
+    # functions of the energy argument (dphi and tau mu for the accepted
+    # Newton iterate, tau v and ds for the SPD stages, whose residuals are
+    # b - A x); closes the budget exactly
+    defect = (
+        float(dphi @ R_acc[mesh.n_nodes:]) + tau * float(mu_new @ R_acc[: mesh.n_nodes])
+        - tau * float(np.sum(v * r_n)) - float(ds @ r_s)
     )
 
-    mass_rows = ops.mass @ np.ones(mesh.n_nodes)
     if phi_mass_ref is None:
-        phi_mass_ref = float(mass_rows @ phi_prev)
+        phi_mass_ref = float(ops.mass_rows @ phi_prev)
     report = StepReport(
         before=before,
         after=after,
@@ -443,7 +475,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         drop_cform=drop_cform,
         dissipation=diss,
         newton_iters=iters,
-        mass_drift=float(mass_rows @ phi_new) - phi_mass_ref,
+        mass_drift=float(ops.mass_rows @ phi_new) - phi_mass_ref,
         min_s=float(s_new.min()),
         max_s=float(s_new.max()),
         solver_defect=defect,
@@ -465,8 +497,7 @@ def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
     """
     n_steps = int(round(config.t_final / config.tau))
     state = initial
-    mass_rows = ops.mass @ np.ones(ops.mesh.n_nodes)
-    mass0 = float(mass_rows @ initial.phi.values)
+    mass0 = float(ops.mass_rows @ initial.phi.values)
     cache = JacobianCache()
 
     energy = en.total_energy(

@@ -249,5 +249,5 @@ def test_mmd_ordered_spd_solve_matches_spsolve(pattern_mesh, rng):
     A = assemble_stiffness(m) + 3.0 * assemble_mass(m)
     b = rng.standard_normal(m.n_nodes)
     ref = spla.spsolve(A.tocsc(), b)
-    x = _solve_spd(A, b, SchemeConfig())
+    x, _ = _solve_spd(A, b, SchemeConfig(linear_solver="direct"), "s")
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -160,6 +160,20 @@ def _build_corner(*sets):
         ("scheme.tau=false", "scheme.tau must be of type float, got False"),
         ("weights.w_dw=[1]", "weights.w_dw must be of type float, got [1]"),
         ("scheme.linear_solver=3", "scheme.linear_solver must be of type str, got 3"),
+        ("scheme.tau=nan", "tau must be finite and positive, got nan"),
+        ("scheme.tau=inf", "tau must be finite and positive, got inf"),
+        ("scheme.t_final=nan", "t_final must be finite and nonnegative, got nan"),
+        ("scheme.t_final=inf", "t_final must be finite and nonnegative, got inf"),
+        ("scheme.cg_maxiter=0", "cg_maxiter must be at least 1, got 0"),
+        ("scheme.newton_max_iter=-1", "newton_max_iter must be nonnegative, got -1"),
+        ("mesh.nx=2.7", "mesh.nx must be of type int, got 2.7"),
+        ("mesh.nx=true", "mesh.nx must be of type int, got True"),
+        ("mesh.ny='4'", "mesh.ny must be of type int, got '4'"),
+        ("output.snapshot_every=2.5", "output.snapshot_every must be of type int, got 2.5"),
+        ("output.snapshot_every=later",
+         "output.snapshot_every must be of type int, got 'later'"),
+        ("weights.dw.fc=3", "weights.dw.fc must be a list of polynomial coefficients, got 3"),
+        ("weights.dw.fe=[0, 0, x]", "weights.dw.fe must be of type float, got 'x'"),
     ],
 )
 def test_config_value_of_wrong_type_rejected(item, message):
@@ -170,11 +184,13 @@ def test_config_value_of_wrong_type_rejected(item, message):
 
 def test_config_values_of_right_type_accepted():
     p = _build_corner("scheme.tau=1e-3", "scheme.t_final=1", "scheme.newton_max_iter=7",
-                      "scheme.mass_lumping_timederiv=true", "scheme.linear_solver=cg")
+                      "scheme.mass_lumping_timederiv=true", "scheme.linear_solver=direct")
     assert p.scheme.tau == 0.001 and p.scheme.t_final == 1.0
     assert type(p.scheme.t_final) is float
     assert p.scheme.newton_max_iter == 7 and p.scheme.mass_lumping_timederiv is True
-    assert p.scheme.linear_solver == "cg"
+    assert p.scheme.linear_solver == "direct"
+    p = _build_corner("mesh.nx=3", "output.snapshot_every=5")
+    assert p.mesh.n_nodes == 4 * 5 and p.snapshot_every == 5
 
 
 @pytest.mark.parametrize("value", ["3", "[1,2]", "null"])
@@ -212,7 +228,7 @@ def test_presets_build_weights_and_scheme(name, w_chgd, w_wan, w_was, t_final):
     )
     assert prob.scheme == SchemeConfig(
         tau=0.002, t_final=t_final, newton_abs_tol=1e-15, newton_res_tol=1e-7,
-        newton_max_iter=50, linear_solver="direct", cg_tol=1e-12,
+        newton_max_iter=50, linear_solver="cg", cg_tol=1e-12,
         cg_maxiter=20000, mass_lumping_timederiv=False,
     )
     assert type(prob.scheme.newton_max_iter) is int
@@ -311,19 +327,36 @@ def test_final_state_restartable(corner_run):
 
 
 def test_runs_are_bit_identical(tmp_path):
+    """Reruns give the same energy trace, at the default (conjugate
+    gradient) SPD solves and with the direct reference."""
     overrides = ["mesh.nx=8", "mesh.ny=8", "scheme.t_final=0.01"]
-    outs = []
-    for sub in ("a", "b"):
-        c = cfg.merge_config(cfg.preset("droplet_corner"), None, overrides)
-        out = tmp_path / sub
-        cli.run_scenario(c, str(out))
-        outs.append((out / "energy.csv").read_bytes())
-    assert outs[0] == outs[1]
+    for solver in ("default", "direct"):
+        extra = [] if solver == "default" else [f"scheme.linear_solver={solver}"]
+        outs = []
+        for sub in ("a", "b"):
+            c = cfg.merge_config(cfg.preset("droplet_corner"), None, overrides + extra)
+            out = tmp_path / solver / sub
+            cli.run_scenario(c, str(out))
+            outs.append((out / "energy.csv").read_bytes())
+        assert outs[0] == outs[1], solver
 
 
 # ---------------------------------------------------------------------------
 # command line entry points
 # ---------------------------------------------------------------------------
+
+def test_solver_failure_reported_as_step_error(tmp_path, capsys):
+    """A singular interface Jacobian (here from a NaN weight) ends the run
+    with a message naming the stage, not with SuperLU's RuntimeError."""
+    c = cfg.merge_config(cfg.preset("droplet_corner"), None,
+                         ["mesh.nx=4", "mesh.ny=4", "scheme.t_final=0.004",
+                          "weights.w_chdw=nan"])
+    final, code = cli.run_scenario(c, str(tmp_path / "run"))
+    assert final is None and code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation aborted: interface solve: ")
+    assert (tmp_path / "run" / "final_state.npz").exists()
+
 
 def test_cli_simulate_and_mesh_audit(tmp_path, capsys):
     rc = cli.main([
@@ -391,3 +424,5 @@ def test_config_yaml_echo_resolves_auto(tmp_path):
     resolved = yaml.safe_load((tmp_path / "run" / "config.yaml").read_text())
     assert resolved["weights"]["eps"] == pytest.approx(3.0 / 4.0)
     assert isinstance(resolved["output"]["snapshot_every"], int)
+    assert resolved["scheme"]["linear_solver"] == "cg"
+    assert resolved["scheme"]["cg_tol"] == 1e-12

@@ -69,7 +69,7 @@ def test_director_step_zero_weights_identity():
     weights = ModelWeights(w_erk=0.0, w_wan=0.0, s_star=0.75)
     state = constant_state(mesh)
     bc = full_boundary_bc(mesh)
-    n_tilde, n_new, v = sv.director_step(
+    n_tilde, n_new, v, _ = sv.director_step(
         ops, state, weights, SchemeConfig(tau=0.01, t_final=0.01), bc
     )
     assert np.allclose(n_tilde, state.n.values, atol=1e-14)
@@ -83,7 +83,7 @@ def test_director_step_pythagoras_and_drops():
     c.mesh["nx"] = c.mesh["ny"] = 8
     prob = cfg.build_problem(c)
     state = prob.initial
-    n_tilde, n_new, v = sv.director_step(
+    n_tilde, n_new, v, _ = sv.director_step(
         prob.ops, state, prob.weights, prob.scheme, prob.bc
     )
     free = np.ones(prob.mesh.n_nodes, dtype=bool)
@@ -126,7 +126,7 @@ def test_s_step_stationary_pure_state():
     weights = ModelWeights(w_dw=100.0, w_wan=20.0, w_was=20.0, s_star=0.75)
     state = constant_state(mesh)
     bc = full_boundary_bc(mesh)
-    s_new = sv.s_step(ops, state, state.n.values, weights, SchemeConfig(), bc)
+    s_new, _ = sv.s_step(ops, state, state.n.values, weights, SchemeConfig(), bc)
     assert np.abs(s_new - 0.75).max() <= 1e-12
 
 
@@ -135,7 +135,7 @@ def test_s_step_small_tau_limit():
     state = prob.initial
     scheme = SchemeConfig(tau=1e-9, t_final=1e-9)
     n_new = state.n.values
-    s_new = sv.s_step(prob.ops, state, n_new, prob.weights, scheme, prob.bc)
+    s_new, _ = sv.s_step(prob.ops, state, n_new, prob.weights, scheme, prob.bc)
     assert np.abs(s_new - state.s.values).max() <= 1e-6
 
 
@@ -154,7 +154,7 @@ def test_s_step_quartic_well_dissipates():
     state = make_state(mesh, s0, n, phi)
     bc = full_boundary_bc(mesh)
     scheme = SchemeConfig(tau=0.002, t_final=0.002)
-    s_new = sv.s_step(ops, state, n, w, scheme, bc)
+    s_new, _ = sv.s_step(ops, state, n, w, scheme, bc)
     assert np.all(np.isfinite(s_new))
     assert np.abs(s_new[mesh.boundary_nodes] - 0.75).max() <= 1e-14
     e_before = en.total_energy(ops, w, s0, n, phi).total
@@ -196,10 +196,10 @@ def test_ch_step_quadratic_newton_convergence():
     c.mesh["nx"] = c.mesh["ny"] = 16
     prob = cfg.build_problem(c)
     state = prob.initial
-    n_tilde, n_new, _ = sv.director_step(
+    n_tilde, n_new, _, _ = sv.director_step(
         prob.ops, state, prob.weights, prob.scheme, prob.bc
     )
-    s_new = sv.s_step(prob.ops, state, n_new, prob.weights, prob.scheme, prob.bc)
+    s_new, _ = sv.s_step(prob.ops, state, n_new, prob.weights, prob.scheme, prob.bc)
     phi, mu, iters, hist, _ = sv.ch_step(
         prob.ops, state, s_new, n_new, prob.weights, prob.scheme
     )
@@ -388,21 +388,80 @@ def test_unit_norm_after_steps():
 
 
 def test_cg_solver_matches_direct():
+    """The default SPD solves (conjugate gradients) agree with the direct
+    reference."""
     prob = small_problem(nx=8, t_final=0.002)
-    direct, _ = gradient_flow_step(
+    assert prob.scheme.linear_solver == "cg"
+    viacg, _ = gradient_flow_step(
         prob.ops, prob.initial, prob.weights, prob.scheme, prob.bc
     )
-    c = cfg.preset("droplet_corner")
-    c.mesh["nx"] = c.mesh["ny"] = 8
-    c.scheme["t_final"] = 0.002
-    c.scheme["linear_solver"] = "cg"
-    c.scheme["cg_tol"] = 1e-13
-    prob_cg = cfg.build_problem(c)
-    viacg, _ = gradient_flow_step(
-        prob_cg.ops, prob_cg.initial, prob_cg.weights, prob_cg.scheme, prob_cg.bc
+    prob_lu = small_problem(nx=8, t_final=0.002, linear_solver="direct")
+    direct, _ = gradient_flow_step(
+        prob_lu.ops, prob_lu.initial, prob_lu.weights, prob_lu.scheme, prob_lu.bc
     )
     assert np.abs(viacg.s.values - direct.s.values).max() <= 1e-8
     assert np.abs(viacg.n.values - direct.n.values).max() <= 1e-8
+
+
+def test_spd_residuals_close_the_budget():
+    """With loose conjugate-gradient solves the budget is open by far more
+    than roundoff, and charging the director and s residuals (paired with
+    tau v and ds) closes it to roundoff.  The Newton tolerance is tight so
+    that the open residual is the SPD solves' own."""
+    c = cfg.merge_config(cfg.preset("droplet_collide"), None, [
+        "mesh.nx=32", "mesh.ny=32", "weights.w_chdw=100", "scheme.t_final=0.02",
+        "scheme.cg_tol=1e-8", "scheme.newton_res_tol=1e-11",
+    ])
+    prob = cfg.build_problem(c)
+    reports = []
+
+    class Collector:
+        def on_step(self, state, report):
+            reports.append(report)
+
+    sv.run(prob.ops, prob.initial, prob.weights, prob.scheme, prob.bc, [Collector()])
+    assert len(reports) == 10
+    for rep in reports:
+        scale = max(abs(rep.before.total), abs(rep.after.total), 1.0)
+        assert abs(rep.closed_budget_residual) <= 1e-15 * scale
+        assert abs(rep.budget_residual) > 1e-12 * scale
+
+
+def test_perturbed_spd_solutions_are_charged(monkeypatch):
+    """Conjugate gradients from a zero start leaves a director residual
+    orthogonal to its solution, so the director's charge is roundoff in
+    a real run.  Perturbed solutions of both SPD systems show that each
+    residual is paired with its stage's test function with the right
+    sign."""
+    solve = sv._solve_spd
+    rng = np.random.default_rng(3)
+
+    def perturbed(A, b, config, stage):
+        x, _ = solve(A, b, config, stage)
+        x = x + 1e-6 * rng.standard_normal(x.shape)
+        return x, b - A @ x
+
+    monkeypatch.setattr(sv, "_solve_spd", perturbed)
+    prob = small_problem(nx=8, newton_res_tol=1e-11)
+    state = prob.initial
+    for _ in range(3):
+        state, rep = gradient_flow_step(
+            prob.ops, state, prob.weights, prob.scheme, prob.bc
+        )
+        scale = max(abs(rep.before.total), abs(rep.after.total), 1.0)
+        assert abs(rep.closed_budget_residual) <= 1e-15 * scale
+        assert abs(rep.budget_residual) > 1e-9 * scale
+
+
+def test_singular_spd_system_is_a_step_error():
+    A = sp.csr_matrix((3, 3))
+    with pytest.raises(sv.StepError, match="^director solve: Factor is exactly singular"):
+        sv._solve_spd(A, np.ones(3), SchemeConfig(linear_solver="direct"), "director")
+
+
+def test_singular_jacobian_is_a_step_error():
+    with pytest.raises(sv.StepError, match="^interface solve: Factor is exactly singular"):
+        sv.JacobianCache().solve(sp.csr_matrix((4, 4)), np.ones(4), 1e-8)
 
 
 def test_boundary_condition_validation():
