@@ -1,7 +1,7 @@
 """P1 finite-element operator assembly.
 
-All element matrices are closed-form (stiffness, mass, lumped mass) or use
-the degree-4 triangle rule (quartic integrands such as the double wells),
+All element matrices are closed-form (stiffness, mass) or use the
+degree-4 triangle rule (quartic integrands such as the double wells),
 written as products with constant matrices.  Sparse operators are plain
 ``scipy.sparse.csr_matrix`` objects on the mesh's fixed pattern
 (``TriMesh.pattern``, built once per mesh): one ``np.bincount`` sums the
@@ -154,12 +154,12 @@ def integrate_p1_function(mesh: TriMesh, geom: ElementGeometry, f, values: np.nd
 class Operators:
     """Per-mesh discrete structures reused across time steps.
 
-    The three matrices are on the mesh pattern (``mesh.pattern``);
+    The two matrices are on the mesh pattern (``mesh.pattern``);
     ``edge_i``, ``edge_j`` are the mesh edges (``mesh.edges``) and
-    ``edge_k`` their stiffness couplings.  ``lumped_mass`` is the
-    vertex-rule mass matrix, whose diagonal ``lumped_diag`` sums |T|/3
-    over the elements touching each node.  ``mass_rows`` holds the row
-    sums of ``mass`` (the integrals of the hat functions), computed as
+    ``edge_k`` their stiffness couplings.  ``lumped_diag`` is the
+    diagonal of the vertex-rule mass matrix: the sum of |T|/3 over the
+    elements touching each node.  ``mass_rows`` holds the row sums of
+    ``mass`` (the integrals of the hat functions), computed as
     ``mass @ ones``."""
 
     mesh: TriMesh
@@ -170,12 +170,7 @@ class Operators:
     edge_i: np.ndarray
     edge_j: np.ndarray
     edge_k: np.ndarray
-    lumped_mass: SparseOperator
     mass_rows: np.ndarray
-
-    def mass_dt(self, lumped: bool) -> SparseOperator:
-        """Mass operator used in time-derivative inner products."""
-        return self.lumped_mass if lumped else self.mass
 
     def grad_form(self, u: np.ndarray, v: np.ndarray) -> float:
         """Gradient inner product of one or more P1 fields.
@@ -187,11 +182,11 @@ class Operators:
             return float(u @ (self.stiffness @ v))
         return float(np.sum(u * (self.stiffness @ v)))
 
-    def l2_form(self, u: np.ndarray, v: np.ndarray, lumped: bool = False) -> float:
-        M = self.mass_dt(lumped)
+    def l2_form(self, u: np.ndarray, v: np.ndarray) -> float:
+        """L2 inner product (consistent mass) of one or more P1 fields."""
         if u.ndim == 1:
-            return float(u @ (M @ v))
-        return float(np.sum(u * (M @ v)))
+            return float(u @ (self.mass @ v))
+        return float(np.sum(u * (self.mass @ v)))
 
 
 def build_operators(mesh: TriMesh) -> Operators:
@@ -199,11 +194,8 @@ def build_operators(mesh: TriMesh) -> Operators:
     K = assemble_stiffness(mesh, geom)
     M = assemble_mass(mesh, geom)
     diag = vertex_sum(mesh, np.repeat((geom.areas / 3.0)[:, None], 3, axis=1))
-    p = mesh.pattern
-    lumped = np.zeros(p.nnz)
-    lumped[p.diag] = diag
     return Operators(mesh, geom, K, M, diag, mesh.edges.lo, mesh.edges.hi,
-                     -K.data[p.upper], p.csr(lumped), M @ np.ones(mesh.n_nodes))
+                     -K.data[mesh.pattern.upper], M @ np.ones(mesh.n_nodes))
 
 
 def apply_dirichlet(A: SparseOperator, b: np.ndarray, fixed: np.ndarray, values: np.ndarray,

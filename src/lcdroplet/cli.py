@@ -78,7 +78,7 @@ class SnapshotSink:
 
     def __init__(self, out_dir, every: int):
         self.out_dir = out_dir
-        self.every = max(1, int(every))
+        self.every = every
 
     def _write(self, state):
         path = os.path.join(self.out_dir, f"fields_{state.step_index}.vtk")
@@ -117,13 +117,14 @@ class FinalStateSink:
         )
 
 
-def run_scenario(cfg: cfgmod.ScenarioConfig, out_dir: str | None = None):
-    """Build and run a scenario; returns (final_state, exit_code)."""
-    problem = cfgmod.build_problem(cfg)
-    out = out_dir or problem.config.output.get("dir", "out/run")
+def run_scenario(problem: cfgmod.Problem, out_dir: str | None = None):
+    """Run a scenario built by ``config.build_problem``; returns
+    (final_state, exit_code)."""
+    cfg = problem.config
+    out = out_dir or cfg.output.get("dir", "out/run")
     os.makedirs(out, exist_ok=True)
 
-    resolved = problem.config.to_dict()
+    resolved = cfg.to_dict()
     resolved["weights"]["eps"] = problem.weights.eps
     resolved["output"]["dir"] = out
     resolved["output"]["snapshot_every"] = problem.snapshot_every
@@ -159,14 +160,17 @@ def load_state(path, mesh):
 
 
 def _cmd_simulate(args) -> int:
-    preset_cfg = cfgmod.preset(args.preset) if args.preset else None
-    file_data = cfgmod.load_config_file(args.config) if args.config else None
-    if preset_cfg is None and file_data is None:
+    if args.preset is None and args.config is None:
         print("simulate requires --preset and/or --config", file=sys.stderr)
         return 2
-    cfg = cfgmod.merge_config(preset_cfg, file_data, args.set or ())
-    _, code = run_scenario(cfg, args.out)
-    return code
+    try:  # ValueError covers MeshError and ExpressionError
+        problem = cfgmod.build_problem(cfgmod.merge_config(
+            cfgmod.preset(args.preset) if args.preset else None,
+            cfgmod.load_config_file(args.config) if args.config else None, args.set or ()))
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    return run_scenario(problem, args.out)[1]
 
 
 def _cmd_verify(args) -> int:

@@ -25,7 +25,7 @@ import yaml
 
 from . import solver as sv
 from .assembly import Operators, build_operators
-from .energy import DoubleWell, ModelWeights, default_double_well
+from .energy import S_RANGE, DoubleWell, ModelWeights, default_double_well
 from .expressions import compile_expression
 from .fields import normalized
 from .mesh import TriMesh, build_structured_mesh, mesh_size
@@ -83,7 +83,6 @@ def _base_config(name: str, t_final: float, w_chgd: float, w_wan: float,
             "newton_abs_tol": 1e-15,
             "newton_res_tol": 1e-7,
             "newton_max_iter": 50,
-            "mass_lumping_timederiv": False,
         },
         initial={"s": "s_star"},
         bc={"s": "s_star"},
@@ -203,12 +202,22 @@ class Problem:
     snapshot_every: int
 
 
-def _eval_vector(exprs, x, y, constants) -> np.ndarray:
-    comps = []
-    for src in exprs:
-        fn = compile_expression(str(src), constants)
-        comps.append(np.broadcast_to(np.asarray(fn(x, y), dtype=float), x.shape))
-    return np.column_stack(comps)
+def _evaluate(key: str, src, x, y, constants) -> np.ndarray:
+    """Values of the expression ``src`` of config entry ``key`` at the
+    points (x, y); a value that is not finite is an error naming ``key``."""
+    fn = compile_expression(str(src), constants)
+    with np.errstate(all="ignore"):  # reported below, naming the key
+        vals = np.broadcast_to(np.asarray(fn(x, y), dtype=float), x.shape).copy()
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"{key} is not finite at {bad.size} of {vals.size} nodes, "
+                         f"first at ({x[bad[0]]:g}, {y[bad[0]]:g})")
+    return vals
+
+
+def _eval_vector(key: str, exprs, x, y, constants) -> np.ndarray:
+    return np.column_stack([_evaluate(f"{key}[{k}]", src, x, y, constants)
+                            for k, src in enumerate(exprs)])
 
 
 # keys of each section; those of weights and scheme are the fields of
@@ -290,15 +299,12 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     for key in ("s", "n", "phi"):
         if key not in icfg:
             raise ValueError(f"initial.{key} missing from configuration")
-    s0 = np.broadcast_to(
-        np.asarray(compile_expression(str(icfg["s"]), consts)(x, y), dtype=float),
-        x.shape,
-    ).copy()
-    phi0 = np.broadcast_to(
-        np.asarray(compile_expression(str(icfg["phi"]), consts)(x, y), dtype=float),
-        x.shape,
-    ).copy()
-    n_raw = _eval_vector(icfg["n"], x, y, consts)
+    s0 = _evaluate("initial.s", icfg["s"], x, y, consts)
+    if not (s0.min() > S_RANGE[0] and s0.max() < S_RANGE[1]):
+        raise ValueError(f"initial.s must lie in {S_RANGE}, "
+                         f"got range [{s0.min():.6g}, {s0.max():.6g}]")
+    phi0 = _evaluate("initial.phi", icfg["phi"], x, y, consts)
+    n_raw = _eval_vector("initial.n", icfg["n"], x, y, consts)
     try:
         n0 = normalized(n_raw)
     except ValueError as exc:
@@ -307,11 +313,8 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     bcfg = cfg.bc
     bnodes = mesh.boundary_nodes
     xb, yb = mesh.nodes[bnodes, 0], mesh.nodes[bnodes, 1]
-    s_bc = np.broadcast_to(
-        np.asarray(compile_expression(str(bcfg["s"]), consts)(xb, yb), dtype=float),
-        xb.shape,
-    ).copy()
-    n_bc_raw = _eval_vector(bcfg["n"], xb, yb, consts)
+    s_bc = _evaluate("bc.s", bcfg["s"], xb, yb, consts)
+    n_bc_raw = _eval_vector("bc.n", bcfg["n"], xb, yb, consts)
     try:
         n_bc = normalized(n_bc_raw)
     except ValueError as exc:
@@ -328,6 +331,8 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     n_steps = int(round(scheme.t_final / scheme.tau))
     snap = cfg.output.get("snapshot_every", "auto")
     if snap == "auto":
-        snap = max(1, n_steps // 12) if n_steps else 1
-    return Problem(cfg, mesh, ops, weights, scheme, bc, initial,
-                   _typed("output.snapshot_every", snap, int))
+        snap = max(1, n_steps // 12)
+    snap = _typed("output.snapshot_every", snap, int)
+    if snap < 1:
+        raise ValueError(f"output.snapshot_every must be at least 1, got {snap}")
+    return Problem(cfg, mesh, ops, weights, scheme, bc, initial, snap)

@@ -18,6 +18,7 @@ multilinear forms underlying E_erk, E_wan and all their derivatives.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -110,11 +111,13 @@ class ModelWeights:
 
     def __post_init__(self):
         for name in ("w_erk", "w_dw", "w_chdw", "w_chgd", "w_wan", "w_was"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         for name in ("kappa", "rho", "eps"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (S_RANGE[0] < self.s_star < S_RANGE[1]):
             raise ValueError(f"s_star must lie in ({S_RANGE[0]}, {S_RANGE[1]})")
 
@@ -156,44 +159,41 @@ def eform(ops: Operators, s, z, n, w) -> float:
     return float(np.sum(k * (sz[ei] + sz[ej]) * pair))
 
 
-def _coupling_tensors(ops: Operators, gphi, gpsi) -> np.ndarray:
+def coupling_tensors(ops: Operators, gphi, gpsi) -> np.ndarray:
     """Nodal 2x2 tensors G_i = sum over elements T containing i of
-    |T|/3 * [(gphi_T . gpsi_T) I - gphi_T gpsi_T^T], flattened to (n, 4)."""
+    |T|/3 * [(gphi_T . gpsi_T) I - gphi_T gpsi_T^T], shape (n, 2, 2).
+
+    The lumped coupling form is their pairing at the nodes:
+
+        cform(v, gphi, w, gpsi, s, z) = sum_i s_i z_i v_i . G_i w_i.
+    """
     px, py = gphi[:, 0], gphi[:, 1]
     qx, qy = gpsi[:, 0], gpsi[:, 1]
     gg = px * qx + py * qy
     per_elem = np.column_stack([gg - px * qx, -px * qy, -py * qx, gg - py * qy])
     per_elem *= (ops.geom.areas / 3.0)[:, None]
     return np.column_stack([assembly.vertex_sum(ops.mesh, np.repeat(c[:, None], 3, axis=1))
-                            for c in per_elem.T])
+                            for c in per_elem.T]).reshape(-1, 2, 2)
 
 
-def cform_scalar_diag(ops: Operators, v, gphi, w, gpsi) -> np.ndarray:
-    """Nodal coefficients gamma of the lumped coupling form:
-
-        cform(v, gphi, w, gpsi, s, z) = sum_i s_i z_i gamma_i,
-
-    gamma_i = sum over elements T containing i of
-        |T|/3 * [ (gphi_T . gpsi_T)(v_i . w_i) - (v_i . gphi_T)(w_i . gpsi_T) ]
-            = v_i . G_i w_i  (see ``anchoring_nodal_tensors``).
-    """
-    G = _coupling_tensors(ops, gphi, gpsi)
-    return (v[:, 0] * (G[:, 0] * w[:, 0] + G[:, 1] * w[:, 1])
-            + v[:, 1] * (G[:, 2] * w[:, 0] + G[:, 3] * w[:, 1]))
+def tensor_pairing(G: np.ndarray, v, w) -> np.ndarray:
+    """Nodal values v_i . G_i w_i of tensors G, shape (n, 2, 2)."""
+    return (v[:, 0] * (G[:, 0, 0] * w[:, 0] + G[:, 0, 1] * w[:, 1])
+            + v[:, 1] * (G[:, 1, 0] * w[:, 0] + G[:, 1, 1] * w[:, 1]))
 
 
 def cform(ops: Operators, v, gphi, w, gpsi, s, z) -> float:
     """Lumped director/interface coupling form (vertex quadrature rule).
 
-    ``gphi`` and ``gpsi`` are per-element constant gradients, shape (ne, d).
+    ``gphi`` and ``gpsi`` are per-element constant gradients, shape (ne, 2).
     """
-    shape = (ops.mesh.n_elements, ops.mesh.dim)
+    shape = (ops.mesh.n_elements, 2)
     if gphi.shape != shape or gpsi.shape != shape:
         raise ValueError(
             f"expected per-element gradients of shape {shape}, "
             f"got {gphi.shape} and {gpsi.shape}"
         )
-    gamma = cform_scalar_diag(ops, v, gphi, w, gpsi)
+    gamma = tensor_pairing(coupling_tensors(ops, gphi, gpsi), v, w)
     return float(np.sum(np.asarray(s) * np.asarray(z) * gamma))
 
 
@@ -203,15 +203,6 @@ def vertex_form(ops: Operators, v, H, w) -> float:
     e = ops.mesh.elements
     vals = np.einsum("ead,eadc,eac->ea", v[e], H, w[e])
     return float(np.sum((ops.geom.areas / 3.0) * vals.sum(axis=1)))
-
-
-def anchoring_nodal_tensors(ops: Operators, s, z, gphi, gpsi) -> np.ndarray:
-    """Per-node d x d blocks G_i of the coupling form in its vector slots:
-
-        cform(v, gphi, w, gpsi, s, z) = sum_i v_i . G_i w_i.
-    """
-    G = _coupling_tensors(ops, gphi, gpsi).reshape(-1, 2, 2)
-    return G * (np.asarray(s) * np.asarray(z))[:, None, None]
 
 
 def anchoring_phi_matrix(ops: Operators, s, n) -> SparseOperator:
@@ -358,12 +349,12 @@ def derivative_ch_phi(ops, phi, eps: float) -> np.ndarray:
 
 
 def derivative_wan_n(ops, s, n, gphi, eps: float) -> np.ndarray:
-    G = anchoring_nodal_tensors(ops, s, s, gphi, gphi)
+    G = coupling_tensors(ops, gphi, gphi) * (np.asarray(s) ** 2)[:, None, None]
     return eps * np.einsum("idc,ic->id", G, n)
 
 
 def derivative_wan_s(ops, s, n, gphi, eps: float) -> np.ndarray:
-    return eps * np.asarray(s) * cform_scalar_diag(ops, n, gphi, n, gphi)
+    return eps * np.asarray(s) * tensor_pairing(coupling_tensors(ops, gphi, gphi), n, n)
 
 
 def derivative_wan_phi(ops, s, n, phi, eps: float) -> np.ndarray:
@@ -389,16 +380,16 @@ def residual_director(
     tau: float,
     s_prev,
     n_prev,
-    gphi_prev,
+    coupling: np.ndarray,
     tangent: np.ndarray,
     free: np.ndarray,
-    lumped: bool = False,
 ):
     """Tangent-coefficient system for the director update.
 
     The unknown is the nodal tangential velocity v = c_i t_i at free
-    nodes, with the trial director n~ = n_prev + tau * v.  Returns
-    (A, b) with A symmetric positive definite on the free tangent dofs.
+    nodes, with the trial director n~ = n_prev + tau * v.  ``coupling``
+    is ``coupling_tensors`` at grad phi_prev.  Returns (A, b) with A
+    symmetric positive definite on the free tangent dofs.
     """
     p = ops.mesh.pattern
     s2 = np.asarray(s_prev) ** 2
@@ -411,9 +402,9 @@ def residual_director(
                             minlength=p.n)
     tx, ty = tangent[:, 0], tangent[:, 1]
     tdot = tx[p.rows] * tx[p.indices] + ty[p.rows] * ty[p.indices]
-    A = (weights.rho * ops.mass_dt(lumped).data + (2.0 * tau * weights.w_erk) * L) * tdot
+    A = (weights.rho * ops.mass.data + (2.0 * tau * weights.w_erk) * L) * tdot
 
-    G = anchoring_nodal_tensors(ops, s_prev, s_prev, gphi_prev, gphi_prev)
+    G = coupling * s2[:, None, None]
     Gt = np.einsum("idc,ic->id", G, tangent)
     A[p.diag] += tau * weights.w_wan * weights.eps * np.sum(tangent * Gt, axis=1)
 
@@ -430,9 +421,13 @@ def residual_s(
     s_prev,
     n_new,
     gphi_prev,
-    lumped: bool = False,
+    coupling: np.ndarray,
+    elastic_diag: np.ndarray,
+    dw_load: np.ndarray,
 ):
-    """Linear system for the orientation update (quadratic convex part).
+    """Linear system for the orientation update (quadratic convex part),
+    given ``coupling_tensors`` at ``gphi_prev``, ``eform_scalar_diag`` at
+    ``n_new`` and ``explicit_dw_load`` at ``s_prev``.
 
     The averaged coupling coefficient (s_new + s_prev)/2 in the lumped
     anchoring term puts half the nodal weight in the matrix and half on
@@ -441,26 +436,25 @@ def residual_s(
     """
     s_prev = np.asarray(s_prev)
     p = ops.mesh.pattern
-    M_dt = ops.mass_dt(lumped)
-    gamma = cform_scalar_diag(ops, n_new, gphi_prev, n_new, gphi_prev)
+    gamma = tensor_pairing(coupling, n_new, n_new)
     W_phi = grad_weighted_mass(ops, gphi_prev)
     fc = weights.dw.fc_coeffs + (0.0, 0.0, 0.0)
     c1, c2 = fc[1], fc[2]
 
     data = (
-        M_dt.data / tau
+        ops.mass.data / tau
         + (2.0 * weights.w_erk * weights.kappa) * ops.stiffness.data
         + (weights.w_was * weights.eps) * W_phi.data
     )
-    data[p.diag] += (weights.w_erk * eform_scalar_diag(ops, n_new)
+    data[p.diag] += (weights.w_erk * elastic_diag
                      + 0.5 * weights.w_wan * weights.eps * gamma)
     data += (2.0 * c2 * weights.w_dw) * ops.mass.data
     A = p.csr(data)
 
     b = (
-        M_dt @ s_prev / tau
+        ops.mass @ s_prev / tau
         - weights.w_dw * c1 * ops.mass_rows
-        + weights.w_dw * explicit_dw_load(ops, weights.dw, s_prev)
+        + weights.w_dw * dw_load
         + weights.w_was * weights.eps * weights.s_star * (W_phi @ np.ones_like(s_prev))
         - 0.5 * weights.w_wan * weights.eps * gamma * s_prev
     )
@@ -498,7 +492,6 @@ def residual_ch(
     mu,
     phi_prev,
     A0: SparseOperator,
-    lumped: bool = False,
 ):
     """Residual of the coupled interface/chemical-potential system.
 
@@ -507,27 +500,26 @@ def residual_ch(
       R_mu  = W_chdw/eps <phi^3 - phi_prev, psi> - <mu, psi> + (A0 phi, psi)
     """
     phi, mu, phi_prev = np.asarray(phi), np.asarray(mu), np.asarray(phi_prev)
-    M_dt = ops.mass_dt(lumped)
-    r_phi = M_dt @ (phi - phi_prev) / tau + weights.eps * (ops.stiffness @ mu)
+    M = ops.mass
+    r_phi = M @ (phi - phi_prev) / tau + weights.eps * (ops.stiffness @ mu)
     r_mu = (
-        (weights.w_chdw / weights.eps) * (cubic_load(ops, phi) - ops.mass @ phi_prev)
+        (weights.w_chdw / weights.eps) * (cubic_load(ops, phi) - M @ phi_prev)
         + A0 @ phi
-        - M_dt @ mu
+        - M @ mu
     )
     return np.concatenate([r_phi, r_mu])
 
 
-def jacobian_ch_fixed(ops: Operators, weights: ModelWeights, tau: float,
-                      lumped: bool = False) -> np.ndarray:
+def jacobian_ch_fixed(ops: Operators, weights: ModelWeights, tau: float) -> np.ndarray:
     """Data of the interface Jacobian with its three blocks that do not
-    depend on phi written (M_dt/tau, eps K, -M_dt) and zeros in the
-    fourth; computed once per step."""
+    depend on phi written (M/tau, eps K, -M) and zeros in the fourth;
+    computed once per step."""
     blocks = ops.mesh.pattern.blocks
-    M_dt = ops.mass_dt(lumped).data
+    M = ops.mass.data
     data = np.zeros(blocks.nnz)
-    data[blocks.slots[0, 0]] = M_dt / tau
+    data[blocks.slots[0, 0]] = M / tau
     data[blocks.slots[0, 1]] = weights.eps * ops.stiffness.data
-    data[blocks.slots[1, 1]] = -M_dt
+    data[blocks.slots[1, 1]] = -M
     return data
 
 
@@ -537,14 +529,13 @@ def jacobian_ch(
     tau: float,
     phi,
     A0: SparseOperator,
-    lumped: bool = False,
     fixed: np.ndarray | None = None,
 ) -> SparseOperator:
-    """Jacobian [[M_dt/tau, eps K], [3 W_chdw/eps M(phi^2) + A0, -M_dt]]
-    of the interface system, as a CSR matrix on the mesh's block pattern.
+    """Jacobian [[M/tau, eps K], [3 W_chdw/eps M(phi^2) + A0, -M]] of the
+    interface system, as a CSR matrix on the mesh's block pattern.
     ``fixed`` is ``jacobian_ch_fixed``'s data, computed here when absent."""
     blocks = ops.mesh.pattern.blocks
-    data = jacobian_ch_fixed(ops, weights, tau, lumped) if fixed is None else fixed.copy()
+    data = jacobian_ch_fixed(ops, weights, tau) if fixed is None else fixed.copy()
     M2 = assembly.squared_field_mass(ops.mesh, ops.geom, np.asarray(phi))
     data[blocks.slots[1, 0]] = (3.0 * weights.w_chdw / weights.eps) * M2.data + A0.data
     return blocks.csr(data)

@@ -37,10 +37,9 @@ class NodalVectorField:
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", vals)
-        if vals.shape != (self.mesh.n_nodes, self.mesh.dim):
+        if vals.shape != (self.mesh.n_nodes, 2):
             raise ValueError(
-                f"vector field needs shape ({self.mesh.n_nodes}, {self.mesh.dim}), "
-                f"got {vals.shape}"
+                f"vector field needs shape ({self.mesh.n_nodes}, 2), got {vals.shape}"
             )
 
 

@@ -47,8 +47,6 @@ class TriMesh:
 
     Attributes
     ----------
-    dim : int
-        Spatial dimension; must be 2.
     nodes : ndarray, shape (n_nodes, 2)
         Node coordinates.
     elements : ndarray, shape (n_elements, 3)
@@ -57,14 +55,11 @@ class TriMesh:
         Sorted indices of nodes on the Dirichlet boundary.
     """
 
-    dim: int
     nodes: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
 
     def __post_init__(self):
-        if self.dim != 2:
-            raise MeshError(f"only triangle meshes (dim=2) are supported, got dim={self.dim}")
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
         elements = np.ascontiguousarray(np.asarray(self.elements, dtype=np.int64))
         bnodes = np.unique(np.asarray(self.boundary_nodes, dtype=np.int64))
@@ -323,7 +318,7 @@ def build_structured_mesh(nx: int, ny: int, rect=((0.0, 0.0), (1.0, 1.0))) -> Tr
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
     on_boundary = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
     boundary = np.nonzero(on_boundary.ravel())[0]
-    return TriMesh(2, nodes, elements, boundary)
+    return TriMesh(nodes, elements, boundary)
 
 
 def mesh_size(mesh: TriMesh) -> float:

@@ -97,7 +97,6 @@ class SchemeConfig:
     linear_solver: str = "cg"  # "cg" or "direct" (SPD solves only)
     cg_tol: float = 1e-12
     cg_maxiter: int = 20000
-    mass_lumping_timederiv: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0.0):
@@ -191,9 +190,7 @@ class StepReport:
 # ---------------------------------------------------------------------------
 
 def tangent_space(n_values: np.ndarray) -> np.ndarray:
-    """Unit tangent per node (d=2): the +90 degree rotation of the director."""
-    if n_values.shape[1] != 2:
-        raise NotImplementedError("tangent frames are implemented for d=2")
+    """Unit tangent per node: the +90 degree rotation of the director."""
     return np.column_stack([-n_values[:, 1], n_values[:, 0]])
 
 
@@ -216,25 +213,23 @@ def _solve_spd(A, b, config: SchemeConfig, stage: str):
 
 
 def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
-                  config: SchemeConfig, bc: BoundaryConditions):
+                  config: SchemeConfig, bc: BoundaryConditions, coupling: np.ndarray):
     """Advance the director; returns (n_tilde, n_new, v, r).
 
-    ``r`` is the residual of the tangent-coefficient system as a nodal
-    tangent field (zero at fixed nodes), so that pairing it with a
-    velocity w gives the residual of the stage equation tested with w."""
+    ``coupling`` is ``energy.coupling_tensors`` at the gradient of the
+    phase field of ``state``.  ``r`` is the residual of the
+    tangent-coefficient system as a nodal tangent field (zero at fixed
+    nodes), so that pairing it with a velocity w gives the residual of
+    the stage equation tested with w."""
     mesh = ops.mesh
     n_prev = state.n.values
-    s_prev = state.s.values
-    gphi_prev = assembly.element_gradients(mesh, state.phi.values, ops.geom)
 
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[bc.n_nodes] = False
     t = tangent_space(n_prev)
 
-    A, b = en.residual_director(
-        ops, weights, config.tau, s_prev, n_prev, gphi_prev, t, free,
-        lumped=config.mass_lumping_timederiv,
-    )
+    A, b = en.residual_director(ops, weights, config.tau, state.s.values, n_prev,
+                                coupling, t, free)
     coeff, resid = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
     coeff[free], resid[free] = _solve_spd(A, b, config, "director")
     v = coeff[:, None] * t
@@ -251,15 +246,15 @@ def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
 
 def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
-           weights: ModelWeights, config: SchemeConfig, bc: BoundaryConditions):
+           weights: ModelWeights, config: SchemeConfig, bc: BoundaryConditions,
+           gphi_prev: np.ndarray, coupling: np.ndarray, elastic_diag: np.ndarray,
+           dw_load: np.ndarray):
     """Advance the orientation parameter; returns (s_new, r), the new
-    nodal values and the system's residual (zero at fixed nodes)."""
+    nodal values and the system's residual (zero at fixed nodes).  The
+    last four arguments are those of ``energy.residual_s``."""
     mesh = ops.mesh
-    s_prev = state.s.values
-    gphi_prev = assembly.element_gradients(mesh, state.phi.values, ops.geom)
-    lumped = config.mass_lumping_timederiv
-
-    A, b = en.residual_s(ops, weights, config.tau, s_prev, n_new, gphi_prev, lumped)
+    A, b = en.residual_s(ops, weights, config.tau, state.s.values, n_new, gphi_prev,
+                         coupling, elastic_diag, dw_load)
     A_ff, b_f, freemask = assembly.apply_dirichlet(
         A, b, bc.s_nodes, bc.s_values, mesh.pattern
     )
@@ -335,29 +330,26 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
     phi_prev = state.phi.values
     phi, mu = phi_prev.copy(), state.mu.values.copy()
     A0 = en.ch_step_matrix(ops, weights, s_new, n_new)
-    lumped = config.mass_lumping_timederiv
-    fixed = en.jacobian_ch_fixed(ops, weights, config.tau, lumped)
+    fixed = en.jacobian_ch_fixed(ops, weights, config.tau)
     n = ops.mesh.n_nodes
 
     history = []
     iters = 0
     for it in range(config.newton_max_iter + 1):
-        R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, A0, lumped)
+        R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, A0)
         res = float(np.linalg.norm(R))
         history.append(res)
         if res <= config.newton_res_tol:
             return phi, mu, iters, history, R
         if it == config.newton_max_iter:
             break
-        J = en.jacobian_ch(ops, weights, config.tau, phi, A0, lumped, fixed)
+        J = en.jacobian_ch(ops, weights, config.tau, phi, A0, fixed)
         delta = cache.solve(J, -R, min(_NEWTON_LINEAR_RTOL, _NEWTON_FORCING * res))
         phi = phi + delta[:n]
         mu = mu + delta[n:]
         iters += 1
         if float(np.linalg.norm(delta)) <= config.newton_abs_tol:
-            R = en.residual_ch(
-                ops, weights, config.tau, phi, mu, phi_prev, A0, lumped
-            )
+            R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, A0)
             history.append(float(np.linalg.norm(R)))
             return phi, mu, iters, history, R
     raise NewtonError(
@@ -380,19 +372,28 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
     ``cache`` carries interface Jacobian factors between the steps of a
     run (see :func:`ch_step`).  ``before`` is the energy of ``state``
-    (the previous step's ``after``), evaluated here when absent."""
+    (the previous step's ``after``), evaluated here when absent.
+
+    What the stages and the ledger share is evaluated once, here: the
+    gradient of phi_prev, the coupling tensors there, the explicit
+    double-well load at s_prev and, after the director stage, the nodal
+    coefficients of the elastic form at n_new."""
     mesh = ops.mesh
     tau = config.tau
     eps = weights.eps
-    lumped = config.mass_lumping_timederiv
     s_prev, n_prev, phi_prev = state.s.values, state.n.values, state.phi.values
-    gphi_prev = assembly.element_gradients(mesh, phi_prev, ops.geom)
 
     if before is None:
         before = en.total_energy(ops, weights, s_prev, n_prev, phi_prev)
 
-    n_tilde, n_new, v, r_n = director_step(ops, state, weights, config, bc)
-    s_new, r_s = s_step(ops, state, n_new, weights, config, bc)
+    gphi_prev = assembly.element_gradients(mesh, phi_prev, ops.geom)
+    coupling = en.coupling_tensors(ops, gphi_prev, gphi_prev)
+    dw_load = en.explicit_dw_load(ops, weights.dw, s_prev)
+
+    n_tilde, n_new, v, r_n = director_step(ops, state, weights, config, bc, coupling)
+    elastic_diag = en.eform_scalar_diag(ops, n_new)
+    s_new, r_s = s_step(ops, state, n_new, weights, config, bc,
+                        gphi_prev, coupling, elastic_diag, dw_load)
     phi_new, mu_new, iters, _, R_acc = ch_step(
         ops, state, s_new, n_new, weights, config, cache
     )
@@ -401,12 +402,15 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     gphi_new = assembly.element_gradients(mesh, phi_new, ops.geom)
 
     # --- dissipation budget (every term of the discrete energy law) ---
-    drop_eform = en.eform(ops, s_prev, s_prev, n_tilde, n_tilde) - en.eform(
-        ops, s_prev, s_prev, n_new, n_new
-    )
-    drop_cform = en.cform(
-        ops, n_tilde, gphi_prev, n_tilde, gphi_prev, s_prev, s_prev
-    ) - en.cform(ops, n_new, gphi_prev, n_new, gphi_prev, s_prev, s_prev)
+    s2_prev = s_prev * s_prev
+
+    def cform_prev(u):  # cform(u, gphi_prev, u, gphi_prev, s_prev, s_prev)
+        return float(np.sum(s2_prev * en.tensor_pairing(coupling, u, u)))
+
+    # eform(s_prev, s_prev, n_new, n_new) is sum_i s_i^2 elastic_diag_i
+    drop_eform = (en.eform(ops, s_prev, s_prev, n_tilde, n_tilde)
+                  - float(np.sum(s2_prev * elastic_diag)))
+    drop_cform = cform_prev(n_tilde) - cform_prev(n_new)
 
     ds = s_new - s_prev
     dphi = phi_new - phi_prev
@@ -423,8 +427,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     diss = {
         "normalization_eform": 0.5 * weights.w_erk * drop_eform,
         "normalization_cform": 0.5 * weights.w_wan * eps * drop_cform,
-        "velocity_n": tau * weights.rho * ops.l2_form(v, v, lumped),
-        "velocity_s": ops.l2_form(ds, ds, lumped) / tau,
+        "velocity_n": tau * weights.rho * ops.l2_form(v, v),
+        "velocity_s": ops.l2_form(ds, ds) / tau,
         "mu_gradient": tau * eps * ops.grad_form(mu_new, mu_new),
         "tau2_ch_grad": 0.5 * weights.w_chgd * eps * ops.grad_form(dphi, dphi),
         "tau2_ch_dw": weights.w_chdw
@@ -435,7 +439,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         * (
             2.0 * weights.kappa * ops.grad_form(ds, ds)
             + tau**2 * en.eform(ops, s_prev, s_prev, v, v)
-            + en.eform(ops, ds, ds, n_new, n_new)
+            + float(np.sum(ds * ds * elastic_diag))
         ),
         "tau2_wan": 0.5
         * weights.w_wan
@@ -443,7 +447,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         * tau**2
         * (
             en.cform(ops, n_new, gdphi, n_new, gdphi, s_new, s_new)
-            + en.cform(ops, v, gphi_prev, v, gphi_prev, s_prev, s_prev)
+            + cform_prev(v)
         ),
         "tau2_was": weights.w_was
         * (
@@ -451,10 +455,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
             + en.energy_was(ops, ds, gphi_prev, eps, 0.0)
         ),
     }
-    split_term = float(
-        (en.implicit_dw_load(ops, weights.dw, s_new)
-         - en.explicit_dw_load(ops, weights.dw, s_prev)) @ ds
-    )
+    split_term = float((en.implicit_dw_load(ops, weights.dw, s_new) - dw_load) @ ds)
     diss["convex_split_slack"] = weights.w_dw * (split_term - (after.e_dw - before.e_dw))
 
     # stopping errors of the three solves, each paired with the test

@@ -81,7 +81,7 @@ def naive_eform(stiffness_dense: np.ndarray, s, z, n, w) -> float:
 def naive_cform(mesh: TriMesh, areas, v, gphi, w, gpsi, s, z) -> float:
     """Per-element, per-vertex loop mirroring the vertex quadrature rule."""
     total = 0.0
-    d = mesh.dim
+    d = 2
     for t in range(mesh.n_elements):
         gp = gphi[t]
         gq = gpsi[t]

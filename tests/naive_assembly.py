@@ -21,7 +21,7 @@ def shuffled(mesh: TriMesh, seed: int = 0) -> TriMesh:
     perm = np.random.default_rng(seed).permutation(mesh.n_nodes)
     nodes = np.empty_like(mesh.nodes)
     nodes[perm] = mesh.nodes
-    return TriMesh(2, nodes, perm[mesh.elements], perm[mesh.boundary_nodes])
+    return TriMesh(nodes, perm[mesh.elements], perm[mesh.boundary_nodes])
 
 
 def coo(mesh, ke):

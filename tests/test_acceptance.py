@@ -35,7 +35,7 @@ def reduced_preset_runs(tmp_path_factory):
              "scheme.t_final=0.4"],
         )
         t0 = time.time()
-        final, code = cli.run_scenario(c, str(out))
+        final, code = cli.run_scenario(cfg.build_problem(c), str(out))
         elapsed = time.time() - t0
         assert code == 0
         lines = (out / "energy.csv").read_text().strip().split("\n")[1:]

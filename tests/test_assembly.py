@@ -29,7 +29,7 @@ from lcdroplet.mesh import MeshError
 
 def unit_triangle():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return TriMesh(2, nodes, np.array([[0, 1, 2]]), np.array([0, 1, 2]))
+    return TriMesh(nodes, np.array([[0, 1, 2]]), np.array([0, 1, 2]))
 
 
 def test_stiffness_constant_in_kernel():
@@ -82,16 +82,16 @@ def test_mass_pairing_linear():
 def test_lumped_mass_trace_and_constants():
     m = build_structured_mesh(6, 6)
     M = assemble_mass(m)
-    ML = build_operators(m).lumped_mass
-    assert ML.diagonal().sum() == pytest.approx(1.0, rel=1e-13)
+    ML = build_operators(m).lumped_diag
+    assert ML.sum() == pytest.approx(1.0, rel=1e-13)
     ones = np.ones(m.n_nodes)
-    assert np.allclose(ML @ ones, M @ ones, atol=1e-15)
+    assert np.allclose(ML, M @ ones, atol=1e-15)
 
 
 def test_lumped_mass_interior_diagonal():
     nx = 4
     m = build_structured_mesh(nx, nx)
-    ML = build_operators(m).lumped_mass.diagonal()
+    ML = build_operators(m).lumped_diag
     h = 1.0 / nx
     interior = [i for i in range(m.n_nodes) if i not in set(m.boundary_nodes)]
     # six incident triangles of area h^2/2, vertex rule weight |T|/3

@@ -149,10 +149,6 @@ def _build_corner(*sets):
 @pytest.mark.parametrize(
     "item,message",
     [
-        ("scheme.mass_lumping_timederiv='false'",
-         "scheme.mass_lumping_timederiv must be of type bool, got 'false'"),
-        ("scheme.mass_lumping_timederiv=1",
-         "scheme.mass_lumping_timederiv must be of type bool, got 1"),
         ("scheme.newton_max_iter=2.7", "scheme.newton_max_iter must be of type int, got 2.7"),
         ("scheme.newton_max_iter=true",
          "scheme.newton_max_iter must be of type int, got True"),
@@ -174,6 +170,21 @@ def _build_corner(*sets):
          "output.snapshot_every must be of type int, got 'later'"),
         ("weights.dw.fc=3", "weights.dw.fc must be a list of polynomial coefficients, got 3"),
         ("weights.dw.fe=[0, 0, x]", "weights.dw.fe must be of type float, got 'x'"),
+        ("weights.eps=nan", "eps must be finite and positive, got nan"),
+        ("weights.w_chdw=inf", "w_chdw must be finite and nonnegative, got inf"),
+        ("weights.kappa=nan", "kappa must be finite and positive, got nan"),
+        ("weights.rho=inf", "rho must be finite and positive, got inf"),
+        ("output.snapshot_every=0", "output.snapshot_every must be at least 1, got 0"),
+        ("output.snapshot_every=-2", "output.snapshot_every must be at least 1, got -2"),
+        ("initial.phi=1/0", "initial.phi is not finite at 25 of 25 nodes, first at (0, 0)"),
+        ("initial.phi=sqrt(-1)",
+         "initial.phi is not finite at 25 of 25 nodes, first at (0, 0)"),
+        ("initial.phi=sqrt(x - 0.5)",
+         "initial.phi is not finite at 10 of 25 nodes, first at (0, 0)"),
+        ("initial.n=[sqrt(-1), 1]",
+         "initial.n[0] is not finite at 25 of 25 nodes, first at (0, 0)"),
+        ("initial.s=2", "initial.s must lie in (-0.5, 1.0), got range [2, 2]"),
+        ("bc.n=[1, 1/0]", "bc.n[1] is not finite at 16 of 16 nodes, first at (0, 0)"),
     ],
 )
 def test_config_value_of_wrong_type_rejected(item, message):
@@ -184,10 +195,10 @@ def test_config_value_of_wrong_type_rejected(item, message):
 
 def test_config_values_of_right_type_accepted():
     p = _build_corner("scheme.tau=1e-3", "scheme.t_final=1", "scheme.newton_max_iter=7",
-                      "scheme.mass_lumping_timederiv=true", "scheme.linear_solver=direct")
+                      "scheme.cg_tol=1e-10", "scheme.linear_solver=direct")
     assert p.scheme.tau == 0.001 and p.scheme.t_final == 1.0
     assert type(p.scheme.t_final) is float
-    assert p.scheme.newton_max_iter == 7 and p.scheme.mass_lumping_timederiv is True
+    assert p.scheme.newton_max_iter == 7 and p.scheme.cg_tol == 1e-10
     assert p.scheme.linear_solver == "direct"
     p = _build_corner("mesh.nx=3", "output.snapshot_every=5")
     assert p.mesh.n_nodes == 4 * 5 and p.snapshot_every == 5
@@ -228,8 +239,7 @@ def test_presets_build_weights_and_scheme(name, w_chgd, w_wan, w_was, t_final):
     )
     assert prob.scheme == SchemeConfig(
         tau=0.002, t_final=t_final, newton_abs_tol=1e-15, newton_res_tol=1e-7,
-        newton_max_iter=50, linear_solver="cg", cg_tol=1e-12,
-        cg_maxiter=20000, mass_lumping_timederiv=False,
+        newton_max_iter=50, linear_solver="cg", cg_tol=1e-12, cg_maxiter=20000,
     )
     assert type(prob.scheme.newton_max_iter) is int
 
@@ -271,7 +281,7 @@ def corner_run(tmp_path_factory):
         ["mesh.nx=8", "mesh.ny=8", "scheme.t_final=0.02",
          "output.snapshot_every=5"],
     )
-    final, code = cli.run_scenario(c, str(out))
+    final, code = cli.run_scenario(cfg.build_problem(c), str(out))
     return out, final, code
 
 
@@ -336,7 +346,7 @@ def test_runs_are_bit_identical(tmp_path):
         for sub in ("a", "b"):
             c = cfg.merge_config(cfg.preset("droplet_corner"), None, overrides + extra)
             out = tmp_path / solver / sub
-            cli.run_scenario(c, str(out))
+            cli.run_scenario(cfg.build_problem(c), str(out))
             outs.append((out / "energy.csv").read_bytes())
         assert outs[0] == outs[1], solver
 
@@ -345,13 +355,16 @@ def test_runs_are_bit_identical(tmp_path):
 # command line entry points
 # ---------------------------------------------------------------------------
 
-def test_solver_failure_reported_as_step_error(tmp_path, capsys):
-    """A singular interface Jacobian (here from a NaN weight) ends the run
-    with a message naming the stage, not with SuperLU's RuntimeError."""
+def test_solver_failure_reported_as_step_error(tmp_path, capsys, monkeypatch):
+    """A singular interface Jacobian ends the run with a message naming
+    the stage, not with SuperLU's RuntimeError."""
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(cli.sv.spla, "splu", singular)
     c = cfg.merge_config(cfg.preset("droplet_corner"), None,
-                         ["mesh.nx=4", "mesh.ny=4", "scheme.t_final=0.004",
-                          "weights.w_chdw=nan"])
-    final, code = cli.run_scenario(c, str(tmp_path / "run"))
+                         ["mesh.nx=4", "mesh.ny=4", "scheme.t_final=0.004"])
+    final, code = cli.run_scenario(cfg.build_problem(c), str(tmp_path / "run"))
     assert final is None and code == 1
     err = capsys.readouterr().err
     assert err.startswith("simulation aborted: interface solve: ")
@@ -372,6 +385,20 @@ def test_cli_simulate_and_mesh_audit(tmp_path, capsys):
     assert rc == 0
     outtext = capsys.readouterr().out
     assert "weakly acute: True" in outtext
+
+
+def test_cli_simulate_config_error_is_one_line(tmp_path, capsys):
+    out = tmp_path / "sim"
+    for item, message in (("scheme.tua=1", "unknown config keys: ['scheme.tua']"),
+                          ("weights.w_chdw=nan", "w_chdw must be finite and nonnegative"),
+                          ("initial.phi=q", "unknown name")):
+        rc = cli.main(["simulate", "--preset", "droplet_corner", "--set", "mesh.nx=4",
+                       "--set", "mesh.ny=4", "--set", item, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_simulate_requires_source(capsys):
@@ -420,7 +447,7 @@ def test_config_yaml_echo_resolves_auto(tmp_path):
         cfg.preset("droplet_corner"), None,
         ["mesh.nx=4", "mesh.ny=4", "scheme.t_final=0.002", "weights.eps=auto"],
     )
-    cli.run_scenario(c, str(tmp_path / "run"))
+    cli.run_scenario(cfg.build_problem(c), str(tmp_path / "run"))
     resolved = yaml.safe_load((tmp_path / "run" / "config.yaml").read_text())
     assert resolved["weights"]["eps"] == pytest.approx(3.0 / 4.0)
     assert isinstance(resolved["output"]["snapshot_every"], int)

@@ -79,7 +79,7 @@ def test_cform_matches_interpolant_formulation(ops4, rng):
     gphi = element_gradients(mesh, phi)
     gpsi = element_gradients(mesh, psi)
 
-    d = mesh.dim
+    d = 2
     eye = np.eye(d)
     H = np.empty((mesh.n_elements, 3, d, d))
     for t in range(mesh.n_elements):
@@ -284,7 +284,8 @@ def test_director_system_spd(ops2, rng):
     free = np.ones(mesh.n_nodes, dtype=bool)
     free[mesh.boundary_nodes] = False
     t = tangent_space(n)
-    A, b = en.residual_director(ops2, weights, tau, s, n, gphi, t, free)
+    G = en.coupling_tensors(ops2, gphi, gphi)
+    A, b = en.residual_director(ops2, weights, tau, s, n, G, t, free)
     Ad = A.toarray()
     assert np.abs(Ad - Ad.T).max() <= 1e-13
     eigs = np.linalg.eigvalsh(Ad)
@@ -300,7 +301,8 @@ def test_orientation_system_spd(ops2, rng):
     n = unit_director(rng.uniform(0, 2 * np.pi, mesh.n_nodes))
     phi = rng.uniform(-1, 1, mesh.n_nodes)
     gphi = element_gradients(mesh, phi)
-    A, b = en.residual_s(ops2, weights, 0.002, s, n, gphi)
+    A, b = en.residual_s(ops2, weights, 0.002, s, n, gphi, en.coupling_tensors(ops2, gphi, gphi),
+                         en.eform_scalar_diag(ops2, n), en.explicit_dw_load(ops2, weights.dw, s))
     Ad = A.toarray()
     assert np.abs(Ad - Ad.T).max() <= 1e-11 * np.abs(Ad).max()
     assert np.linalg.eigvalsh(Ad).min() > 0
@@ -392,7 +394,8 @@ def test_director_system_matches_coo_assembly(step_case):
     free[mesh.boundary_nodes] = False
     t = tangent_space(f["n"])
     gphi = element_gradients(mesh, f["phi"])
-    A, b = en.residual_director(ops, weights, 0.01, f["s"], f["n"], gphi, t, free)
+    G = en.coupling_tensors(ops, gphi, gphi)
+    A, b = en.residual_director(ops, weights, 0.01, f["s"], f["n"], G, t, free)
     A_ref, b_ref = naive.director_system(mesh, weights, 0.01, f["s"], f["n"], f["phi"], t, free)
     assert A.shape == A_ref.shape
     assert naive.relative_error(A, A_ref) <= 1e-13
@@ -403,7 +406,9 @@ def test_orientation_system_matches_coo_assembly(step_case):
     ops, weights, f = step_case
     mesh = ops.mesh
     gphi = element_gradients(mesh, f["phi"])
-    A, b = en.residual_s(ops, weights, 0.002, f["s"], f["n"], gphi)
+    A, b = en.residual_s(ops, weights, 0.002, f["s"], f["n"], gphi,
+                         en.coupling_tensors(ops, gphi, gphi), en.eform_scalar_diag(ops, f["n"]),
+                         en.explicit_dw_load(ops, weights.dw, f["s"]))
     A_ref = naive.s_matrix(mesh, weights, 0.002, f["n"], f["phi"])
     assert naive.relative_error(A, A_ref) <= 1e-13
     fixed = mesh.boundary_nodes

@@ -66,13 +66,13 @@ def test_right_isosceles_triangles():
 def test_positive_orientation_enforced():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError):
-        TriMesh(2, nodes, np.array([[0, 2, 1]]), np.array([0, 1, 2]))
+        TriMesh(nodes, np.array([[0, 2, 1]]), np.array([0, 1, 2]))
 
 
 def test_repeated_vertex_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError):
-        TriMesh(2, nodes, np.array([[0, 1, 1]]), np.array([]))
+        TriMesh(nodes, np.array([[0, 1, 1]]), np.array([]))
 
 
 def test_refinement_nesting():
@@ -111,7 +111,7 @@ def obtuse_fixture():
     nodes = np.vstack([base.nodes, [[-2.0, 1.0]]])
     # node 0 is (0,0) and node 2 is (1,0); obtuse corner at node 0
     elements = np.vstack([base.elements, [[0, 2, 4]]])
-    return TriMesh(2, nodes, elements, base.boundary_nodes)
+    return TriMesh(nodes, elements, base.boundary_nodes)
 
 
 def test_obtuse_triangle_flagged():
@@ -140,7 +140,7 @@ def test_nonconforming_mesh_rejected():
     )
     elements = np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]])
     with pytest.raises(MeshError):
-        TriMesh(2, nodes, elements, np.array([]))
+        TriMesh(nodes, elements, np.array([]))
 
 
 def test_mesh_vtk_export(tmp_path):
@@ -178,18 +178,13 @@ def test_nonconforming_mesh_rejected_with_large_node_numbers():
     nodes[ids] = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0], [2.0, 1.0]]
     elements = ids[np.array([[0, 1, 2], [0, 3, 1], [0, 1, 4]])]
     with pytest.raises(MeshError, match="shared by 3 elements"):
-        TriMesh(2, nodes, elements, np.array([]))
+        TriMesh(nodes, elements, np.array([]))
     # two of them form a conforming mesh with one interior edge
-    m = TriMesh(2, nodes, elements[:2], np.array([]))
+    m = TriMesh(nodes, elements[:2], np.array([]))
     assert len(m.edges.lo) == 5
     assert m.edges.counts.max() == 2
     shared = np.flatnonzero(m.edges.counts == 2)[0]
     assert (m.edges.lo[shared], m.edges.hi[shared]) == (70_000, 70_001)
-
-
-def test_only_triangle_meshes():
-    with pytest.raises(MeshError, match="dim=2"):
-        TriMesh(3, np.zeros((4, 3)), np.array([[0, 1, 2, 3]]), np.array([]))
 
 
 def test_vtk_matches_per_line_writer(tmp_path):

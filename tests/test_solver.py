@@ -40,6 +40,19 @@ def full_boundary_bc(mesh, s_val=0.75, n_dir=(1.0, 0.0)):
     )
 
 
+def director_stage(ops, state, weights, scheme, bc):
+    gphi = element_gradients(ops.mesh, state.phi.values, ops.geom)
+    return sv.director_step(ops, state, weights, scheme, bc,
+                            en.coupling_tensors(ops, gphi, gphi))
+
+
+def s_stage(ops, state, n_new, weights, scheme, bc):
+    gphi = element_gradients(ops.mesh, state.phi.values, ops.geom)
+    return sv.s_step(ops, state, n_new, weights, scheme, bc, gphi,
+                     en.coupling_tensors(ops, gphi, gphi), en.eform_scalar_diag(ops, n_new),
+                     en.explicit_dw_load(ops, weights.dw, state.s.values))
+
+
 # ---------------------------------------------------------------------------
 # tangent frames
 # ---------------------------------------------------------------------------
@@ -69,7 +82,7 @@ def test_director_step_zero_weights_identity():
     weights = ModelWeights(w_erk=0.0, w_wan=0.0, s_star=0.75)
     state = constant_state(mesh)
     bc = full_boundary_bc(mesh)
-    n_tilde, n_new, v, _ = sv.director_step(
+    n_tilde, n_new, v, _ = director_stage(
         ops, state, weights, SchemeConfig(tau=0.01, t_final=0.01), bc
     )
     assert np.allclose(n_tilde, state.n.values, atol=1e-14)
@@ -83,7 +96,7 @@ def test_director_step_pythagoras_and_drops():
     c.mesh["nx"] = c.mesh["ny"] = 8
     prob = cfg.build_problem(c)
     state = prob.initial
-    n_tilde, n_new, v, _ = sv.director_step(
+    n_tilde, n_new, v, _ = director_stage(
         prob.ops, state, prob.weights, prob.scheme, prob.bc
     )
     free = np.ones(prob.mesh.n_nodes, dtype=bool)
@@ -126,7 +139,7 @@ def test_s_step_stationary_pure_state():
     weights = ModelWeights(w_dw=100.0, w_wan=20.0, w_was=20.0, s_star=0.75)
     state = constant_state(mesh)
     bc = full_boundary_bc(mesh)
-    s_new, _ = sv.s_step(ops, state, state.n.values, weights, SchemeConfig(), bc)
+    s_new, _ = s_stage(ops, state, state.n.values, weights, SchemeConfig(), bc)
     assert np.abs(s_new - 0.75).max() <= 1e-12
 
 
@@ -135,7 +148,7 @@ def test_s_step_small_tau_limit():
     state = prob.initial
     scheme = SchemeConfig(tau=1e-9, t_final=1e-9)
     n_new = state.n.values
-    s_new, _ = sv.s_step(prob.ops, state, n_new, prob.weights, scheme, prob.bc)
+    s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, scheme, prob.bc)
     assert np.abs(s_new - state.s.values).max() <= 1e-6
 
 
@@ -154,7 +167,7 @@ def test_s_step_quartic_well_dissipates():
     state = make_state(mesh, s0, n, phi)
     bc = full_boundary_bc(mesh)
     scheme = SchemeConfig(tau=0.002, t_final=0.002)
-    s_new, _ = sv.s_step(ops, state, n, w, scheme, bc)
+    s_new, _ = s_stage(ops, state, n, w, scheme, bc)
     assert np.all(np.isfinite(s_new))
     assert np.abs(s_new[mesh.boundary_nodes] - 0.75).max() <= 1e-14
     e_before = en.total_energy(ops, w, s0, n, phi).total
@@ -196,10 +209,10 @@ def test_ch_step_quadratic_newton_convergence():
     c.mesh["nx"] = c.mesh["ny"] = 16
     prob = cfg.build_problem(c)
     state = prob.initial
-    n_tilde, n_new, _, _ = sv.director_step(
+    n_tilde, n_new, _, _ = director_stage(
         prob.ops, state, prob.weights, prob.scheme, prob.bc
     )
-    s_new, _ = sv.s_step(prob.ops, state, n_new, prob.weights, prob.scheme, prob.bc)
+    s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, prob.scheme, prob.bc)
     phi, mu, iters, hist, _ = sv.ch_step(
         prob.ops, state, s_new, n_new, prob.weights, prob.scheme
     )
@@ -361,21 +374,6 @@ def test_run_streams_reports_and_conserves_mass():
     assert all(b <= a + 1e-11 for a, b in zip(totals, totals[1:]))
 
 
-def test_mass_lumping_switch_preserves_structure():
-    prob = small_problem(nx=8, t_final=0.02, mass_lumping_timederiv=True)
-    state = prob.initial
-    rows = prob.ops.mass @ np.ones(prob.mesh.n_nodes)
-    mass0 = rows @ state.phi.values
-    for _ in range(10):
-        state, rep = gradient_flow_step(
-            prob.ops, state, prob.weights, prob.scheme, prob.bc, phi_mass_ref=mass0
-        )
-        assert rep.after.total <= rep.before.total + 1e-11
-        scale = max(abs(rep.before.total), 1.0)
-        assert abs(rep.budget_residual) <= 1e-9 * scale
-        assert abs(rep.mass_drift) <= 1e-9
-
-
 def test_unit_norm_after_steps():
     prob = small_problem(nx=8, t_final=0.01)
     state = prob.initial
@@ -505,3 +503,60 @@ def test_step_with_energy_passed_in_is_bit_identical():
     assert passed.before == en.total_energy(
         ops, w, state.s.values, state.n.values, state.phi.values
     )
+
+
+def test_step_evaluates_shared_inputs_once(monkeypatch):
+    """Given the energy of the state, one step evaluates grad phi, the
+    coupling tensors and the elastic form at most three times each, and
+    the explicit double-well load once: the stages and the ledger share
+    what they need of the old state."""
+    problem = small_problem(nx=8)
+    ops, w, sc, bc = problem.ops, problem.weights, problem.scheme, problem.bc
+    before = en.total_energy(ops, w, problem.initial.s.values,
+                             problem.initial.n.values, problem.initial.phi.values)
+    calls = {}
+    for module, name in ((sv.assembly, "element_gradients"), (en, "coupling_tensors"),
+                         (en, "eform"), (en, "explicit_dw_load")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    gradient_flow_step(ops, problem.initial, w, sc, bc, before=before)
+    assert calls["element_gradients"] <= 3
+    assert calls["coupling_tensors"] <= 3
+    assert calls["eform"] <= 3
+    assert calls["explicit_dw_load"] == 1
+
+
+def test_ledger_terms_match_forms_of_returned_fields():
+    """The ledger's lumped-form terms, built from the shared inputs, equal
+    the forms evaluated afresh on the fields the step returns.  The drops
+    are differences of nearly equal forms, so each term is compared
+    relative to the sum of the magnitudes of the forms it is made of."""
+    problem = small_problem(nx=8)
+    ops, w, sc, bc = problem.ops, problem.weights, problem.scheme, problem.bc
+    state = problem.initial
+    new, rep = gradient_flow_step(ops, state, w, sc, bc)
+    s0, s1, n1 = state.s.values, new.s.values, new.n.values
+    # the director stage is solved again, to recover n~ and v
+    n_tilde, n_again, v, _ = director_stage(ops, state, w, sc, bc)
+    assert np.array_equal(n_again, n1)
+    g0 = element_gradients(ops.mesh, state.phi.values, ops.geom)
+    gd = (element_gradients(ops.mesh, new.phi.values, ops.geom) - g0) / sc.tau
+    ds = s1 - s0
+    # signed parts of each term
+    parts = {
+        "drop_eform": [en.eform(ops, s0, s0, n_tilde, n_tilde), -en.eform(ops, s0, s0, n1, n1)],
+        "drop_cform": [en.cform(ops, n_tilde, g0, n_tilde, g0, s0, s0),
+                       -en.cform(ops, n1, g0, n1, g0, s0, s0)],
+        "tau2_erk": [0.5 * w.w_erk * f for f in (2.0 * w.kappa * ops.grad_form(ds, ds),
+                                                 sc.tau**2 * en.eform(ops, s0, s0, v, v),
+                                                 en.eform(ops, ds, ds, n1, n1))],
+        "tau2_wan": [0.5 * w.w_wan * w.eps * sc.tau**2 * f
+                     for f in (en.cform(ops, n1, gd, n1, gd, s1, s1),
+                               en.cform(ops, v, g0, v, g0, s0, s0))],
+    }
+    got = {"drop_eform": rep.drop_eform, "drop_cform": rep.drop_cform,
+           "tau2_erk": rep.dissipation["tau2_erk"], "tau2_wan": rep.dissipation["tau2_wan"]}
+    for key, terms in parts.items():
+        assert abs(got[key] - sum(terms)) <= 1e-14 * sum(abs(f) for f in terms), key
