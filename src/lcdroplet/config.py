@@ -140,9 +140,22 @@ def preset(name: str) -> ScenarioConfig:
     )
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """A YAML error on one line: what is wrong, and where."""
+    problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+    mark = getattr(exc, "problem_mark", None)
+    return problem if mark is None else f"{problem} (line {mark.line + 1}, column {mark.column + 1})"
+
+
 def load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ValueError(f"config file {path} is not valid YAML: {_yaml_problem(exc)}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must contain a mapping")
     return data
@@ -165,7 +178,11 @@ def apply_overrides(cfg: ScenarioConfig, assignments) -> ScenarioConfig:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
-        value = yaml.safe_load(raw)
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"override {key.strip()}: {raw!r} is not valid YAML: "
+                             f"{_yaml_problem(exc)}") from exc
         parts = key.strip().split(".")
         node = data
         for p in parts[:-1]:

@@ -159,6 +159,23 @@ def eform(ops: Operators, s, z, n, w) -> float:
     return float(np.sum(k * (sz[ei] + sz[ej]) * pair))
 
 
+def eform_drop(ops: Operators, s, n_tilde, n) -> float:
+    """eform(s, s, n_tilde, n_tilde) - eform(s, s, n, n) as one edge sum,
+
+        sum_edges k_ij (s_i^2 + s_j^2) (a - b) . (a + b),
+
+    with a = n~_i - n~_j and b = n_i - n_j, accurate to its own size where
+    the difference of the two forms is accurate only to theirs.  a - b is
+    formed as d_i - d_j with d = n~ - n, which is exact at a node where
+    the two directors' components are within a factor of two (Sterbenz).
+    """
+    ei, ej, k = ops.edge_i, ops.edge_j, ops.edge_k
+    s2 = np.asarray(s) ** 2
+    d = n_tilde - n
+    pair = np.sum((d[ei] - d[ej]) * ((n_tilde[ei] - n_tilde[ej]) + (n[ei] - n[ej])), axis=1)
+    return float(np.sum(k * (s2[ei] + s2[ej]) * pair))
+
+
 def coupling_tensors(ops: Operators, gphi, gpsi) -> np.ndarray:
     """Nodal 2x2 tensors G_i = sum over elements T containing i of
     |T|/3 * [(gphi_T . gpsi_T) I - gphi_T gpsi_T^T], shape (n, 2, 2).
@@ -277,9 +294,12 @@ def energy_was(ops: Operators, s, gphi, eps: float, s_star: float) -> float:
     return 0.5 * eps * float(gg @ per_elem)
 
 
-def total_energy(ops: Operators, weights: ModelWeights, s, n, phi) -> EnergyReport:
-    """Evaluate all six components for nodal arrays (s, n, phi)."""
-    gphi = assembly.element_gradients(ops.mesh, np.asarray(phi), ops.geom)
+def total_energy(ops: Operators, weights: ModelWeights, s, n, phi,
+                 gphi: np.ndarray | None = None) -> EnergyReport:
+    """Evaluate all six components for nodal arrays (s, n, phi).  ``gphi``
+    is the per-element gradient of phi, evaluated here when absent."""
+    if gphi is None:
+        gphi = assembly.element_gradients(ops.mesh, np.asarray(phi), ops.geom)
     e_erk = energy_ericksen(ops, s, n, weights.kappa)
     e_dw = energy_dw(ops, s, weights.dw)
     e_chdw = energy_ch_dw(ops, phi, weights.eps)

@@ -10,9 +10,10 @@ One time step advances (s, n, phi, mu) through three stages, in order:
    is implicit, the concave part explicit).
 3. interface: Newton on the coupled (phi, mu) system; the cubic term is
    the only nonlinearity.  The Newton systems are solved by GMRES
-   preconditioned with the LU factors of an earlier Jacobian
-   (:class:`JacobianCache`), which is refactored only when GMRES stalls;
-   :func:`run` keeps the factors from step to step.
+   preconditioned with the LU factors of an earlier Jacobian, one LU
+   solve per GMRES iteration (:class:`JacobianCache`); the Jacobian is
+   refactored only when GMRES stalls, and :func:`run` keeps the factors
+   from step to step.
 
 Both SPD systems are solved by conjugate gradients by default, or by a
 sparse LU factorization (``linear_solver="direct"``), the reference whose
@@ -31,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from . import assembly, energy as en, quadrature as quad
@@ -270,36 +272,85 @@ class JacobianCache:
 
     The Jacobian changes only through the cubic term's mass block and the
     anchoring blocks, slowly in time, so the stored factors are a close
-    preconditioner: a Newton system is solved by right-preconditioned
-    GMRES (whose residual is the true linear residual) to the requested
-    relative tolerance, and the Jacobian is refactored only when GMRES
-    needs more than ``MAX_KRYLOV`` iterations.  ``factorizations`` counts
-    the LU factorizations.  A singular Jacobian is a :class:`StepError`.
+    preconditioner.  A Newton system J x = b is solved by one cycle of
+    right-preconditioned GMRES that keeps the preconditioned vectors
+    z_k = LU^{-1} v_k next to the Arnoldi vectors v_k and forms
+    x = sum_k y_k z_k, as flexible GMRES does (Saad, SIAM J. Sci. Comput.
+    14, 1993): one LU solve per iteration and none after convergence.
+    ``x`` is accepted when its true residual |b - J x| is within the
+    requested relative tolerance; otherwise, or when that takes more than
+    ``MAX_KRYLOV`` iterations, the Jacobian is refactored and solved
+    directly.  ``factorizations`` and ``krylov_iterations`` count the LU
+    factorizations and the GMRES iterations.  A singular Jacobian is a
+    :class:`StepError`.
     """
 
-    # about two triangular solves per iteration; a factorization costs
-    # some twenty at 64^2
+    # one LU solve per iteration; a factorization costs some twenty solves
+    # at 64^2 and thirty at 128^2
     MAX_KRYLOV = 6
 
     def __init__(self):
         self.lu = None
         self.factorizations = 0
+        self.krylov_iterations = 0
 
     def solve(self, J, rhs: np.ndarray, rtol: float) -> np.ndarray:
-        lu = self.lu
-        if lu is not None and lu.shape == J.shape:
-            op = spla.LinearOperator(J.shape, matvec=lambda y: J @ lu.solve(y),
-                                    dtype=float)
-            y, info = spla.gmres(op, rhs, rtol=rtol, atol=0.0,
-                                 restart=self.MAX_KRYLOV, maxiter=1)
-            if info == 0:
-                return lu.solve(y)
+        if self.lu is not None and self.lu.shape == J.shape:
+            x = self._gmres(J, rhs, rtol)
+            if x is not None:
+                return x
         try:
             self.lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise StepError(f"interface solve: {exc}") from exc
         self.factorizations += 1
         return self.lu.solve(rhs)
+
+    def _gmres(self, J, b: np.ndarray, rtol: float) -> np.ndarray | None:
+        """One GMRES cycle from x = 0 on J LU^{-1}; the solution, or None
+        when its true residual is above ``rtol * |b|``."""
+        beta = float(np.linalg.norm(b))
+        if beta == 0.0:
+            return np.zeros_like(b)
+        tol = rtol * beta
+        m = self.MAX_KRYLOV
+        V = np.empty((m + 1, b.size))
+        Z = np.empty((m, b.size))
+        H = np.zeros((m + 1, m))
+        cs, sn = np.zeros(m), np.zeros(m)
+        g = np.zeros(m + 1)  # the Givens-rotated least-squares right-hand side
+        g[0] = beta
+        V[0] = b / beta
+        for j in range(m):
+            Z[j] = self.lu.solve(V[j])
+            self.krylov_iterations += 1
+            w = J @ Z[j]
+            w_norm = float(np.linalg.norm(w))
+            for i in range(j + 1):  # modified Gram-Schmidt
+                H[i, j] = V[i] @ w
+                w -= H[i, j] * V[i]
+            H[j + 1, j] = float(np.linalg.norm(w))
+            # happy breakdown: J z_j lies in the span of v_0 .. v_j, so the
+            # least-squares solution below is exact
+            breakdown = H[j + 1, j] <= np.finfo(float).eps * w_norm
+            if breakdown:
+                H[j + 1, j] = 0.0
+            else:
+                V[j + 1] = w / H[j + 1, j]
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            r = math.hypot(H[j, j], H[j + 1, j])
+            if r == 0.0:  # J z_j = 0: J is singular, which refactoring reports
+                return None
+            cs[j], sn[j] = H[j, j] / r, H[j + 1, j] / r
+            H[j, j], H[j + 1, j] = r, 0.0
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            if abs(g[j + 1]) <= tol or breakdown:
+                break
+        k = j + 1
+        x = sla.solve_triangular(H[:k, :k], g[:k]) @ Z[:k]
+        return x if float(np.linalg.norm(b - J @ x)) <= tol else None
 
 
 # relative tolerance of the preconditioned Newton solves:
@@ -376,8 +427,9 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
     What the stages and the ledger share is evaluated once, here: the
     gradient of phi_prev, the coupling tensors there, the explicit
-    double-well load at s_prev and, after the director stage, the nodal
-    coefficients of the elastic form at n_new."""
+    double-well load at s_prev, after the director stage the nodal
+    coefficients of the elastic form at n_new, and after the interface
+    stage the gradient of phi_new, which ``after`` and the ledger share."""
     mesh = ops.mesh
     tau = config.tau
     eps = weights.eps
@@ -398,8 +450,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         ops, state, s_new, n_new, weights, config, cache
     )
 
-    after = en.total_energy(ops, weights, s_new, n_new, phi_new)
     gphi_new = assembly.element_gradients(mesh, phi_new, ops.geom)
+    after = en.total_energy(ops, weights, s_new, n_new, phi_new, gphi_new)
 
     # --- dissipation budget (every term of the discrete energy law) ---
     s2_prev = s_prev * s_prev
@@ -407,9 +459,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     def cform_prev(u):  # cform(u, gphi_prev, u, gphi_prev, s_prev, s_prev)
         return float(np.sum(s2_prev * en.tensor_pairing(coupling, u, u)))
 
-    # eform(s_prev, s_prev, n_new, n_new) is sum_i s_i^2 elastic_diag_i
-    drop_eform = (en.eform(ops, s_prev, s_prev, n_tilde, n_tilde)
-                  - float(np.sum(s2_prev * elastic_diag)))
+    drop_eform = en.eform_drop(ops, s_prev, n_tilde, n_new)
     drop_cform = cform_prev(n_tilde) - cform_prev(n_new)
 
     ds = s_new - s_prev

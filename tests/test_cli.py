@@ -391,13 +391,30 @@ def test_cli_simulate_config_error_is_one_line(tmp_path, capsys):
     out = tmp_path / "sim"
     for item, message in (("scheme.tua=1", "unknown config keys: ['scheme.tua']"),
                           ("weights.w_chdw=nan", "w_chdw must be finite and nonnegative"),
-                          ("initial.phi=q", "unknown name")):
+                          ("initial.phi=q", "unknown name"),
+                          ("initial.phi=[1", "override initial.phi: '[1' is not valid YAML")):
         rc = cli.main(["simulate", "--preset", "droplet_corner", "--set", "mesh.nx=4",
                        "--set", "mesh.ny=4", "--set", item, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_simulate_unreadable_config_file_is_one_line(tmp_path, capsys):
+    (tmp_path / "bad.yaml").write_text("mesh: [1\n")
+    out = tmp_path / "sim"
+    for path, message in ((tmp_path / "missing.yaml", "No such file or directory"),
+                          (tmp_path, "Is a directory"),
+                          (tmp_path / "bad.yaml", "is not valid YAML")):
+        rc = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err and message in err
+        assert err.count("\n") == 1
+        with pytest.raises(ValueError, match=message):
+            cfg.load_config_file(path)
     assert not out.exists()
 
 
