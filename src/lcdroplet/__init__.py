@@ -25,7 +25,7 @@ from .energy import (
     eform,
     total_energy,
 )
-from .fields import DirectorField, NodalScalarField, NodalVectorField, interpolate
+from .fields import DirectorField, NodalScalarField
 from .mesh import (
     AcutenessReport,
     TriMesh,
@@ -48,10 +48,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcutenessReport", "BoundaryConditions", "DirectorField", "DoubleWell",
-    "EnergyReport", "ModelWeights", "NodalScalarField", "NodalVectorField",
-    "Operators", "PhaseState", "SchemeConfig", "StepReport", "TriMesh",
-    "assemble_mass", "assemble_stiffness", "audit_weak_acuteness",
-    "build_operators", "build_structured_mesh", "cform", "count_components",
+    "EnergyReport", "ModelWeights", "NodalScalarField", "Operators",
+    "PhaseState", "SchemeConfig", "StepReport", "TriMesh", "assemble_mass",
+    "assemble_stiffness", "audit_weak_acuteness", "build_operators",
+    "build_structured_mesh", "cform", "count_components",
     "default_double_well", "eform", "element_gradients", "gradient_flow_step",
-    "interpolate", "make_state", "mesh_size", "run", "total_energy",
+    "make_state", "mesh_size", "run", "total_energy",
 ]

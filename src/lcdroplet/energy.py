@@ -150,7 +150,7 @@ def eform(ops: Operators, s, z, n, w) -> float:
     nn = ops.mesh.n_nodes
     if len(s) != nn or len(z) != nn or len(n) != nn or len(w) != nn:
         raise ValueError(f"eform fields must have {nn} nodal values")
-    ei, ej, k = ops.edge_i, ops.edge_j, ops.edge_k
+    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
     sz = np.asarray(s) * np.asarray(z)
     dn = n[ei] - n[ej]
     dw_ = w[ei] - w[ej]
@@ -169,7 +169,7 @@ def eform_drop(ops: Operators, s, n_tilde, n) -> float:
     formed as d_i - d_j with d = n~ - n, which is exact at a node where
     the two directors' components are within a factor of two (Sterbenz).
     """
-    ei, ej, k = ops.edge_i, ops.edge_j, ops.edge_k
+    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
     s2 = np.asarray(s) ** 2
     d = n_tilde - n
     pair = np.sum((d[ei] - d[ej]) * ((n_tilde[ei] - n_tilde[ej]) + (n[ei] - n[ej])), axis=1)
@@ -188,7 +188,7 @@ def coupling_tensors(ops: Operators, gphi, gpsi) -> np.ndarray:
     qx, qy = gpsi[:, 0], gpsi[:, 1]
     gg = px * qx + py * qy
     per_elem = np.column_stack([gg - px * qx, -px * qy, -py * qx, gg - py * qy])
-    per_elem *= (ops.geom.areas / 3.0)[:, None]
+    per_elem *= (ops.mesh.areas / 3.0)[:, None]
     return np.column_stack([assembly.vertex_sum(ops.mesh, np.repeat(c[:, None], 3, axis=1))
                             for c in per_elem.T]).reshape(-1, 2, 2)
 
@@ -219,7 +219,7 @@ def vertex_form(ops: Operators, v, H, w) -> float:
     per-element, per-vertex matrix field H of shape (ne, 3, d, d)."""
     e = ops.mesh.elements
     vals = np.einsum("ead,eadc,eac->ea", v[e], H, w[e])
-    return float(np.sum((ops.geom.areas / 3.0) * vals.sum(axis=1)))
+    return float(np.sum((ops.mesh.areas / 3.0) * vals.sum(axis=1)))
 
 
 def anchoring_phi_matrix(ops: Operators, s, n) -> SparseOperator:
@@ -234,7 +234,7 @@ def anchoring_phi_matrix(ops: Operators, s, n) -> SparseOperator:
     yy = np.sum(s2E * ny * ny, axis=1)
     # (|n|^2 I - n n^T) summed over the vertices with weights s^2
     Ht = np.stack([yy, -xy, -xy, xx], axis=1).reshape(-1, 2, 2) / 3.0
-    return assembly.tensor_stiffness(ops.mesh, ops.geom, Ht)
+    return assembly.tensor_stiffness(ops.mesh, Ht)
 
 
 def was_phi_matrix(ops: Operators, s, s_star: float) -> SparseOperator:
@@ -243,12 +243,12 @@ def was_phi_matrix(ops: Operators, s, s_star: float) -> SparseOperator:
     e = ops.mesh.elements
     q = (np.asarray(s) - s_star)[e]
     per_elem = np.sum((q @ assembly._MASS_REF) * q, axis=1)
-    return assembly.weighted_stiffness(ops.mesh, ops.geom, per_elem)
+    return assembly.weighted_stiffness(ops.mesh, per_elem)
 
 
 def grad_weighted_mass(ops: Operators, gphi) -> SparseOperator:
     """Mass matrix weighted by |grad phi|^2 (per-element constant)."""
-    return assembly.weighted_mass(ops.mesh, ops.geom, np.sum(gphi * gphi, axis=1))
+    return assembly.weighted_mass(ops.mesh, np.sum(gphi * gphi, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +268,12 @@ def energy_dw(ops: Operators, s, dw: DoubleWell) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return assembly.integrate_p1_function(ops.mesh, ops.geom, dw.f, np.asarray(s))
+    return assembly.integrate_p1_function(ops.mesh, dw.f, np.asarray(s))
 
 
 def energy_ch_dw(ops: Operators, phi, eps: float) -> float:
     val = assembly.integrate_p1_function(
-        ops.mesh, ops.geom, lambda p: (p * p - 1.0) ** 2, np.asarray(phi)
+        ops.mesh, lambda p: (p * p - 1.0) ** 2, np.asarray(phi)
     )
     return val / (4.0 * eps)
 
@@ -289,7 +289,7 @@ def energy_wan(ops: Operators, s, n, gphi, eps: float) -> float:
 def energy_was(ops: Operators, s, gphi, eps: float, s_star: float) -> float:
     e = ops.mesh.elements
     q = (np.asarray(s) - s_star)[e]
-    per_elem = np.einsum("ea,ab,eb->e", q, assembly._MASS_REF, q) * ops.geom.areas
+    per_elem = np.einsum("ea,ab,eb->e", q, assembly._MASS_REF, q) * ops.mesh.areas
     gg = np.sum(gphi * gphi, axis=1)
     return 0.5 * eps * float(gg @ per_elem)
 
@@ -299,7 +299,7 @@ def total_energy(ops: Operators, weights: ModelWeights, s, n, phi,
     """Evaluate all six components for nodal arrays (s, n, phi).  ``gphi``
     is the per-element gradient of phi, evaluated here when absent."""
     if gphi is None:
-        gphi = assembly.element_gradients(ops.mesh, np.asarray(phi), ops.geom)
+        gphi = assembly.element_gradients(ops.mesh, np.asarray(phi))
     e_erk = energy_ericksen(ops, s, n, weights.kappa)
     e_dw = energy_dw(ops, s, weights.dw)
     e_chdw = energy_ch_dw(ops, phi, weights.eps)
@@ -324,7 +324,7 @@ def total_energy(ops: Operators, weights: ModelWeights, s, n, phi,
 
 def eform_derivative_n(ops: Operators, s, n) -> np.ndarray:
     """Vector D with sum_i D_i . w_i = eform(s, s, n, w)."""
-    ei, ej, k = ops.edge_i, ops.edge_j, ops.edge_k
+    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
     nn = ops.mesh.n_nodes
     s2 = np.asarray(s) ** 2
     wgt = 2.0 * k * 0.5 * (s2[ei] + s2[ej])
@@ -337,7 +337,7 @@ def eform_derivative_n(ops: Operators, s, n) -> np.ndarray:
 
 def eform_scalar_diag(ops: Operators, n) -> np.ndarray:
     """Nodal coefficients D with eform(s, z, n, n) = sum_i s_i z_i D_i."""
-    ei, ej, k = ops.edge_i, ops.edge_j, ops.edge_k
+    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
     diff2 = np.sum((n[ei] - n[ej]) ** 2, axis=1)
     kd = k * diff2
     return np.bincount(np.concatenate([ei, ej]), np.concatenate([kd, kd]),
@@ -352,13 +352,13 @@ def derivative_erk_s(ops, s, n, kappa: float) -> np.ndarray:
 
 def derivative_dw_s(ops, s, dw: DoubleWell) -> np.ndarray:
     sq = quad.at_quad_points(np.asarray(s)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, ops.geom, dw.df(sq))
+    return assembly.nodal_load(ops.mesh, dw.df(sq))
 
 
 def cubic_load(ops: Operators, phi) -> np.ndarray:
     """Vector with entries integral of (phi_h)^3 eta_i (degree-4 rule)."""
     pq = quad.at_quad_points(np.asarray(phi)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, ops.geom, pq * pq * pq)
+    return assembly.nodal_load(ops.mesh, pq * pq * pq)
 
 
 def derivative_ch_phi(ops, phi, eps: float) -> np.ndarray:
@@ -402,18 +402,18 @@ def residual_director(
     n_prev,
     coupling: np.ndarray,
     tangent: np.ndarray,
-    free: np.ndarray,
 ):
     """Tangent-coefficient system for the director update.
 
-    The unknown is the nodal tangential velocity v = c_i t_i at free
-    nodes, with the trial director n~ = n_prev + tau * v.  ``coupling``
-    is ``coupling_tensors`` at grad phi_prev.  Returns (A, b) with A
-    symmetric positive definite on the free tangent dofs.
+    The unknown is the nodal tangential velocity v = c_i t_i, with the
+    trial director n~ = n_prev + tau * v.  ``coupling`` is
+    ``coupling_tensors`` at grad phi_prev.  Returns (A, b) on all nodes,
+    A on the mesh pattern and symmetric positive definite; the caller
+    eliminates the nodes where the director is prescribed.
     """
     p = ops.mesh.pattern
     s2 = np.asarray(s_prev) ** 2
-    ei, ej = ops.edge_i, ops.edge_j
+    ei, ej = ops.mesh.edges.lo, ops.mesh.edges.hi
     # weighted graph Laplacian sum_edges w (e_i - e_j)(e_i - e_j)^T, w = k c
     w = ops.edge_k * 0.5 * (s2[ei] + s2[ej])
     L = np.zeros(p.nnz)
@@ -431,7 +431,7 @@ def residual_director(
     Dn = weights.w_erk * eform_derivative_n(ops, s_prev, n_prev)
     Dn += weights.w_wan * weights.eps * np.einsum("idc,ic->id", G, n_prev)
     b = -np.sum(Dn * tangent, axis=1)
-    return p.free_block(free).csr(A), b[free]
+    return p.csr(A), b
 
 
 def residual_s(
@@ -484,13 +484,13 @@ def residual_s(
 def explicit_dw_load(ops: Operators, dw: DoubleWell, s_prev) -> np.ndarray:
     """Vector with entries integral of f_e'(s_h) eta_i (explicit part)."""
     sq = quad.at_quad_points(np.asarray(s_prev)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, ops.geom, dw.dfe(sq))
+    return assembly.nodal_load(ops.mesh, dw.dfe(sq))
 
 
 def implicit_dw_load(ops: Operators, dw: DoubleWell, s_new) -> np.ndarray:
     """Vector with entries integral of f_c'(s_h) eta_i (implicit part)."""
     sq = quad.at_quad_points(np.asarray(s_new)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, ops.geom, dw.dfc(sq))
+    return assembly.nodal_load(ops.mesh, dw.dfc(sq))
 
 
 def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new) -> SparseOperator:
@@ -556,6 +556,6 @@ def jacobian_ch(
     ``fixed`` is ``jacobian_ch_fixed``'s data, computed here when absent."""
     blocks = ops.mesh.pattern.blocks
     data = jacobian_ch_fixed(ops, weights, tau) if fixed is None else fixed.copy()
-    M2 = assembly.squared_field_mass(ops.mesh, ops.geom, np.asarray(phi))
+    M2 = assembly.squared_field_mass(ops.mesh, np.asarray(phi))
     data[blocks.slots[1, 0]] = (3.0 * weights.w_chdw / weights.eps) * M2.data + A0.data
     return blocks.csr(data)

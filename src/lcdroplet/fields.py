@@ -1,8 +1,8 @@
 """Nodal P1 finite-element fields.
 
-Fields store one value (or one d-vector) per mesh node; the associated
-function is the piecewise-affine interpolant.  ``DirectorField`` adds the
-nodal unit-length constraint used for the liquid crystal director.
+Fields store one value (or one 2-vector) per mesh node; the associated
+function is the piecewise-affine interpolant.  ``DirectorField`` holds
+the liquid crystal director, with unit length at every node.
 """
 from __future__ import annotations
 
@@ -30,7 +30,9 @@ class NodalScalarField:
 
 
 @dataclass(frozen=True)
-class NodalVectorField:
+class DirectorField:
+    """Vector field with |value| = 1 at every node."""
+
     mesh: TriMesh
     values: np.ndarray
 
@@ -41,15 +43,7 @@ class NodalVectorField:
             raise ValueError(
                 f"vector field needs shape ({self.mesh.n_nodes}, 2), got {vals.shape}"
             )
-
-
-@dataclass(frozen=True)
-class DirectorField(NodalVectorField):
-    """Vector field with |value| = 1 at every node."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        norms = np.linalg.norm(self.values, axis=1)
+        norms = np.linalg.norm(vals, axis=1)
         err = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
         if err > UNIT_TOL:
             raise ValueError(f"director violates nodal unit length by {err:.3e}")
@@ -62,23 +56,3 @@ def normalized(values: np.ndarray) -> np.ndarray:
         bad = int(np.argmin(norms))
         raise ValueError(f"cannot normalize zero vector at node {bad}")
     return values / norms[:, None]
-
-
-def interpolate(mesh: TriMesh, g, vector: bool = False):
-    """Lagrange interpolation: sample ``g`` at the mesh nodes.
-
-    ``g`` is called as ``g(x, y)`` with coordinate arrays and must return
-    an array of node values (scalar case) or a tuple/list of component
-    arrays (vector case).
-    """
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    if vector:
-        comps = g(x, y)
-        vals = np.column_stack([np.broadcast_to(np.asarray(c, dtype=float), x.shape) for c in comps])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("interpolated vector field has non-finite nodal values")
-        return NodalVectorField(mesh, vals)
-    vals = np.broadcast_to(np.asarray(g(x, y), dtype=float), x.shape).copy()
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("interpolated field has non-finite nodal values")
-    return NodalScalarField(mesh, vals)

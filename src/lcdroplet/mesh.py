@@ -1,4 +1,10 @@
-"""Triangle meshes, their sparsity pattern and the weak-acuteness audit.
+"""Triangle meshes, their element geometry, their sparsity pattern and the
+weak-acuteness audit.
+
+A ``TriMesh`` owns every per-mesh structure the assembly reads: the
+element areas and hat-function gradients, computed once by the
+validation that rejects degenerate elements, the edges and the CSR
+pattern of the P1 operators.
 
 The simulator relies on the discrete maximum principle: the off-diagonal
 entries ``k_ij = -(stiffness)_ij`` of the P1 stiffness matrix must be
@@ -10,7 +16,7 @@ given its assembled stiffness matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,11 +59,18 @@ class TriMesh:
         Vertex indices of each triangle, positively oriented.
     boundary_nodes : ndarray
         Sorted indices of nodes on the Dirichlet boundary.
+    areas : ndarray, shape (n_elements,)
+        Element areas, set by validation.
+    grads : ndarray, shape (n_elements, 3, 2)
+        ``grads[e, a]`` is the (constant) gradient of the hat function of
+        local vertex ``a`` on element ``e``, set by validation.
     """
 
     nodes: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
+    areas: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -79,12 +92,19 @@ class TriMesh:
             if np.any(srt[:, 1:] == srt[:, :-1]):
                 bad = int(np.nonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))[0][0])
                 raise MeshError(f"element {bad} has repeated vertices")
-            v1 = nodes[elements[:, 1]] - nodes[elements[:, 0]]
-            v2 = nodes[elements[:, 2]] - nodes[elements[:, 0]]
-            det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-            if np.any(det <= 0):
-                bad = int(np.argmin(det))
-                raise MeshError(f"element {bad} is degenerate or negatively oriented")
+        xy = nodes[elements]  # (ne, 3, 2)
+        x, y = xy[..., 0], xy[..., 1]
+        # b_a = y_{a+1} - y_{a+2}, c_a = x_{a+2} - x_{a+1} (cyclic)
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
+            y[:, 1] - y[:, 0]
+        )
+        if np.any(det <= 0.0):
+            bad = int(np.argmin(det))
+            raise MeshError(f"element {bad} is degenerate or negatively oriented")
+        object.__setattr__(self, "areas", 0.5 * det)
+        object.__setattr__(self, "grads", np.stack([b, c], axis=2) / det[:, None, None])
         self._check_conforming()
 
     def _check_conforming(self) -> None:
@@ -325,14 +345,8 @@ def mesh_size(mesh: TriMesh) -> float:
     """Maximum edge length over all elements."""
     if mesh.n_elements == 0:
         raise MeshError("empty mesh")
-    e = mesh.elements
-    h = 0.0
-    d1 = e.shape[1]
-    for a in range(d1):
-        for b in range(a + 1, d1):
-            ln = np.linalg.norm(mesh.nodes[e[:, a]] - mesh.nodes[e[:, b]], axis=1)
-            h = max(h, float(ln.max()))
-    return h
+    nodes, edges = mesh.nodes, mesh.edges
+    return float(np.linalg.norm(nodes[edges.lo] - nodes[edges.hi], axis=1).max())
 
 
 def audit_weak_acuteness(

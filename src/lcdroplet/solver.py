@@ -225,15 +225,14 @@ def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     the stage equation tested with w."""
     mesh = ops.mesh
     n_prev = state.n.values
-
-    free = np.ones(mesh.n_nodes, dtype=bool)
-    free[bc.n_nodes] = False
     t = tangent_space(n_prev)
 
     A, b = en.residual_director(ops, weights, config.tau, state.s.values, n_prev,
-                                coupling, t, free)
+                                coupling, t)
+    # the velocity vanishes where n is prescribed
+    A_ff, b_f, free = assembly.apply_dirichlet(A, b, bc.n_nodes, 0.0, mesh.pattern)
     coeff, resid = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
-    coeff[free], resid[free] = _solve_spd(A, b, config, "director")
+    coeff[free], resid[free] = _solve_spd(A_ff, b_f, config, "director")
     v = coeff[:, None] * t
     n_tilde = n_prev + config.tau * v
     norms = np.linalg.norm(n_tilde, axis=1)
@@ -438,7 +437,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     if before is None:
         before = en.total_energy(ops, weights, s_prev, n_prev, phi_prev)
 
-    gphi_prev = assembly.element_gradients(mesh, phi_prev, ops.geom)
+    gphi_prev = assembly.element_gradients(mesh, phi_prev)
     coupling = en.coupling_tensors(ops, gphi_prev, gphi_prev)
     dw_load = en.explicit_dw_load(ops, weights.dw, s_prev)
 
@@ -450,7 +449,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         ops, state, s_new, n_new, weights, config, cache
     )
 
-    gphi_new = assembly.element_gradients(mesh, phi_new, ops.geom)
+    gphi_new = assembly.element_gradients(mesh, phi_new)
     after = en.total_energy(ops, weights, s_new, n_new, phi_new, gphi_new)
 
     # --- dissipation budget (every term of the discrete energy law) ---
@@ -469,7 +468,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     pq_new = quad.at_quad_points(phi_new[mesh.elements])
     pq_prev = quad.at_quad_points(phi_prev[mesh.elements])
     dphi_q = (pq_new - pq_prev) / tau
-    areas = ops.geom.areas
+    areas = mesh.areas
     norm_dtau_phisq = quad.integrate_elementwise(((pq_new**2 - pq_prev**2) / tau) ** 2, areas)
     norm_phidphi = quad.integrate_elementwise((pq_new * dphi_q) ** 2, areas)
     norm_dphi = quad.integrate_elementwise(dphi_q**2, areas)

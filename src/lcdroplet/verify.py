@@ -111,13 +111,13 @@ def brute_force_form_check(ops: Operators, rng, trials: int = 1000,
         w = rng.standard_normal((mesh.n_nodes, 2))
         phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
         psi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-        gphi = assembly.element_gradients(mesh, phi, ops.geom)
-        gpsi = assembly.element_gradients(mesh, psi, ops.geom)
+        gphi = assembly.element_gradients(mesh, phi)
+        gpsi = assembly.element_gradients(mesh, psi)
 
         e_fast = eform_fn(ops, s, z, n, w)
         e_ref = naive_eform(Kd, s, z, n, w)
         c_fast = cform_fn(ops, n, gphi, w, gpsi, s, z)
-        c_ref = naive_cform(mesh, ops.geom.areas, n, gphi, w, gpsi, s, z)
+        c_ref = naive_cform(mesh, mesh.areas, n, gphi, w, gpsi, s, z)
 
         de = abs(e_fast - e_ref) / max(1.0, abs(e_ref))
         dc = abs(c_fast - c_ref) / max(1.0, abs(c_ref))
@@ -147,11 +147,11 @@ def fd_derivative_check(ops: Operators, weights: ModelWeights, energy_id: str,
     """Central finite difference against the assembled derivative."""
     mesh = ops.mesh
     s, n, phi = base["s"], base["n"], base["phi"]
-    gphi = assembly.element_gradients(mesh, phi, ops.geom)
+    gphi = assembly.element_gradients(mesh, phi)
     eps, kap, dw, s_star = weights.eps, weights.kappa, weights.dw, weights.s_star
 
     def grad(p):
-        return assembly.element_gradients(mesh, p, ops.geom)
+        return assembly.element_gradients(mesh, p)
 
     if energy_id == "erk_n":
         delta = direction["n"]
@@ -245,7 +245,7 @@ def projection_monotonicity_check(ops: Operators, rng, trials: int = 1000,
         n = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
         n_hat = normalized(n)
         phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-        gphi = assembly.element_gradients(mesh, phi, ops.geom)
+        gphi = assembly.element_gradients(mesh, phi)
 
         margin_e = en.eform(ops, s, s, n, n) - en.eform(ops, s, s, n_hat, n_hat)
         margin_c = en.cform(ops, n, gphi, n, gphi, s, s) - en.cform(
@@ -310,11 +310,10 @@ def convex_split_check(ops: Operators, rng, trials: int = 1000,
 def stiffness_identity_check(ops: Operators, rng, trials: int = 50):
     """sum_edges k_ij (s_i - s_j)^2 equals the stiffness quadratic form."""
     worst = 0.0
+    edges = ops.mesh.edges
     for _ in range(trials):
         s = rng.standard_normal(ops.mesh.n_nodes)
-        lhs = float(
-            np.sum(ops.edge_k * (s[ops.edge_i] - s[ops.edge_j]) ** 2)
-        )
+        lhs = float(np.sum(ops.edge_k * (s[edges.lo] - s[edges.hi]) ** 2))
         rhs = ops.grad_form(s, s)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-14))
     return CheckOutcome("stiffness_edge_identity", worst <= 1e-12, worst, 1e-12)

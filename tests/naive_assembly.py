@@ -10,7 +10,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from lcdroplet import quadrature as quad
-from lcdroplet.assembly import element_geometry
 from lcdroplet.mesh import TriMesh
 
 MASS_REF = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -46,26 +45,22 @@ def adjacency(mesh):
 
 
 def stiffness(mesh, elem_weights=1.0):
-    g = element_geometry(mesh)
-    w = g.areas * elem_weights
-    return coo(mesh, np.einsum("eai,ebi,e->eab", g.grads, g.grads, w))
+    w = mesh.areas * elem_weights
+    return coo(mesh, np.einsum("eai,ebi,e->eab", mesh.grads, mesh.grads, w))
 
 
 def mass(mesh, elem_weights=1.0):
-    g = element_geometry(mesh)
-    return coo(mesh, (g.areas * elem_weights)[:, None, None] * MASS_REF)
+    return coo(mesh, (mesh.areas * elem_weights)[:, None, None] * MASS_REF)
 
 
 def tensor_stiffness(mesh, tensors):
-    g = element_geometry(mesh)
-    return coo(mesh, np.einsum("eai,eij,ebj,e->eab", g.grads, tensors, g.grads, g.areas))
+    return coo(mesh, np.einsum("eai,eij,ebj,e->eab", mesh.grads, tensors, mesh.grads, mesh.areas))
 
 
 def squared_field_mass(mesh, values):
-    g = element_geometry(mesh)
     vq = values[mesh.elements] @ quad.TRI4_BARY.T
     B, W = quad.TRI4_BARY, quad.TRI4_WEIGHTS
-    return coo(mesh, np.einsum("eq,q,qa,qb,e->eab", vq * vq, W, B, B, g.areas))
+    return coo(mesh, np.einsum("eq,q,qa,qb,e->eab", vq * vq, W, B, B, mesh.areas))
 
 
 def edges(mesh):
@@ -75,17 +70,15 @@ def edges(mesh):
 
 
 def grads(mesh, values):
-    g = element_geometry(mesh)
-    return np.einsum("ea,eai->ei", values[mesh.elements], g.grads)
+    return np.einsum("ea,eai->ei", values[mesh.elements], mesh.grads)
 
 
 def anchoring_tensors(mesh, gphi):
     """Nodal blocks G_i of the lumped coupling form (s = z = 1)."""
-    g = element_geometry(mesh)
     gg = np.sum(gphi * gphi, axis=1)
     Ht = gg[:, None, None] * np.eye(2) - np.einsum("ei,ej->eij", gphi, gphi)
     G = np.zeros((mesh.n_nodes, 2, 2))
-    np.add.at(G, mesh.elements.ravel(), np.repeat((g.areas / 3.0)[:, None, None] * Ht, 3, axis=0))
+    np.add.at(G, mesh.elements.ravel(), np.repeat((mesh.areas / 3.0)[:, None, None] * Ht, 3, axis=0))
     return G
 
 
@@ -127,8 +120,8 @@ def jacobian_ch(mesh, weights, tau, phi, A0):
     return sp.bmat([[M / tau, weights.eps * stiffness(mesh)], [J21, -M]], format="csr")
 
 
-def director_system(mesh, weights, tau, s, n_prev, phi, tangent, free):
-    """Free block of the director system: (A_ff, b_f)."""
+def director_system(mesh, weights, tau, s, n_prev, phi, tangent):
+    """Full director system (A, b) on all nodes."""
     ei, ej, k = edges(mesh)
     w = k * 0.5 * (s[ei] ** 2 + s[ej] ** 2)
     n = mesh.n_nodes
@@ -146,7 +139,7 @@ def director_system(mesh, weights, tau, s, n_prev, phi, tangent, free):
     Dn = (weights.w_erk * eform_derivative_n(mesh, s, n_prev)
           + weights.w_wan * weights.eps * np.einsum("idc,ic->id", G, n_prev))
     b = -np.sum(Dn * tangent, axis=1)
-    return A[free][:, free], b[free]
+    return A.tocsr(), b
 
 
 def s_matrix(mesh, weights, tau, n, phi):

@@ -196,8 +196,8 @@ def _dissolution_ratio(prob, n_droplets):
     dissolving every droplet lowers the energy.
     """
     w = prob.weights
-    area = float(prob.ops.lumped_diag.sum())
-    phi_bar = float(prob.ops.lumped_diag @ prob.initial.phi.values) / area
+    area = float(prob.ops.mass_rows.sum())
+    phi_bar = float(prob.ops.mass_rows @ prob.initial.phi.values) / area
     droplet_area = 0.5 * (phi_bar + 1.0) * area
     perimeter = 2.0 * np.sqrt(np.pi * n_droplets * droplet_area)
     sigma = (2.0 * np.sqrt(2.0) / 3.0) * np.sqrt(w.w_chgd * w.w_chdw)

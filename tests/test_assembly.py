@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,19 +10,16 @@ from lcdroplet import (
     assemble_stiffness,
     build_structured_mesh,
     element_gradients,
-    interpolate,
 )
 from lcdroplet.assembly import (
     apply_dirichlet,
     build_operators,
     integrate_p1_function,
-    element_geometry,
     squared_field_mass,
     tensor_stiffness,
     weighted_mass,
     weighted_stiffness,
 )
-from lcdroplet.mesh import MeshError
 
 
 def unit_triangle():
@@ -65,8 +60,7 @@ def test_element_mass_closed_form():
     ref = (0.5 / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
     assert np.allclose(M, ref, atol=1e-15)
     # cross-check one entry against quadrature of eta_0^2
-    geom = element_geometry(m)
-    qint = integrate_p1_function(m, geom, lambda v: v * v, np.eye(3)[0])
+    qint = integrate_p1_function(m, lambda v: v * v, np.eye(3)[0])
     assert qint == pytest.approx(ref[0, 0], rel=1e-14)
 
 
@@ -81,17 +75,18 @@ def test_mass_pairing_linear():
 
 def test_lumped_mass_trace_and_constants():
     m = build_structured_mesh(6, 6)
-    M = assemble_mass(m)
-    ML = build_operators(m).lumped_diag
+    ML = build_operators(m).mass_rows
     assert ML.sum() == pytest.approx(1.0, rel=1e-13)
-    ones = np.ones(m.n_nodes)
-    assert np.allclose(ML, M @ ones, atol=1e-15)
+    # the row sums are the vertex-rule weights: sum of |T|/3 at each node
+    vertex = np.zeros(m.n_nodes)
+    np.add.at(vertex, m.elements.ravel(), np.repeat(m.areas / 3.0, 3))
+    assert np.allclose(ML, vertex, atol=1e-15)
 
 
 def test_lumped_mass_interior_diagonal():
     nx = 4
     m = build_structured_mesh(nx, nx)
-    ML = build_operators(m).lumped_diag
+    ML = build_operators(m).mass_rows
     h = 1.0 / nx
     interior = [i for i in range(m.n_nodes) if i not in set(m.boundary_nodes)]
     # six incident triangles of area h^2/2, vertex rule weight |T|/3
@@ -120,45 +115,14 @@ def test_element_gradients_affine(fn, expected):
     assert np.allclose(g, np.tile(expected, (m.n_elements, 1)), atol=1e-13)
 
 
-def test_interpolate_tanh_profile():
-    m = build_structured_mesh(4, 4)
-    eps = 3.0 / 64.0
-    f = lambda x, y: -np.tanh(
-        (((x - 0.25) ** 2) / 0.02 + ((y - 0.25) ** 2) / 0.02 - 1.0) / (2 * eps)
-    )
-    field = interpolate(m, f)
-    node = int(np.argmin(np.linalg.norm(m.nodes - [0.25, 0.25], axis=1)))
-    assert m.nodes[node] == pytest.approx([0.25, 0.25])
-    assert field.values[node] == pytest.approx(math.tanh(1.0 / (2 * eps)), rel=1e-14)
-
-
-def test_interpolate_constant_and_product_rule():
-    m = build_structured_mesh(3, 3)
-    s = interpolate(m, lambda x, y: np.full_like(x, 0.75))
-    assert np.all(s.values == 0.75)
-    nvec = interpolate(m, lambda x, y: (np.cos(x), np.sin(x)), vector=True)
-    prod = s.values[:, None] * nvec.values
-    assert np.allclose(prod[:, 0], 0.75 * np.cos(m.nodes[:, 0]))
-
-
 def test_stiffness_edge_identity_random(rng):
     m = build_structured_mesh(4, 4)
     ops = build_operators(m)
+    lo, hi = m.edges.lo, m.edges.hi
     for _ in range(20):
         s = rng.standard_normal(m.n_nodes)
-        lhs = float(np.sum(ops.edge_k * (s[ops.edge_i] - s[ops.edge_j]) ** 2))
+        lhs = float(np.sum(ops.edge_k * (s[lo] - s[hi]) ** 2))
         assert lhs == pytest.approx(ops.grad_form(s, s), rel=1e-12)
-
-
-def test_degenerate_element_reported():
-    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    mesh = TriMesh.__new__(TriMesh)
-    object.__setattr__(mesh, "dim", 2)
-    object.__setattr__(mesh, "nodes", nodes)
-    object.__setattr__(mesh, "elements", np.array([[0, 1, 2]]))
-    object.__setattr__(mesh, "boundary_nodes", np.array([], dtype=np.int64))
-    with pytest.raises(MeshError, match="element 0"):
-        element_geometry(mesh)
 
 
 def test_apply_dirichlet_symmetric_elimination():
@@ -204,17 +168,16 @@ def test_pattern_is_adjacency_plus_diagonal(pattern_mesh):
 
 def test_fixed_pattern_operators_match_coo_assembly(pattern_mesh, rng):
     m = pattern_mesh
-    geom = element_geometry(m)
     w = rng.uniform(0.5, 2.0, m.n_elements)
     H = rng.standard_normal((m.n_elements, 2, 2))
     v = rng.standard_normal(m.n_nodes)
     pairs = [
         (assemble_stiffness(m), naive.stiffness(m)),
         (assemble_mass(m), naive.mass(m)),
-        (weighted_stiffness(m, geom, w), naive.stiffness(m, w)),
-        (weighted_mass(m, geom, w), naive.mass(m, w)),
-        (tensor_stiffness(m, geom, H), naive.tensor_stiffness(m, H)),
-        (squared_field_mass(m, geom, v), naive.squared_field_mass(m, v)),
+        (weighted_stiffness(m, w), naive.stiffness(m, w)),
+        (weighted_mass(m, w), naive.mass(m, w)),
+        (tensor_stiffness(m, H), naive.tensor_stiffness(m, H)),
+        (squared_field_mass(m, v), naive.squared_field_mass(m, v)),
     ]
     for A, R in pairs:
         assert np.array_equal(A.indptr, R.indptr) and np.array_equal(A.indices, R.indices)
@@ -224,7 +187,8 @@ def test_fixed_pattern_operators_match_coo_assembly(pattern_mesh, rng):
 def test_operators_edges_match_stiffness(pattern_mesh):
     ops = build_operators(pattern_mesh)
     ei, ej, k = naive.edges(pattern_mesh)
-    assert np.array_equal(ops.edge_i, ei) and np.array_equal(ops.edge_j, ej)
+    edges = pattern_mesh.edges
+    assert np.array_equal(edges.lo, ei) and np.array_equal(edges.hi, ej)
     assert np.abs(ops.edge_k - k).max() <= 1e-13 * np.abs(k).max()
 
 

@@ -69,6 +69,19 @@ def test_positive_orientation_enforced():
         TriMesh(nodes, np.array([[0, 2, 1]]), np.array([0, 1, 2]))
 
 
+def test_degenerate_element_rejected():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(MeshError, match="element 0 is degenerate"):
+        TriMesh(nodes, np.array([[0, 1, 2]]), np.array([0, 1, 2]))
+
+
+def test_unit_triangle_areas_and_gradients():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = TriMesh(nodes, np.array([[0, 1, 2]]), np.array([0, 1, 2]))
+    assert np.array_equal(mesh.areas, [0.5])
+    assert np.array_equal(mesh.grads, [[[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]])
+
+
 def test_repeated_vertex_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError):

@@ -42,13 +42,13 @@ def full_boundary_bc(mesh, s_val=0.75, n_dir=(1.0, 0.0)):
 
 
 def director_stage(ops, state, weights, scheme, bc):
-    gphi = element_gradients(ops.mesh, state.phi.values, ops.geom)
+    gphi = element_gradients(ops.mesh, state.phi.values)
     return sv.director_step(ops, state, weights, scheme, bc,
                             en.coupling_tensors(ops, gphi, gphi))
 
 
 def s_stage(ops, state, n_new, weights, scheme, bc):
-    gphi = element_gradients(ops.mesh, state.phi.values, ops.geom)
+    gphi = element_gradients(ops.mesh, state.phi.values)
     return sv.s_step(ops, state, n_new, weights, scheme, bc, gphi,
                      en.coupling_tensors(ops, gphi, gphi), en.eform_scalar_diag(ops, n_new),
                      en.explicit_dw_load(ops, weights.dw, state.s.values))
@@ -116,7 +116,7 @@ def test_director_step_pythagoras_and_drops():
 
     # normalization decreases both lumped forms
     s_prev = state.s.values
-    gphi = element_gradients(prob.mesh, state.phi.values, prob.ops.geom)
+    gphi = element_gradients(prob.mesh, state.phi.values)
     drop_e = en.eform(prob.ops, s_prev, s_prev, n_tilde, n_tilde) - en.eform(
         prob.ops, s_prev, s_prev, n_new, n_new
     )
@@ -614,8 +614,8 @@ def test_ledger_terms_match_forms_of_returned_fields():
     # the director stage is solved again, to recover n~ and v
     n_tilde, n_again, v, _ = director_stage(ops, state, w, sc, bc)
     assert np.array_equal(n_again, n1)
-    g0 = element_gradients(ops.mesh, state.phi.values, ops.geom)
-    gd = (element_gradients(ops.mesh, new.phi.values, ops.geom) - g0) / sc.tau
+    g0 = element_gradients(ops.mesh, state.phi.values)
+    gd = (element_gradients(ops.mesh, new.phi.values) - g0) / sc.tau
     ds = s1 - s0
     # signed parts of each term
     parts = {
@@ -651,7 +651,7 @@ def test_drop_eform_is_accurate_to_its_own_size():
         n_tilde, n_new, _, _ = director_stage(ops, state, w, sc, bc)
         s = state.s.values
         exact = Fraction(0)
-        for i, j, k in zip(ops.edge_i, ops.edge_j, ops.edge_k):
+        for i, j, k in zip(ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k):
             a = [Fraction(n_tilde[i, c]) - Fraction(n_tilde[j, c]) for c in range(2)]
             b = [Fraction(n_new[i, c]) - Fraction(n_new[j, c]) for c in range(2)]
             exact += (Fraction(k) * (Fraction(s[i]) ** 2 + Fraction(s[j]) ** 2)
