@@ -233,6 +233,8 @@ def _evaluate(key: str, src, x, y, constants) -> np.ndarray:
 
 
 def _eval_vector(key: str, exprs, x, y, constants) -> np.ndarray:
+    if not (isinstance(exprs, (list, tuple)) and len(exprs) == 2):
+        raise ValueError(f"{key} must be a list of two expressions, got {exprs!r}")
     return np.column_stack([_evaluate(f"{key}[{k}]", src, x, y, constants)
                             for k, src in enumerate(exprs)])
 
@@ -271,6 +273,21 @@ def _coefficients(key: str, value) -> tuple:
     return tuple(_typed(key, c, float) for c in value)
 
 
+def _rectangle(key: str, value) -> tuple:
+    """``value`` as two corner points ((x0, y0), (x1, y1)) of finite numbers."""
+    message = f"{key} must be two points [[x0, y0], [x1, y1]] of finite numbers, got {value!r}"
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in value)):
+        raise ValueError(message)
+    try:
+        rect = tuple(tuple(_typed(key, c, float) for c in p) for p in value)
+    except ValueError:
+        raise ValueError(message) from None
+    if not all(math.isfinite(c) for p in rect for c in p):
+        raise ValueError(message)
+    return rect
+
+
 def _dataclass_kwargs(cls, name: str, section: dict) -> dict:
     """The fields of dataclass ``cls`` with a plain default (float, int,
     str or bool) that config section ``name`` sets, checked against the
@@ -292,11 +309,10 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
         raise ValueError(f"unknown config keys: {unknown}")
 
     mesh_cfg = cfg.mesh
-    rect = mesh_cfg.get("rect", [[0.0, 0.0], [1.0, 1.0]])
     mesh = build_structured_mesh(
         _typed("mesh.nx", mesh_cfg.get("nx", 64), int),
         _typed("mesh.ny", mesh_cfg.get("ny", 64), int),
-        (tuple(rect[0]), tuple(rect[1])),
+        _rectangle("mesh.rect", mesh_cfg.get("rect", [[0.0, 0.0], [1.0, 1.0]])),
     )
     ops = build_operators(mesh)
 
@@ -312,10 +328,12 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     consts = {"eps": weights.eps, "s_star": weights.s_star}
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
 
-    icfg = cfg.initial
-    for key in ("s", "n", "phi"):
-        if key not in icfg:
-            raise ValueError(f"initial.{key} missing from configuration")
+    icfg, bcfg = cfg.initial, cfg.bc
+    for name, section, keys in (("initial", icfg, ("s", "n", "phi")),
+                                ("bc", bcfg, ("s", "n"))):
+        for key in keys:
+            if key not in section:
+                raise ValueError(f"{name}.{key} missing from configuration")
     s0 = _evaluate("initial.s", icfg["s"], x, y, consts)
     if not (s0.min() > S_RANGE[0] and s0.max() < S_RANGE[1]):
         raise ValueError(f"initial.s must lie in {S_RANGE}, "
@@ -327,7 +345,6 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     except ValueError as exc:
         raise ValueError(f"initial director: {exc}") from exc
 
-    bcfg = cfg.bc
     bnodes = mesh.boundary_nodes
     xb, yb = mesh.nodes[bnodes, 0], mesh.nodes[bnodes, 1]
     s_bc = _evaluate("bc.s", bcfg["s"], xb, yb, consts)

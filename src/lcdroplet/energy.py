@@ -15,6 +15,9 @@ and the director/interface coupling evaluated by the vertex quadrature
 rule (mass lumping), which is what makes nodewise normalization of the
 director energy-decreasing.  ``eform`` and ``cform`` are the two
 multilinear forms underlying E_erk, E_wan and all their derivatives.
+The variational derivatives exist only inside the time-step systems
+(``residual_director``, ``residual_s`` and the mu block of
+``residual_ch``), where ``verify.fd_derivative_check`` checks them.
 """
 from __future__ import annotations
 
@@ -318,8 +321,8 @@ def total_energy(ops: Operators, weights: ModelWeights, s, n, phi,
 
 
 # ---------------------------------------------------------------------------
-# variational derivatives (assembled vectors; pairing with a test field
-# gives the directional derivative)
+# pieces of the variational derivatives (assembled vectors; pairing with a
+# test field gives the directional derivative)
 # ---------------------------------------------------------------------------
 
 def eform_derivative_n(ops: Operators, s, n) -> np.ndarray:
@@ -344,50 +347,10 @@ def eform_scalar_diag(ops: Operators, n) -> np.ndarray:
                        minlength=ops.mesh.n_nodes)
 
 
-def derivative_erk_s(ops, s, n, kappa: float) -> np.ndarray:
-    return 2.0 * kappa * (ops.stiffness @ np.asarray(s)) + np.asarray(
-        s
-    ) * eform_scalar_diag(ops, n)
-
-
-def derivative_dw_s(ops, s, dw: DoubleWell) -> np.ndarray:
-    sq = quad.at_quad_points(np.asarray(s)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, dw.df(sq))
-
-
 def cubic_load(ops: Operators, phi) -> np.ndarray:
     """Vector with entries integral of (phi_h)^3 eta_i (degree-4 rule)."""
     pq = quad.at_quad_points(np.asarray(phi)[ops.mesh.elements])
     return assembly.nodal_load(ops.mesh, pq * pq * pq)
-
-
-def derivative_ch_phi(ops, phi, eps: float) -> np.ndarray:
-    phi = np.asarray(phi)
-    return (cubic_load(ops, phi) - ops.mass @ phi) / eps + eps * (
-        ops.stiffness @ phi
-    )
-
-
-def derivative_wan_n(ops, s, n, gphi, eps: float) -> np.ndarray:
-    G = coupling_tensors(ops, gphi, gphi) * (np.asarray(s) ** 2)[:, None, None]
-    return eps * np.einsum("idc,ic->id", G, n)
-
-
-def derivative_wan_s(ops, s, n, gphi, eps: float) -> np.ndarray:
-    return eps * np.asarray(s) * tensor_pairing(coupling_tensors(ops, gphi, gphi), n, n)
-
-
-def derivative_wan_phi(ops, s, n, phi, eps: float) -> np.ndarray:
-    return eps * (anchoring_phi_matrix(ops, s, n) @ np.asarray(phi))
-
-
-def derivative_was_s(ops, s, gphi, eps: float, s_star: float) -> np.ndarray:
-    W = grad_weighted_mass(ops, gphi)
-    return eps * (W @ (np.asarray(s) - s_star))
-
-
-def derivative_was_phi(ops, s, phi, eps: float, s_star: float) -> np.ndarray:
-    return eps * (was_phi_matrix(ops, s, s_star) @ np.asarray(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,15 @@
 Every check returns a :class:`CheckOutcome`; the full suite is exposed to
 the command line and writes a JSON-lines report.  The oracles are kept
 deliberately naive (dense double loops, central finite differences, dense
-Gauss quadrature of smooth reference fields) so they share no code path
-with the optimized implementations they certify.
+Gauss quadrature of smooth reference fields, element areas from the node
+coordinates) so they share no code path with the optimized
+implementations they certify.
+
+The derivative oracle certifies the time-step systems themselves: the
+central difference of the discrete energy (``energy.total_energy``) is
+compared with the residual of a zero step of the director, ``s`` and
+interface stage systems that the solver assembles, where the
+time-derivative terms cancel and only the variational derivative is left.
 """
 from __future__ import annotations
 
@@ -78,8 +85,18 @@ def naive_eform(stiffness_dense: np.ndarray, s, z, n, w) -> float:
     return total
 
 
-def naive_cform(mesh: TriMesh, areas, v, gphi, w, gpsi, s, z) -> float:
+def element_areas(mesh: TriMesh) -> np.ndarray:
+    """Signed element areas from the node coordinates, positive for the
+    counterclockwise vertex order the mesh requires; independent of the
+    geometry the mesh stores."""
+    p0, p1, p2 = (mesh.nodes[mesh.elements[:, a]] for a in range(3))
+    e1, e2 = p1 - p0, p2 - p0
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def naive_cform(mesh: TriMesh, v, gphi, w, gpsi, s, z) -> float:
     """Per-element, per-vertex loop mirroring the vertex quadrature rule."""
+    areas = element_areas(mesh)
     total = 0.0
     d = 2
     for t in range(mesh.n_elements):
@@ -117,7 +134,7 @@ def brute_force_form_check(ops: Operators, rng, trials: int = 1000,
         e_fast = eform_fn(ops, s, z, n, w)
         e_ref = naive_eform(Kd, s, z, n, w)
         c_fast = cform_fn(ops, n, gphi, w, gpsi, s, z)
-        c_ref = naive_cform(mesh, mesh.areas, n, gphi, w, gpsi, s, z)
+        c_ref = naive_cform(mesh, n, gphi, w, gpsi, s, z)
 
         de = abs(e_fast - e_ref) / max(1.0, abs(e_ref))
         dc = abs(c_fast - c_ref) / max(1.0, abs(c_ref))
@@ -135,71 +152,68 @@ def brute_force_form_check(ops: Operators, rng, trials: int = 1000,
 # finite-difference derivative oracle
 # ---------------------------------------------------------------------------
 
-DERIVATIVE_IDS = (
-    "erk_n", "erk_s", "dw_s", "ch_phi",
-    "wan_n", "wan_s", "wan_phi", "was_s", "was_phi",
-)
+# the field each derivative varies and the energy weights it switches on
+_DERIVATIVES = {
+    "erk_n": ("n", ("w_erk",)),
+    "erk_s": ("s", ("w_erk",)),
+    "dw_s": ("s", ("w_dw",)),
+    "ch_phi": ("phi", ("w_chdw", "w_chgd")),
+    "wan_n": ("n", ("w_wan",)),
+    "wan_s": ("s", ("w_wan",)),
+    "wan_phi": ("phi", ("w_wan",)),
+    "was_s": ("s", ("w_was",)),
+    "was_phi": ("phi", ("w_was",)),
+}
+DERIVATIVE_IDS = tuple(_DERIVATIVES)
 
 
 def fd_derivative_check(ops: Operators, weights: ModelWeights, energy_id: str,
                         base: dict, direction: dict, h: float = 1e-5,
                         tol: float = 1e-6) -> CheckOutcome:
-    """Central finite difference against the assembled derivative."""
-    mesh = ops.mesh
-    s, n, phi = base["s"], base["n"], base["phi"]
-    gphi = assembly.element_gradients(mesh, phi)
-    eps, kap, dw, s_star = weights.eps, weights.kappa, weights.dw, weights.s_star
+    """Central finite difference of the energy against the stage system.
 
-    def grad(p):
-        return assembly.element_gradients(mesh, p)
-
-    if energy_id == "erk_n":
-        delta = direction["n"]
-        E = lambda nn: en.energy_ericksen(ops, s, nn, kap)
-        fd = (E(n + h * delta) - E(n - h * delta)) / (2 * h)
-        exact = float(np.sum(en.eform_derivative_n(ops, s, n) * delta))
-    elif energy_id == "erk_s":
-        delta = direction["s"]
-        E = lambda ss: en.energy_ericksen(ops, ss, n, kap)
-        fd = (E(s + h * delta) - E(s - h * delta)) / (2 * h)
-        exact = float(en.derivative_erk_s(ops, s, n, kap) @ delta)
-    elif energy_id == "dw_s":
-        delta = direction["s"]
-        E = lambda ss: en.energy_dw(ops, ss, dw)
-        fd = (E(s + h * delta) - E(s - h * delta)) / (2 * h)
-        exact = float(en.derivative_dw_s(ops, s, dw) @ delta)
-    elif energy_id == "ch_phi":
-        delta = direction["phi"]
-        E = lambda pp: en.energy_ch_dw(ops, pp, eps) + en.energy_ch_grad(ops, pp, eps)
-        fd = (E(phi + h * delta) - E(phi - h * delta)) / (2 * h)
-        exact = float(en.derivative_ch_phi(ops, phi, eps) @ delta)
-    elif energy_id == "wan_n":
-        delta = direction["n"]
-        E = lambda nn: en.energy_wan(ops, s, nn, gphi, eps)
-        fd = (E(n + h * delta) - E(n - h * delta)) / (2 * h)
-        exact = float(np.sum(en.derivative_wan_n(ops, s, n, gphi, eps) * delta))
-    elif energy_id == "wan_s":
-        delta = direction["s"]
-        E = lambda ss: en.energy_wan(ops, ss, n, gphi, eps)
-        fd = (E(s + h * delta) - E(s - h * delta)) / (2 * h)
-        exact = float(en.derivative_wan_s(ops, s, n, gphi, eps) @ delta)
-    elif energy_id == "wan_phi":
-        delta = direction["phi"]
-        E = lambda pp: en.energy_wan(ops, s, n, grad(pp), eps)
-        fd = (E(phi + h * delta) - E(phi - h * delta)) / (2 * h)
-        exact = float(en.derivative_wan_phi(ops, s, n, phi, eps) @ delta)
-    elif energy_id == "was_s":
-        delta = direction["s"]
-        E = lambda ss: en.energy_was(ops, ss, gphi, eps, s_star)
-        fd = (E(s + h * delta) - E(s - h * delta)) / (2 * h)
-        exact = float(en.derivative_was_s(ops, s, gphi, eps, s_star) @ delta)
-    elif energy_id == "was_phi":
-        delta = direction["phi"]
-        E = lambda pp: en.energy_was(ops, s, grad(pp), eps, s_star)
-        fd = (E(phi + h * delta) - E(phi - h * delta)) / (2 * h)
-        exact = float(en.derivative_was_phi(ops, s, phi, eps, s_star) @ delta)
-    else:
+    ``energy_id`` names a field (``n``, ``s`` or ``phi``) and the energy
+    terms it switches on, at their values in ``weights``; the other
+    weights are zero.  The central difference of ``total_energy`` at the
+    base state along ``direction[field]`` is compared with the residual of
+    the solver's own stage system for that field, for a zero step from the
+    base state with tau = 1, where the time-derivative terms cancel and
+    what is left is the discrete variational derivative: -b . c of
+    ``residual_director`` (c the direction's tangential coefficients),
+    A s - b of ``residual_s``, and the mu block of ``residual_ch`` with
+    ``ch_step_matrix``.
+    """
+    if energy_id not in _DERIVATIVES:
         raise ValueError(f"unknown energy id {energy_id!r}")
+    field, switched_on = _DERIVATIVES[energy_id]
+    w = dataclasses.replace(weights, **{
+        f.name: getattr(weights, f.name) if f.name in switched_on else 0.0
+        for f in dataclasses.fields(weights) if f.name.startswith("w_")
+    })
+    s, n, phi = base["s"], base["n"], base["phi"]
+    delta = direction[field]
+
+    def energy(step):
+        moved = {**base, field: base[field] + step * delta}
+        return en.total_energy(ops, w, moved["s"], moved["n"], moved["phi"]).total
+
+    fd = (energy(h) - energy(-h)) / (2 * h)
+
+    gphi = assembly.element_gradients(ops.mesh, phi)
+    coupling = en.coupling_tensors(ops, gphi, gphi)
+    if field == "n":
+        tangent = sv.tangent_space(n)
+        _, b = en.residual_director(ops, w, 1.0, s, n, coupling, tangent)
+        exact = -float(b @ np.sum(delta * tangent, axis=1))
+    elif field == "s":
+        A, b = en.residual_s(ops, w, 1.0, s, n, gphi, coupling,
+                             en.eform_scalar_diag(ops, n),
+                             en.explicit_dw_load(ops, w.dw, s))
+        exact = float((A @ s - b) @ delta)
+    else:
+        r = en.residual_ch(ops, w, 1.0, phi, np.zeros_like(phi), phi,
+                           en.ch_step_matrix(ops, w, s, n))
+        exact = float(r[ops.mesh.n_nodes:] @ delta)
 
     rel = abs(fd - exact) / max(abs(exact), abs(fd), 1e-14)
     return CheckOutcome(
@@ -597,11 +611,11 @@ def director_constraints_check(reports, final_state) -> CheckOutcome:
 
 
 def mass_conservation_check(problem, final_state) -> CheckOutcome:
-    ops = problem.ops
-    mass_rows = ops.mass @ np.ones(ops.mesh.n_nodes)
-    drift = abs(
-        float(mass_rows @ (final_state.phi.values - problem.initial.phi.values))
-    )
+    """The integral of phi, each element's area times its vertex mean,
+    is the same at the start and the end of the flow."""
+    mesh = problem.mesh
+    dphi = final_state.phi.values - problem.initial.phi.values
+    drift = abs(float(element_areas(mesh) @ dphi[mesh.elements].mean(axis=1)))
     return CheckOutcome("mass_conservation", drift <= 1e-9, drift, 1e-9)
 
 

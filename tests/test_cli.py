@@ -146,6 +146,9 @@ def _build_corner(*sets):
     return cfg.build_problem(c)
 
 
+RECT = "mesh.rect must be two points [[x0, y0], [x1, y1]] of finite numbers, got"
+
+
 @pytest.mark.parametrize(
     "item,message",
     [
@@ -185,6 +188,16 @@ def _build_corner(*sets):
          "initial.n[0] is not finite at 25 of 25 nodes, first at (0, 0)"),
         ("initial.s=2", "initial.s must lie in (-0.5, 1.0), got range [2, 2]"),
         ("bc.n=[1, 1/0]", "bc.n[1] is not finite at 16 of 16 nodes, first at (0, 0)"),
+        ("mesh.rect=3", f"{RECT} 3"),
+        ("mesh.rect=[[0,0],[1,a]]", f"{RECT} [[0, 0], [1, 'a']]"),
+        ("mesh.rect=[[0,0,0],[1,1,1]]", f"{RECT} [[0, 0, 0], [1, 1, 1]]"),
+        ("mesh.rect=[[0,0],[1,.nan]]", f"{RECT} [[0, 0], [1, nan]]"),
+        ("initial.n=1", "initial.n must be a list of two expressions, got 1"),
+        ("initial.n=[1,0,0]", "initial.n must be a list of two expressions, got [1, 0, 0]"),
+        ("bc.n=[1,0,0]", "bc.n must be a list of two expressions, got [1, 0, 0]"),
+        ("bc.n=x", "bc.n must be a list of two expressions, got 'x'"),
+        ("bc={}", "bc.s missing from configuration"),
+        ("bc={s: s_star}", "bc.n missing from configuration"),
     ],
 )
 def test_config_value_of_wrong_type_rejected(item, message):

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from lcdroplet import build_operators, build_structured_mesh
 from lcdroplet import energy as en
 from lcdroplet import verify as vf
 from lcdroplet.energy import ModelWeights
+from lcdroplet.solver import make_state
 
 
 def test_quadrature_exactness():
@@ -25,13 +27,42 @@ def test_fd_derivative_quadratic_energy_tight(ops4, rng):
     assert abs(fd - exact) / max(abs(exact), 1e-14) <= 1e-9
 
 
-def test_all_fd_checks_pass(ops4, rng):
-    weights = ModelWeights()
+# the droplet_collide preset's weights, so that each stage's weight factors
+# are checked and not only its formulas
+COLLIDE_WEIGHTS = ModelWeights(w_dw=100.0, w_chgd=21.0, w_wan=10.0, w_was=10.0,
+                               eps=3.0 / 64.0)
+
+
+@pytest.mark.parametrize("weights", [ModelWeights(), COLLIDE_WEIGHTS],
+                         ids=["defaults", "droplet_collide"])
+def test_all_fd_checks_pass(ops4, rng, weights):
     base = vf.random_admissible_fields(ops4.mesh, rng)
     direction = vf.random_directions(ops4.mesh, base, rng)
     for eid in vf.DERIVATIVE_IDS:
         outcome = vf.fd_derivative_check(ops4, weights, eid, base, direction)
         assert outcome.passed, outcome
+
+
+@pytest.mark.parametrize("stage,matching", [
+    pytest.param("residual_director", {"erk_n", "wan_n"}, id="residual_director"),
+    pytest.param("residual_s", {"erk_s", "dw_s", "wan_s", "was_s"}, id="residual_s"),
+    pytest.param("ch_step_matrix", {"ch_phi", "wan_phi", "was_phi"}, id="ch_step_matrix"),
+])
+def test_fd_checks_catch_perturbed_stage(ops4, rng, monkeypatch, stage, matching):
+    # the derivative oracle checks the systems the solver assembles: a stage
+    # whose output is off by 1 % fails the checks of its field, and only those
+    original = getattr(en, stage)
+
+    def perturbed(*args):
+        out = original(*args)
+        return tuple(1.01 * x for x in out) if isinstance(out, tuple) else 1.01 * out
+
+    monkeypatch.setattr(en, stage, perturbed)
+    base = vf.random_admissible_fields(ops4.mesh, rng)
+    direction = vf.random_directions(ops4.mesh, base, rng)
+    failed = {eid for eid in vf.DERIVATIVE_IDS
+              if not vf.fd_derivative_check(ops4, ModelWeights(), eid, base, direction).passed}
+    assert failed == matching
 
 
 def test_brute_force_check_passes(ops2, rng):
@@ -52,6 +83,30 @@ def test_brute_force_check_catches_broken_cform(ops2, rng):
         return 1.5 * en.cform(ops, v, gphi, w, gpsi, s, z)
 
     outcome = vf.brute_force_form_check(ops2, rng, trials=20, cform_fn=broken_cform)
+    assert not outcome.passed
+
+
+def test_brute_force_check_catches_wrong_mesh_areas(rng):
+    # the naive coupling form computes the element areas from the node
+    # coordinates, not from the geometry the mesh stores
+    mesh = build_structured_mesh(2, 2)
+    object.__setattr__(mesh, "areas", 2.0 * mesh.areas)
+    outcome = vf.brute_force_form_check(build_operators(mesh), rng, trials=20)
+    assert not outcome.passed
+
+
+def test_mass_conservation_integrates_from_node_coordinates(rng):
+    # a shift of phi by c changes its integral by c |Omega|, whatever areas
+    # the mesh stores
+    mesh = build_structured_mesh(4, 4, ((0.0, 0.0), (2.0, 1.5)))
+    object.__setattr__(mesh, "areas", 2.0 * mesh.areas)
+    s = np.full(mesh.n_nodes, 0.5)
+    n = np.tile([1.0, 0.0], (mesh.n_nodes, 1))
+    phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+    problem = SimpleNamespace(mesh=mesh, ops=build_operators(mesh),
+                              initial=make_state(mesh, s, n, phi))
+    outcome = vf.mass_conservation_check(problem, make_state(mesh, s, n, phi + 1e-3))
+    assert outcome.measured == pytest.approx(3e-3, rel=1e-12)
     assert not outcome.passed
 
 
