@@ -2,9 +2,11 @@
 
 Every operator is built from the element geometry the mesh owns
 (``TriMesh.areas`` and ``TriMesh.grads``, computed once by its
-validation).  All element matrices are closed-form (stiffness, mass) or
-use the degree-4 triangle rule (quartic integrands such as the double
-wells), written as products with constant matrices.  Sparse operators
+validation).  All element matrices are closed-form (the stiffness, the
+weighted mass, and ``tensor_stiffness``, the one kernel for gradient
+terms with a piecewise-constant symmetric tensor weight) or use the
+degree-4 triangle rule (quartic integrands such as the double wells),
+written as products with constant matrices.  Sparse operators
 are plain ``scipy.sparse.csr_matrix`` objects on the mesh's fixed
 pattern (``TriMesh.pattern``, built once per mesh): one ``np.bincount``
 sums the element blocks into its data slots.  Explicit stored zeros are
@@ -41,17 +43,12 @@ def vertex_sum(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
     return np.bincount(mesh.elements.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
 
 
-def _grad_products(mesh: TriMesh, elem_weights) -> np.ndarray:
-    """Element blocks w_T |T| grad(eta_a) . grad(eta_b), shape (ne, 3, 3)."""
-    gx, gy = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
-    w = (mesh.areas * elem_weights)[:, None, None]
-    return (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]) * w
-
-
 def assemble_stiffness(mesh: TriMesh) -> SparseOperator:
     """Matrix of the gradient inner product, entry (i,j) = integral of
     grad(eta_i) . grad(eta_j).  Symmetric PSD with constants in the kernel."""
-    return _scatter(mesh, _grad_products(mesh, 1.0))
+    gx, gy = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
+    ke = gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
+    return _scatter(mesh, ke * mesh.areas[:, None, None])
 
 
 def assemble_mass(mesh: TriMesh) -> SparseOperator:
@@ -77,21 +74,16 @@ def weighted_mass(mesh: TriMesh, elem_weights) -> SparseOperator:
     return _scatter(mesh, (mesh.areas * elem_weights)[:, None] * _MASS_REF.ravel())
 
 
-def weighted_stiffness(mesh: TriMesh, elem_weights: np.ndarray) -> SparseOperator:
-    """Stiffness matrix with a piecewise-constant scalar weight."""
-    return _scatter(mesh, _grad_products(mesh, elem_weights))
-
-
-def tensor_stiffness(mesh: TriMesh, tensors: np.ndarray) -> SparseOperator:
-    """Stiffness matrix with a piecewise-constant 2x2 tensor weight:
-    entry (i,j) = sum_T |T| grad(eta_i) . H_T grad(eta_j)."""
-    g = mesh.grads
-    H = tensors * mesh.areas[:, None, None]
-    # (H grad eta_b) per element and vertex, then its product with grad eta_a
-    hx = H[:, None, 0, 0] * g[:, :, 0] + H[:, None, 0, 1] * g[:, :, 1]
-    hy = H[:, None, 1, 0] * g[:, :, 0] + H[:, None, 1, 1] * g[:, :, 1]
-    ke = g[:, :, None, 0] * hx[:, None, :] + g[:, :, None, 1] * hy[:, None, :]
-    return _scatter(mesh, ke)
+def tensor_stiffness(mesh: TriMesh, hxx, hxy, hyy) -> SparseOperator:
+    """Stiffness matrix with a piecewise-constant symmetric tensor weight
+    H_T = [[hxx, hxy], [hxy, hyy]], each component a scalar or an (ne,)
+    array: entry (i,j) = sum_T |T| grad(eta_i) . H_T grad(eta_j)."""
+    gx, gy = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
+    a = mesh.areas
+    # |T| H_T grad(eta_b) per element and vertex, then its product with grad(eta_a)
+    hx = (a * hxx)[:, None] * gx + (a * hxy)[:, None] * gy
+    hy = (a * hxy)[:, None] * gx + (a * hyy)[:, None] * gy
+    return _scatter(mesh, gx[:, :, None] * hx[:, None, :] + gy[:, :, None] * hy[:, None, :])
 
 
 # degree-4 rule as constant matrices: _QUAD_LOAD[q, a] = w_q bary[q, a]

@@ -26,7 +26,7 @@ import yaml
 from . import solver as sv
 from .assembly import Operators, build_operators
 from .energy import S_RANGE, DoubleWell, ModelWeights, default_double_well
-from .expressions import compile_expression
+from .expressions import ExpressionError, compile_expression
 from .fields import normalized
 from .mesh import TriMesh, build_structured_mesh, mesh_size
 
@@ -220,11 +220,17 @@ class Problem:
 
 
 def _evaluate(key: str, src, x, y, constants) -> np.ndarray:
-    """Values of the expression ``src`` of config entry ``key`` at the
-    points (x, y); a value that is not finite is an error naming ``key``."""
-    fn = compile_expression(str(src), constants)
-    with np.errstate(all="ignore"):  # reported below, naming the key
-        vals = np.broadcast_to(np.asarray(fn(x, y), dtype=float), x.shape).copy()
+    """Values of the expression ``src`` (a string or a number) of config
+    entry ``key`` at the points (x, y); an expression that does not
+    compile or a value that is not finite is an error naming ``key``."""
+    if isinstance(src, bool) or not isinstance(src, (str, int, float)):
+        raise ValueError(f"{key} must be an expression or a number, got {src!r}")
+    try:
+        fn = compile_expression(str(src), constants)
+        with np.errstate(all="ignore"):  # reported below, naming the key
+            vals = np.broadcast_to(np.asarray(fn(x, y), dtype=float), x.shape).copy()
+    except ExpressionError as exc:
+        raise ValueError(f"{key}: {exc}") from None
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise ValueError(f"{key} is not finite at {bad.size} of {vals.size} nodes, "
@@ -232,11 +238,17 @@ def _evaluate(key: str, src, x, y, constants) -> np.ndarray:
     return vals
 
 
-def _eval_vector(key: str, exprs, x, y, constants) -> np.ndarray:
+def _eval_director(key: str, exprs, x, y, constants) -> np.ndarray:
+    """Unit vectors along the values of the two expressions of config
+    entry ``key``; a zero vector is an error naming ``key``."""
     if not (isinstance(exprs, (list, tuple)) and len(exprs) == 2):
         raise ValueError(f"{key} must be a list of two expressions, got {exprs!r}")
-    return np.column_stack([_evaluate(f"{key}[{k}]", src, x, y, constants)
-                            for k, src in enumerate(exprs)])
+    vectors = np.column_stack([_evaluate(f"{key}[{k}]", src, x, y, constants)
+                               for k, src in enumerate(exprs)])
+    try:
+        return normalized(vectors)
+    except ValueError as exc:
+        raise ValueError(f"{key} is not a director field: {exc}") from None
 
 
 # keys of each section; those of weights and scheme are the fields of
@@ -339,20 +351,12 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
         raise ValueError(f"initial.s must lie in {S_RANGE}, "
                          f"got range [{s0.min():.6g}, {s0.max():.6g}]")
     phi0 = _evaluate("initial.phi", icfg["phi"], x, y, consts)
-    n_raw = _eval_vector("initial.n", icfg["n"], x, y, consts)
-    try:
-        n0 = normalized(n_raw)
-    except ValueError as exc:
-        raise ValueError(f"initial director: {exc}") from exc
+    n0 = _eval_director("initial.n", icfg["n"], x, y, consts)
 
     bnodes = mesh.boundary_nodes
     xb, yb = mesh.nodes[bnodes, 0], mesh.nodes[bnodes, 1]
     s_bc = _evaluate("bc.s", bcfg["s"], xb, yb, consts)
-    n_bc_raw = _eval_vector("bc.n", bcfg["n"], xb, yb, consts)
-    try:
-        n_bc = normalized(n_bc_raw)
-    except ValueError as exc:
-        raise ValueError(f"boundary director: {exc}") from exc
+    n_bc = _eval_director("bc.n", bcfg["n"], xb, yb, consts)
     bc = sv.BoundaryConditions(bnodes, s_bc, bnodes, n_bc)
 
     # the discrete flow lives in the boundary-constrained spaces, so the

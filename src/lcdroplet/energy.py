@@ -15,9 +15,11 @@ and the director/interface coupling evaluated by the vertex quadrature
 rule (mass lumping), which is what makes nodewise normalization of the
 director energy-decreasing.  ``eform`` and ``cform`` are the two
 multilinear forms underlying E_erk, E_wan and all their derivatives.
-The variational derivatives exist only inside the time-step systems
-(``residual_director``, ``residual_s`` and the mu block of
-``residual_ch``), where ``verify.fd_derivative_check`` checks them.
+E_chgd, E_was and E_wan are quadratic in grad phi, so their part of the
+chemical-potential equation is one tensor-weighted stiffness
+(``ch_step_matrix``).  The variational derivatives exist only inside the
+time-step systems (``residual_director``, ``residual_s`` and the mu block
+of ``residual_ch``), where ``verify.fd_derivative_check`` checks them.
 """
 from __future__ import annotations
 
@@ -217,41 +219,11 @@ def cform(ops: Operators, v, gphi, w, gpsi, s, z) -> float:
     return float(np.sum(np.asarray(s) * np.asarray(z) * gamma))
 
 
-def vertex_form(ops: Operators, v, H, w) -> float:
-    """Generic lumped bilinear form sum_T |T|/3 sum_vertices v . H w with a
-    per-element, per-vertex matrix field H of shape (ne, 3, d, d)."""
-    e = ops.mesh.elements
-    vals = np.einsum("ead,eadc,eac->ea", v[e], H, w[e])
-    return float(np.sum((ops.mesh.areas / 3.0) * vals.sum(axis=1)))
-
-
-def anchoring_phi_matrix(ops: Operators, s, n) -> SparseOperator:
-    """Matrix of the coupling form in its gradient slots: entry (i, j) =
-    cform(n, grad eta_j, n, grad eta_i, s, s).  Symmetric PSD."""
-    e = ops.mesh.elements
-    s = np.asarray(s)
-    s2E = (s * s)[e]
-    nx, ny = n[e, 0], n[e, 1]
-    xx = np.sum(s2E * nx * nx, axis=1)
-    xy = np.sum(s2E * nx * ny, axis=1)
-    yy = np.sum(s2E * ny * ny, axis=1)
-    # (|n|^2 I - n n^T) summed over the vertices with weights s^2
-    Ht = np.stack([yy, -xy, -xy, xx], axis=1).reshape(-1, 2, 2) / 3.0
-    return assembly.tensor_stiffness(ops.mesh, Ht)
-
-
-def was_phi_matrix(ops: Operators, s, s_star: float) -> SparseOperator:
-    """Matrix of the axial anchoring term in phi: entry (i, j) =
-    integral of (s_h - s_star)^2 grad eta_i . grad eta_j."""
-    e = ops.mesh.elements
-    q = (np.asarray(s) - s_star)[e]
-    per_elem = np.sum((q @ assembly._MASS_REF) * q, axis=1)
-    return assembly.weighted_stiffness(ops.mesh, per_elem)
-
-
-def grad_weighted_mass(ops: Operators, gphi) -> SparseOperator:
-    """Mass matrix weighted by |grad phi|^2 (per-element constant)."""
-    return assembly.weighted_mass(ops.mesh, np.sum(gphi * gphi, axis=1))
+def _was_weights(ops: Operators, s, s_star: float) -> np.ndarray:
+    """Per-element mean of (s_h - s_star)^2, the weight of the axial
+    anchoring term: integral over T of (s_h - s_star)^2 divided by |T|."""
+    q = (np.asarray(s) - s_star)[ops.mesh.elements]
+    return np.einsum("ea,ab,eb->e", q, assembly._MASS_REF, q)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +262,7 @@ def energy_wan(ops: Operators, s, n, gphi, eps: float) -> float:
 
 
 def energy_was(ops: Operators, s, gphi, eps: float, s_star: float) -> float:
-    e = ops.mesh.elements
-    q = (np.asarray(s) - s_star)[e]
-    per_elem = np.einsum("ea,ab,eb->e", q, assembly._MASS_REF, q) * ops.mesh.areas
+    per_elem = _was_weights(ops, s, s_star) * ops.mesh.areas
     gg = np.sum(gphi * gphi, axis=1)
     return 0.5 * eps * float(gg @ per_elem)
 
@@ -420,7 +390,7 @@ def residual_s(
     s_prev = np.asarray(s_prev)
     p = ops.mesh.pattern
     gamma = tensor_pairing(coupling, n_new, n_new)
-    W_phi = grad_weighted_mass(ops, gphi_prev)
+    W_phi = assembly.weighted_mass(ops.mesh, np.sum(gphi_prev * gphi_prev, axis=1))
     fc = weights.dw.fc_coeffs + (0.0, 0.0, 0.0)
     c1, c2 = fc[1], fc[2]
 
@@ -458,13 +428,20 @@ def implicit_dw_load(ops: Operators, dw: DoubleWell, s_new) -> np.ndarray:
 
 def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new) -> SparseOperator:
     """phi-coefficient matrix of the chemical-potential equation that stays
-    fixed across Newton iterations (gradient + anchoring blocks)."""
+    fixed across Newton iterations: the gradient and the two anchoring terms
+    as one stiffness with the tensor weight H_T = eps (w_chgd + w_was a_T) I
+    + w_wan eps/3 sum_vertices s^2 (|n|^2 I - n n^T), a_T ``_was_weights``."""
+    e = ops.mesh.elements
+    s = np.asarray(s_new)
+    s2E = (s * s)[e]
+    nx, ny = n_new[e, 0], n_new[e, 1]
+    xx = np.sum(s2E * nx * nx, axis=1)
+    xy = np.sum(s2E * nx * ny, axis=1)
+    yy = np.sum(s2E * ny * ny, axis=1)
     eps = weights.eps
-    return ops.mesh.pattern.csr(
-        (weights.w_chgd * eps) * ops.stiffness.data
-        + (weights.w_wan * eps) * anchoring_phi_matrix(ops, s_new, n_new).data
-        + (weights.w_was * eps) * was_phi_matrix(ops, s_new, weights.s_star).data
-    )
+    iso = eps * (weights.w_chgd + weights.w_was * _was_weights(ops, s, weights.s_star))
+    c = weights.w_wan * eps / 3.0
+    return assembly.tensor_stiffness(ops.mesh, iso + c * yy, -c * xy, iso + c * xx)
 
 
 def residual_ch(

@@ -51,14 +51,15 @@ def compile_expression(source: str, constants: dict | None = None):
     consts = {"pi": np.pi}
     if constants:
         consts.update(constants)
+    too_deep = f"expression nested too deeply ({len(source)} characters)"
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {source!r}: {exc}") from exc
+    except (RecursionError, MemoryError):  # the parser's limits on nesting
+        raise ExpressionError(too_deep) from None
 
     def evaluate(node, env):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)):
                 return float(node.value)
@@ -88,8 +89,10 @@ def compile_expression(source: str, constants: dict | None = None):
             name = node.func.id
             args = [evaluate(a, env) for a in node.args]
             if name == "where":
-                if len(args) != 3:
-                    raise ExpressionError("where() takes exactly 3 arguments")
+                if len(args) != 3 or not isinstance(node.args[0], ast.Compare):
+                    raise ExpressionError(
+                        f"where() takes a comparison and two expressions in {source!r}"
+                    )
                 return np.where(*args)
             if name in _FUNCTIONS and len(args) == 1:
                 return _FUNCTIONS[name](args[0])
@@ -99,7 +102,10 @@ def compile_expression(source: str, constants: dict | None = None):
         )
 
     def fn(x, y):
-        return evaluate(tree, {"x": np.asarray(x), "y": np.asarray(y)})
+        try:
+            return evaluate(tree.body, {"x": np.asarray(x), "y": np.asarray(y)})
+        except RecursionError:
+            raise ExpressionError(too_deep) from None
 
     fn.source = source
     return fn

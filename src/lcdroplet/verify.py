@@ -3,9 +3,9 @@
 Every check returns a :class:`CheckOutcome`; the full suite is exposed to
 the command line and writes a JSON-lines report.  The oracles are kept
 deliberately naive (dense double loops, central finite differences, dense
-Gauss quadrature of smooth reference fields, element areas from the node
-coordinates) so they share no code path with the optimized
-implementations they certify.
+Gauss quadrature of smooth reference fields, element areas, hat-function
+gradients and the stiffness from the node coordinates) so they share no
+code path with the optimized implementations they certify.
 
 The derivative oracle certifies the time-step systems themselves: the
 central difference of the discrete energy (``energy.total_energy``) is
@@ -85,26 +85,39 @@ def naive_eform(stiffness_dense: np.ndarray, s, z, n, w) -> float:
     return total
 
 
-def element_areas(mesh: TriMesh) -> np.ndarray:
-    """Signed element areas from the node coordinates, positive for the
-    counterclockwise vertex order the mesh requires; independent of the
-    geometry the mesh stores."""
-    p0, p1, p2 = (mesh.nodes[mesh.elements[:, a]] for a in range(3))
-    e1, e2 = p1 - p0, p2 - p0
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+def element_geometry(mesh: TriMesh):
+    """Signed element areas, positive for the counterclockwise vertex order
+    the mesh requires, and hat-function gradients, shape (ne, 3, 2), from
+    the node coordinates: the determinant and the rows of the inverse of
+    each element's Jacobian; independent of the geometry the mesh stores."""
+    p = mesh.nodes[mesh.elements]
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    inv = np.linalg.inv(J)
+    return 0.5 * np.linalg.det(J), np.stack([-inv[:, 0] - inv[:, 1], inv[:, 0], inv[:, 1]], axis=1)
 
 
-def naive_cform(mesh: TriMesh, v, gphi, w, gpsi, s, z) -> float:
-    """Per-element, per-vertex loop mirroring the vertex quadrature rule."""
-    areas = element_areas(mesh)
+def naive_stiffness(mesh: TriMesh) -> np.ndarray:
+    """Dense stiffness matrix, summed element by element from
+    ``element_geometry``."""
+    K = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for e, area, g in zip(mesh.elements, *element_geometry(mesh)):
+        K[np.ix_(e, e)] += area * (g @ g.T)
+    return K
+
+
+def naive_cform(mesh: TriMesh, v, phi, w, psi, s, z) -> float:
+    """Per-element, per-vertex loop mirroring the vertex quadrature rule,
+    with the gradients of the nodal fields ``phi`` and ``psi`` from
+    ``element_geometry``."""
+    areas, grads = element_geometry(mesh)
     total = 0.0
     d = 2
     for t in range(mesh.n_elements):
-        gp = gphi[t]
-        gq = gpsi[t]
+        e = mesh.elements[t]
+        gp, gq = phi[e] @ grads[t], psi[e] @ grads[t]
         gg = sum(gp[k] * gq[k] for k in range(d))
         for a in range(d + 1):
-            i = int(mesh.elements[t, a])
+            i = int(e[a])
             vw = sum(v[i, k] * w[i, k] for k in range(d))
             vgp = sum(v[i, k] * gp[k] for k in range(d))
             wgq = sum(w[i, k] * gq[k] for k in range(d))
@@ -114,11 +127,12 @@ def naive_cform(mesh: TriMesh, v, gphi, w, gpsi, s, z) -> float:
 
 def brute_force_form_check(ops: Operators, rng, trials: int = 1000,
                            eform_fn=None, cform_fn=None):
-    """Compare the optimized forms against the naive loops on random fields."""
+    """Compare the optimized forms against the naive loops on random fields;
+    the naive side takes no geometry from the mesh but its node coordinates."""
     eform_fn = eform_fn or en.eform
     cform_fn = cform_fn or en.cform
     mesh = ops.mesh
-    Kd = ops.stiffness.toarray()
+    Kd = naive_stiffness(mesh)
     worst_e = worst_c = 0.0
     witness = None
     for t in range(trials):
@@ -134,7 +148,7 @@ def brute_force_form_check(ops: Operators, rng, trials: int = 1000,
         e_fast = eform_fn(ops, s, z, n, w)
         e_ref = naive_eform(Kd, s, z, n, w)
         c_fast = cform_fn(ops, n, gphi, w, gpsi, s, z)
-        c_ref = naive_cform(mesh, n, gphi, w, gpsi, s, z)
+        c_ref = naive_cform(mesh, n, phi, w, psi, s, z)
 
         de = abs(e_fast - e_ref) / max(1.0, abs(e_ref))
         dc = abs(c_fast - c_ref) / max(1.0, abs(c_ref))
@@ -277,6 +291,14 @@ def projection_monotonicity_check(ops: Operators, rng, trials: int = 1000,
     )
 
 
+def vertex_form(ops: Operators, v, H, w) -> float:
+    """Generic lumped bilinear form sum_T |T|/3 sum_vertices v . H w with a
+    per-element, per-vertex matrix field H of shape (ne, 3, d, d)."""
+    e = ops.mesh.elements
+    vals = np.einsum("ead,eadc,eac->ea", v[e], H, w[e])
+    return float(np.sum((ops.mesh.areas / 3.0) * vals.sum(axis=1)))
+
+
 def lumped_monotonicity_check(ops: Operators, rng, trials: int = 1000,
                               tol: float = 1e-12):
     """Vertex-rule bilinear form with PSD matrix coefficients decreases
@@ -291,7 +313,7 @@ def lumped_monotonicity_check(ops: Operators, rng, trials: int = 1000,
         theta = rng.uniform(0.0, 2 * np.pi, mesh.n_nodes)
         n = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
         n_hat = normalized(n)
-        margin = en.vertex_form(ops, n, H, n) - en.vertex_form(ops, n_hat, H, n_hat)
+        margin = vertex_form(ops, n, H, n) - vertex_form(ops, n_hat, H, n_hat)
         worst = min(worst, margin)
         if margin < -tol:
             violations += 1
@@ -322,14 +344,17 @@ def convex_split_check(ops: Operators, rng, trials: int = 1000,
 
 
 def stiffness_identity_check(ops: Operators, rng, trials: int = 50):
-    """sum_edges k_ij (s_i - s_j)^2 equals the stiffness quadratic form."""
+    """sum_edges k_ij (s_i - s_j)^2 and the stiffness quadratic form both
+    equal the quadratic form of ``naive_stiffness``."""
+    K_ref = naive_stiffness(ops.mesh)
     worst = 0.0
     edges = ops.mesh.edges
     for _ in range(trials):
         s = rng.standard_normal(ops.mesh.n_nodes)
-        lhs = float(np.sum(ops.edge_k * (s[edges.lo] - s[edges.hi]) ** 2))
-        rhs = ops.grad_form(s, s)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-14))
+        ref = float(s @ K_ref @ s)
+        by_edges = float(np.sum(ops.edge_k * (s[edges.lo] - s[edges.hi]) ** 2))
+        by_form = ops.grad_form(s, s)
+        worst = max(worst, max(abs(by_edges - ref), abs(by_form - ref)) / max(abs(ref), 1e-14))
     return CheckOutcome("stiffness_edge_identity", worst <= 1e-12, worst, 1e-12)
 
 
@@ -440,25 +465,17 @@ def anisotropic_identity_check(weights: ModelWeights | None = None,
     the effective tension tensor I + s^2 (I - n x n)."""
     weights = weights or ModelWeights()
     triple = SmoothTriple()
+    parts = continuous_total_energy(triple, weights, n_gauss)
     pts, w = quad.gauss_legendre_grid(n_gauss)
     x, y = pts[:, 0], pts[:, 1]
     s = triple.s(x, y)
     nx, ny = triple.n(x, y)
     px, py = triple.grad_phi(x, y)
-    phi = triple.phi(x, y)
-    eps = weights.eps
-
     gphi2 = px * px + py * py
     ndotp = nx * px + ny * py
-    lhs = (
-        float(w @ ((phi**2 - 1.0) ** 2)) / (4.0 * eps)
-        + 0.5 * eps * float(w @ gphi2)
-        + 0.5 * eps * float(w @ (s * s * (gphi2 - ndotp**2)))
-    )
+    lhs = parts["e_chdw"] + parts["e_chgd"] + parts["e_wan"]
     tensor_quad = gphi2 + s * s * (gphi2 - ndotp**2)
-    rhs = float(w @ ((phi**2 - 1.0) ** 2)) / (4.0 * eps) + 0.5 * eps * float(
-        w @ tensor_quad
-    )
+    rhs = parts["e_chdw"] + 0.5 * weights.eps * float(w @ tensor_quad)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-14)
     return CheckOutcome("anisotropic_tension_identity", rel <= 1e-10, rel, 1e-10)
 
@@ -615,7 +632,7 @@ def mass_conservation_check(problem, final_state) -> CheckOutcome:
     is the same at the start and the end of the flow."""
     mesh = problem.mesh
     dphi = final_state.phi.values - problem.initial.phi.values
-    drift = abs(float(element_areas(mesh) @ dphi[mesh.elements].mean(axis=1)))
+    drift = abs(float(element_geometry(mesh)[0] @ dphi[mesh.elements].mean(axis=1)))
     return CheckOutcome("mass_conservation", drift <= 1e-9, drift, 1e-9)
 
 

@@ -18,7 +18,6 @@ from lcdroplet.assembly import (
     squared_field_mass,
     tensor_stiffness,
     weighted_mass,
-    weighted_stiffness,
 )
 
 
@@ -170,13 +169,16 @@ def test_fixed_pattern_operators_match_coo_assembly(pattern_mesh, rng):
     m = pattern_mesh
     w = rng.uniform(0.5, 2.0, m.n_elements)
     H = rng.standard_normal((m.n_elements, 2, 2))
+    H = H + H.transpose(0, 2, 1)
     v = rng.standard_normal(m.n_nodes)
     pairs = [
         (assemble_stiffness(m), naive.stiffness(m)),
         (assemble_mass(m), naive.mass(m)),
-        (weighted_stiffness(m, w), naive.stiffness(m, w)),
+        (tensor_stiffness(m, 1.0, 0.0, 1.0), naive.stiffness(m)),
+        (tensor_stiffness(m, w, 0.0, w), naive.stiffness(m, w)),
         (weighted_mass(m, w), naive.mass(m, w)),
-        (tensor_stiffness(m, H), naive.tensor_stiffness(m, H)),
+        (tensor_stiffness(m, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]),
+         naive.tensor_stiffness(m, H)),
         (squared_field_mass(m, v), naive.squared_field_mass(m, v)),
     ]
     for A, R in pairs:

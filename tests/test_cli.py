@@ -198,6 +198,18 @@ RECT = "mesh.rect must be two points [[x0, y0], [x1, y1]] of finite numbers, got
         ("bc.n=x", "bc.n must be a list of two expressions, got 'x'"),
         ("bc={}", "bc.s missing from configuration"),
         ("bc={s: s_star}", "bc.n missing from configuration"),
+        ("initial.phi=foo(x)", "initial.phi: unknown function 'foo' in 'foo(x)'"),
+        ("bc.s=null", "bc.s must be an expression or a number, got None"),
+        ("initial.s=[1]", "initial.s must be an expression or a number, got [1]"),
+        ("initial.s=true", "initial.s must be an expression or a number, got True"),
+        ("bc.n=[1, null]", "bc.n[1] must be an expression or a number, got None"),
+        ("initial.n=[0, 0]",
+         "initial.n is not a director field: cannot normalize zero vector at node 0"),
+        pytest.param("initial.phi=" + "-" * 5000 + "x",
+                     "initial.phi: expression nested too deeply (5001 characters)",
+                     id="initial.phi=-...-x nested 5000 deep"),
+        ("initial.phi=where(x, 1, 2)",
+         "initial.phi: where() takes a comparison and two expressions in 'where(x, 1, 2)'"),
     ],
 )
 def test_config_value_of_wrong_type_rejected(item, message):
@@ -272,9 +284,17 @@ def test_expression_wheres_and_functions():
 
 
 def test_expression_rejects_unsafe():
-    for src in ("__import__('os')", "x.real", "lambda: 1", "foo(x)", "x @ y"):
+    for src in ("__import__('os')", "x.real", "lambda: 1", "foo(x)", "x @ y",
+                "where(x, 1, 2)", "where(x < 1, 2)"):
         with pytest.raises(ExpressionError):
             compile_expression(src)(np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("depth", [1200, 5000])
+def test_expression_nested_too_deeply(depth):
+    # deep enough to exhaust the recursion of the evaluator or the parser
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        compile_expression("-" * depth + "x")(np.zeros(2), np.zeros(2))
 
 
 def test_expression_unknown_name():

@@ -4,6 +4,7 @@ import pytest
 import naive_assembly as naive
 from lcdroplet import build_operators, build_structured_mesh
 from lcdroplet import energy as en
+from lcdroplet import verify as vf
 from lcdroplet.assembly import apply_dirichlet, element_gradients
 from lcdroplet.energy import DoubleWell, ModelWeights, default_double_well
 
@@ -87,24 +88,27 @@ def test_cform_matches_interpolant_formulation(ops4, rng):
         for a in range(3):
             i = mesh.elements[t, a]
             H[t, a] = s[i] * z[i] * Ht
-    via_interpolant = en.vertex_form(ops4, v, H, w)
+    via_interpolant = vf.vertex_form(ops4, v, H, w)
     assert en.cform(ops4, v, gphi, w, gpsi, s, z) == pytest.approx(
         via_interpolant, rel=1e-12, abs=1e-14
     )
 
 
 def test_cform_phi_matrix_consistency(ops4, rng):
+    # with only the weak anchoring term on, the phi-matrix is the
+    # coupling form in its gradient slots
     mesh = ops4.mesh
+    weights = ModelWeights(w_chgd=0.0, w_was=0.0, w_wan=1.7, eps=0.07)
     s = rng.uniform(0.1, 0.9, mesh.n_nodes)
     n = unit_director(rng.uniform(0, 2 * np.pi, mesh.n_nodes))
     phi = rng.standard_normal(mesh.n_nodes)
     psi = rng.standard_normal(mesh.n_nodes)
-    C = en.anchoring_phi_matrix(ops4, s, n)
-    direct = en.cform(
+    A0 = en.ch_step_matrix(ops4, weights, s, n)
+    direct = weights.w_wan * weights.eps * en.cform(
         ops4, n, element_gradients(mesh, phi), n, element_gradients(mesh, psi), s, s
     )
-    assert psi @ (C @ phi) == pytest.approx(direct, rel=1e-12)
-    assert np.abs((C - C.T).toarray()).max() <= 1e-14
+    assert psi @ (A0 @ phi) == pytest.approx(direct, rel=1e-12)
+    assert np.abs((A0 - A0.T).toarray()).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +213,16 @@ def test_anchoring_energy_zeros(ops4, rng):
 
 
 def test_was_energy_two_expressions_agree(ops4, rng):
+    # with only the axial anchoring term on, half the phi-matrix's
+    # quadratic form is the weighted energy
     mesh = ops4.mesh
+    weights = ModelWeights(w_chgd=0.0, w_wan=0.0, w_was=1.3, eps=0.07, s_star=0.750025)
     s = rng.uniform(-0.4, 0.9, mesh.n_nodes)
+    n = unit_director(rng.uniform(0, 2 * np.pi, mesh.n_nodes))
     phi = rng.uniform(-1, 1, mesh.n_nodes)
     gphi = element_gradients(mesh, phi)
-    eps, s_star = 0.07, 0.750025
-    direct = en.energy_was(ops4, s, gphi, eps, s_star)
-    via_matrix = 0.5 * eps * float(phi @ (en.was_phi_matrix(ops4, s, s_star) @ phi))
+    direct = weights.w_was * en.energy_was(ops4, s, gphi, weights.eps, weights.s_star)
+    via_matrix = 0.5 * float(phi @ (en.ch_step_matrix(ops4, weights, s, n) @ phi))
     assert direct == pytest.approx(via_matrix, rel=1e-12)
 
 

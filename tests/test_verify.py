@@ -95,6 +95,19 @@ def test_brute_force_check_catches_wrong_mesh_areas(rng):
     assert not outcome.passed
 
 
+@pytest.mark.parametrize("cells", [2, 4])
+def test_oracles_catch_wrong_mesh_gradients(cells, rng):
+    # the naive forms and the reference stiffness take the hat gradients
+    # from the node coordinates, not from the gradients the mesh stores
+    mesh = build_structured_mesh(cells, cells)
+    object.__setattr__(mesh, "grads", 2.0 * mesh.grads)
+    ops = build_operators(mesh)
+    outcome = vf.brute_force_form_check(ops, rng, trials=20)
+    assert not outcome.passed
+    assert min(outcome.witness["eform_rel"], outcome.witness["cform_rel"]) > 1e-12
+    assert not vf.stiffness_identity_check(ops, rng).passed
+
+
 def test_mass_conservation_integrates_from_node_coordinates(rng):
     # a shift of phi by c changes its integral by c |Omega|, whatever areas
     # the mesh stores
