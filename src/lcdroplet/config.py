@@ -238,17 +238,21 @@ def _evaluate(key: str, src, x, y, constants) -> np.ndarray:
     return vals
 
 
-def _eval_director(key: str, exprs, x, y, constants) -> np.ndarray:
+def _eval_director(key: str, exprs, nodes, x, y, constants) -> np.ndarray:
     """Unit vectors along the values of the two expressions of config
-    entry ``key``; a zero vector is an error naming ``key``."""
+    entry ``key`` at the mesh nodes ``nodes``, whose coordinates are
+    (x, y); a zero vector is an error naming ``key``, the node and its
+    coordinates."""
     if not (isinstance(exprs, (list, tuple)) and len(exprs) == 2):
         raise ValueError(f"{key} must be a list of two expressions, got {exprs!r}")
     vectors = np.column_stack([_evaluate(f"{key}[{k}]", src, x, y, constants)
                                for k, src in enumerate(exprs)])
     try:
         return normalized(vectors)
-    except ValueError as exc:
-        raise ValueError(f"{key} is not a director field: {exc}") from None
+    except ValueError:
+        k = int(np.argmin(np.linalg.norm(vectors, axis=1)))  # the row normalized rejects
+        raise ValueError(f"{key} is not a director field: cannot normalize zero vector "
+                         f"at node {nodes[k]} at ({x[k]:g}, {y[k]:g})") from None
 
 
 # keys of each section; those of weights and scheme are the fields of
@@ -351,12 +355,12 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
         raise ValueError(f"initial.s must lie in {S_RANGE}, "
                          f"got range [{s0.min():.6g}, {s0.max():.6g}]")
     phi0 = _evaluate("initial.phi", icfg["phi"], x, y, consts)
-    n0 = _eval_director("initial.n", icfg["n"], x, y, consts)
+    n0 = _eval_director("initial.n", icfg["n"], np.arange(mesh.n_nodes), x, y, consts)
 
     bnodes = mesh.boundary_nodes
     xb, yb = mesh.nodes[bnodes, 0], mesh.nodes[bnodes, 1]
     s_bc = _evaluate("bc.s", bcfg["s"], xb, yb, consts)
-    n_bc = _eval_director("bc.n", bcfg["n"], xb, yb, consts)
+    n_bc = _eval_director("bc.n", bcfg["n"], bnodes, xb, yb, consts)
     bc = sv.BoundaryConditions(bnodes, s_bc, bnodes, n_bc)
 
     # the discrete flow lives in the boundary-constrained spaces, so the

@@ -157,11 +157,16 @@ def eform(ops: Operators, s, z, n, w) -> float:
         raise ValueError(f"eform fields must have {nn} nodal values")
     ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
     sz = np.asarray(s) * np.asarray(z)
-    dn = n[ei] - n[ej]
-    dw_ = w[ei] - w[ej]
+    dn, dw_ = _edge_diff(ops, n), _edge_diff(ops, w)
     pair = dn[:, 0] * dw_[:, 0] + dn[:, 1] * dw_[:, 1] if dn.ndim == 2 else dn * dw_
     # ordered double sum = 2x the edge sum, cancelling the 1/2 average
     return float(np.sum(k * (sz[ei] + sz[ej]) * pair))
+
+
+def _edge_diff(ops: Operators, x) -> np.ndarray:
+    """x_i - x_j over the edges (i, j); ``np.take`` gathers the rows of an
+    (n, 2) array an order of magnitude faster than ``x[i]`` does."""
+    return np.take(x, ops.mesh.edges.lo, axis=0) - np.take(x, ops.mesh.edges.hi, axis=0)
 
 
 def eform_drop(ops: Operators, s, n_tilde, n) -> float:
@@ -177,7 +182,7 @@ def eform_drop(ops: Operators, s, n_tilde, n) -> float:
     ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
     s2 = np.asarray(s) ** 2
     d = n_tilde - n
-    pair = np.sum((d[ei] - d[ej]) * ((n_tilde[ei] - n_tilde[ej]) + (n[ei] - n[ej])), axis=1)
+    pair = np.sum(_edge_diff(ops, d) * (_edge_diff(ops, n_tilde) + _edge_diff(ops, n)), axis=1)
     return float(np.sum(k * (s2[ei] + s2[ej]) * pair))
 
 
@@ -219,11 +224,14 @@ def cform(ops: Operators, v, gphi, w, gpsi, s, z) -> float:
     return float(np.sum(np.asarray(s) * np.asarray(z) * gamma))
 
 
-def _was_weights(ops: Operators, s, s_star: float) -> np.ndarray:
+def was_weights(ops: Operators, s, s_star: float) -> np.ndarray:
     """Per-element mean of (s_h - s_star)^2, the weight of the axial
-    anchoring term: integral over T of (s_h - s_star)^2 divided by |T|."""
-    q = (np.asarray(s) - s_star)[ops.mesh.elements]
-    return np.einsum("ea,ab,eb->e", q, assembly._MASS_REF, q)
+    anchoring term: integral over T of (s_h - s_star)^2 divided by |T|,
+    ((q_0 + q_1 + q_2)^2 + q_0^2 + q_1^2 + q_2^2) / 12 for the vertex
+    values q of s - s_star."""
+    q = np.take(np.asarray(s) - s_star, ops.mesh.elements)
+    q2, t = q * q, q[:, 0] + q[:, 1] + q[:, 2]
+    return (t * t + q2[:, 0] + q2[:, 1] + q2[:, 2]) / 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -257,28 +265,35 @@ def energy_ch_grad(ops: Operators, phi, eps: float) -> float:
     return 0.5 * eps * ops.grad_form(phi, phi)
 
 
-def energy_wan(ops: Operators, s, n, gphi, eps: float) -> float:
-    return 0.5 * eps * cform(ops, n, gphi, n, gphi, s, s)
+def energy_wan(s, n, coupling: np.ndarray, eps: float) -> float:
+    """Uniaxial anchoring energy, ``coupling`` the coupling_tensors of grad phi."""
+    return 0.5 * eps * float(np.sum(np.square(s) * tensor_pairing(coupling, n, n)))
 
 
-def energy_was(ops: Operators, s, gphi, eps: float, s_star: float) -> float:
-    per_elem = _was_weights(ops, s, s_star) * ops.mesh.areas
+def energy_was(ops: Operators, a: np.ndarray, gphi, eps: float) -> float:
+    """Axial anchoring energy, ``a`` the ``was_weights`` of s."""
+    per_elem = a * ops.mesh.areas
     gg = np.sum(gphi * gphi, axis=1)
     return 0.5 * eps * float(gg @ per_elem)
 
 
-def total_energy(ops: Operators, weights: ModelWeights, s, n, phi,
-                 gphi: np.ndarray | None = None) -> EnergyReport:
-    """Evaluate all six components for nodal arrays (s, n, phi).  ``gphi``
-    is the per-element gradient of phi, evaluated here when absent."""
-    if gphi is None:
-        gphi = assembly.element_gradients(ops.mesh, np.asarray(phi))
+def total_energy(ops: Operators, weights: ModelWeights, s, n, phi) -> EnergyReport:
+    """Evaluate all six components for nodal arrays (s, n, phi)."""
+    gphi = assembly.element_gradients(ops.mesh, np.asarray(phi))
+    return energy_report(ops, weights, s, n, phi, gphi, coupling_tensors(ops, gphi, gphi),
+                         was_weights(ops, s, weights.s_star))
+
+
+def energy_report(ops: Operators, weights: ModelWeights, s, n, phi, gphi: np.ndarray,
+                  coupling: np.ndarray, a: np.ndarray) -> EnergyReport:
+    """``total_energy`` given the per-element gradient of phi, the
+    ``coupling_tensors`` there and the ``was_weights`` of s."""
     e_erk = energy_ericksen(ops, s, n, weights.kappa)
     e_dw = energy_dw(ops, s, weights.dw)
     e_chdw = energy_ch_dw(ops, phi, weights.eps)
     e_chgd = energy_ch_grad(ops, phi, weights.eps)
-    e_wan = energy_wan(ops, s, n, gphi, weights.eps)
-    e_was = energy_was(ops, s, gphi, weights.eps, weights.s_star)
+    e_wan = energy_wan(s, n, coupling, weights.eps)
+    e_was = energy_was(ops, a, gphi, weights.eps)
     total = (
         weights.w_erk * e_erk
         + weights.w_dw * e_dw
@@ -304,14 +319,14 @@ def eform_derivative_n(ops: Operators, s, n) -> np.ndarray:
     both = np.concatenate([ei, ej])
     return np.column_stack([
         np.bincount(both, np.concatenate([w, -w]), minlength=nn)
-        for w in (wgt[:, None] * (n[ei] - n[ej])).T
+        for w in (wgt[:, None] * _edge_diff(ops, n)).T
     ])
 
 
 def eform_scalar_diag(ops: Operators, n) -> np.ndarray:
     """Nodal coefficients D with eform(s, z, n, n) = sum_i s_i z_i D_i."""
     ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
-    diff2 = np.sum((n[ei] - n[ej]) ** 2, axis=1)
+    diff2 = np.sum(_edge_diff(ops, n) ** 2, axis=1)
     kd = k * diff2
     return np.bincount(np.concatenate([ei, ej]), np.concatenate([kd, kd]),
                        minlength=ops.mesh.n_nodes)
@@ -426,34 +441,30 @@ def implicit_dw_load(ops: Operators, dw: DoubleWell, s_new) -> np.ndarray:
     return assembly.nodal_load(ops.mesh, dw.dfc(sq))
 
 
-def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new) -> SparseOperator:
+def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new,
+                   a: np.ndarray) -> SparseOperator:
     """phi-coefficient matrix of the chemical-potential equation that stays
     fixed across Newton iterations: the gradient and the two anchoring terms
     as one stiffness with the tensor weight H_T = eps (w_chgd + w_was a_T) I
-    + w_wan eps/3 sum_vertices s^2 (|n|^2 I - n n^T), a_T ``_was_weights``."""
+    + w_wan eps/3 sum_vertices s^2 (|n|^2 I - n n^T), a the ``was_weights``
+    of s_new."""
     e = ops.mesh.elements
     s = np.asarray(s_new)
     s2E = (s * s)[e]
-    nx, ny = n_new[e, 0], n_new[e, 1]
+    nx, ny = np.take(n_new, e, axis=0).transpose(2, 0, 1)
     xx = np.sum(s2E * nx * nx, axis=1)
     xy = np.sum(s2E * nx * ny, axis=1)
     yy = np.sum(s2E * ny * ny, axis=1)
     eps = weights.eps
-    iso = eps * (weights.w_chgd + weights.w_was * _was_weights(ops, s, weights.s_star))
+    iso = eps * (weights.w_chgd + weights.w_was * a)
     c = weights.w_wan * eps / 3.0
     return assembly.tensor_stiffness(ops.mesh, iso + c * yy, -c * xy, iso + c * xx)
 
 
-def residual_ch(
-    ops: Operators,
-    weights: ModelWeights,
-    tau: float,
-    phi,
-    mu,
-    phi_prev,
-    A0: SparseOperator,
-):
-    """Residual of the coupled interface/chemical-potential system.
+def residual_ch(ops: Operators, weights: ModelWeights, tau: float, phi, mu, phi_prev,
+                m_prev: np.ndarray, A0: SparseOperator):
+    """Residual of the coupled interface/chemical-potential system;
+    ``m_prev`` is M phi_prev, fixed across Newton iterations.
 
     Equation blocks (for all test functions):
       R_phi = <(phi - phi_prev)/tau, nu> + eps (grad mu, grad nu)
@@ -463,7 +474,7 @@ def residual_ch(
     M = ops.mass
     r_phi = M @ (phi - phi_prev) / tau + weights.eps * (ops.stiffness @ mu)
     r_mu = (
-        (weights.w_chdw / weights.eps) * (cubic_load(ops, phi) - M @ phi_prev)
+        (weights.w_chdw / weights.eps) * (cubic_load(ops, phi) - m_prev)
         + A0 @ phi
         - M @ mu
     )
@@ -473,7 +484,7 @@ def residual_ch(
 def jacobian_ch_fixed(ops: Operators, weights: ModelWeights, tau: float) -> np.ndarray:
     """Data of the interface Jacobian with its three blocks that do not
     depend on phi written (M/tau, eps K, -M) and zeros in the fourth;
-    computed once per step."""
+    computed once per run (``solver.JacobianCache.fixed``)."""
     blocks = ops.mesh.pattern.blocks
     M = ops.mass.data
     data = np.zeros(blocks.nnz)
@@ -483,19 +494,13 @@ def jacobian_ch_fixed(ops: Operators, weights: ModelWeights, tau: float) -> np.n
     return data
 
 
-def jacobian_ch(
-    ops: Operators,
-    weights: ModelWeights,
-    tau: float,
-    phi,
-    A0: SparseOperator,
-    fixed: np.ndarray | None = None,
-) -> SparseOperator:
+def jacobian_ch(ops: Operators, weights: ModelWeights, phi, A0: SparseOperator,
+                fixed: np.ndarray) -> SparseOperator:
     """Jacobian [[M/tau, eps K], [3 W_chdw/eps M(phi^2) + A0, -M]] of the
-    interface system, as a CSR matrix on the mesh's block pattern.
-    ``fixed`` is ``jacobian_ch_fixed``'s data, computed here when absent."""
+    interface system, as a CSR matrix on the mesh's block pattern, given
+    ``jacobian_ch_fixed``'s data."""
     blocks = ops.mesh.pattern.blocks
-    data = jacobian_ch_fixed(ops, weights, tau) if fixed is None else fixed.copy()
+    data = fixed.copy()
     M2 = assembly.squared_field_mass(ops.mesh, np.asarray(phi))
     data[blocks.slots[1, 0]] = (3.0 * weights.w_chdw / weights.eps) * M2.data + A0.data
     return blocks.csr(data)

@@ -59,7 +59,7 @@ def compile_expression(source: str, constants: dict | None = None):
     except (RecursionError, MemoryError):  # the parser's limits on nesting
         raise ExpressionError(too_deep) from None
 
-    def evaluate(node, env):
+    def evaluate(node, env, condition=False):  # condition: where()'s first argument
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)):
                 return float(node.value)
@@ -78,6 +78,10 @@ def compile_expression(source: str, constants: dict | None = None):
             val = evaluate(node.operand, env)
             return -val if isinstance(node.op, ast.USub) else val
         if isinstance(node, ast.Compare):
+            if not condition:
+                raise ExpressionError(
+                    f"a comparison is allowed only as the condition of where() in {source!r}"
+                )
             if len(node.ops) != 1 or type(node.ops[0]) not in _COMPARES:
                 raise ExpressionError(f"unsupported comparison in {source!r}")
             return _COMPARES[type(node.ops[0])](
@@ -87,7 +91,8 @@ def compile_expression(source: str, constants: dict | None = None):
             if not isinstance(node.func, ast.Name) or node.keywords:
                 raise ExpressionError(f"unsupported call in {source!r}")
             name = node.func.id
-            args = [evaluate(a, env) for a in node.args]
+            args = [evaluate(a, env, condition=name == "where" and k == 0)
+                    for k, a in enumerate(node.args)]
             if name == "where":
                 if len(args) != 3 or not isinstance(node.args[0], ast.Compare):
                     raise ExpressionError(

@@ -87,12 +87,12 @@ class TriMesh:
             raise MeshError("element vertex index out of range")
         if bnodes.size and (bnodes.min() < 0 or bnodes.max() >= len(nodes)):
             raise MeshError("boundary node index out of range")
-        if elements.size:
-            srt = np.sort(elements, axis=1)
-            if np.any(srt[:, 1:] == srt[:, :-1]):
-                bad = int(np.nonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))[0][0])
-                raise MeshError(f"element {bad} has repeated vertices")
-        xy = nodes[elements]  # (ne, 3, 2)
+        v0, v1, v2 = elements.T
+        repeated = np.flatnonzero((v0 == v1) | (v1 == v2) | (v2 == v0))
+        if repeated.size:
+            raise MeshError(f"element {repeated[0]} has repeated vertices")
+        # np.take, not nodes[elements]: a row gather an order of magnitude faster
+        xy = np.take(nodes, elements, axis=0)  # (ne, 3, 2)
         x, y = xy[..., 0], xy[..., 1]
         # b_a = y_{a+1} - y_{a+2}, c_a = x_{a+2} - x_{a+1} (cyclic)
         b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -105,9 +105,6 @@ class TriMesh:
             raise MeshError(f"element {bad} is degenerate or negatively oriented")
         object.__setattr__(self, "areas", 0.5 * det)
         object.__setattr__(self, "grads", np.stack([b, c], axis=2) / det[:, None, None])
-        self._check_conforming()
-
-    def _check_conforming(self) -> None:
         # An edge may be shared by at most two triangles; hanging nodes are
         # outside the supported mesh family.
         counts = self.edges.counts
@@ -346,7 +343,8 @@ def mesh_size(mesh: TriMesh) -> float:
     if mesh.n_elements == 0:
         raise MeshError("empty mesh")
     nodes, edges = mesh.nodes, mesh.edges
-    return float(np.linalg.norm(nodes[edges.lo] - nodes[edges.hi], axis=1).max())
+    d = np.take(nodes, edges.lo, axis=0) - np.take(nodes, edges.hi, axis=0)
+    return float(np.linalg.norm(d, axis=1).max())
 
 
 def audit_weak_acuteness(

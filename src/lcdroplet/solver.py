@@ -29,7 +29,7 @@ tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 from . import assembly, energy as en, quadrature as quad
 from .assembly import Operators
 from .energy import EnergyReport, ModelWeights
-from .fields import DirectorField, NodalScalarField
+from .fields import DirectorField, NodalScalarField, normalized
 from .mesh import TriMesh
 
 S_RANGE = en.S_RANGE
@@ -119,7 +119,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """One time slab of the coupled system."""
+    """One time slab of the coupled system.  A state from :func:`with_energy`
+    and every state a step returns also carry what the next step reuses: the
+    gradient of phi, the coupling tensors there and the energy (under the
+    weights that step used)."""
 
     s: NodalScalarField
     n: DirectorField
@@ -127,6 +130,9 @@ class PhaseState:
     mu: NodalScalarField
     time: float = 0.0
     step_index: int = 0
+    gphi: np.ndarray | None = None
+    coupling: np.ndarray | None = None
+    energy: EnergyReport | None = None
 
     def __post_init__(self):
         mesh = self.s.mesh
@@ -149,6 +155,18 @@ def make_state(mesh: TriMesh, s, n, phi, mu=None, time=0.0, step_index=0) -> Pha
         time,
         step_index,
     )
+
+
+def with_energy(ops: Operators, weights: ModelWeights, state: PhaseState,
+                a: np.ndarray | None = None) -> PhaseState:
+    """``state`` carrying the gradient of its phi, the coupling tensors there
+    and its energy; ``a`` is the ``was_weights`` of s, evaluated when absent."""
+    s, n, phi = state.s.values, state.n.values, state.phi.values
+    gphi = assembly.element_gradients(ops.mesh, phi)
+    coupling = en.coupling_tensors(ops, gphi, gphi)
+    a = en.was_weights(ops, s, weights.s_star) if a is None else a
+    energy = en.energy_report(ops, weights, s, n, phi, gphi, coupling, a)
+    return replace(state, gphi=gphi, coupling=coupling, energy=energy)
 
 
 @dataclass(frozen=True)
@@ -235,14 +253,10 @@ def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     coeff[free], resid[free] = _solve_spd(A_ff, b_f, config, "director")
     v = coeff[:, None] * t
     n_tilde = n_prev + config.tau * v
-    norms = np.linalg.norm(n_tilde, axis=1)
-    if np.any(norms < 1e-14):
-        bad = int(np.argmin(norms))
-        raise StepError(
-            f"degenerate director normalization at node {bad}; the tangent "
-            "update guarantees |n~| >= 1, so this indicates a defect"
-        )
-    n_new = n_tilde / norms[:, None]
+    try:
+        n_new = normalized(n_tilde)
+    except ValueError as exc:  # the tangent update guarantees |n~| >= 1
+        raise StepError(f"degenerate director normalization, a defect: {exc}") from None
     return n_tilde, n_new, v, resid[:, None] * t
 
 
@@ -267,7 +281,7 @@ def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
 
 class JacobianCache:
     """LU factors of an earlier interface Jacobian, kept across Newton
-    iterations and time steps.
+    iterations and time steps, and the Jacobian's constant blocks.
 
     The Jacobian changes only through the cubic term's mass block and the
     anchoring blocks, slowly in time, so the stored factors are a close
@@ -292,6 +306,14 @@ class JacobianCache:
         self.lu = None
         self.factorizations = 0
         self.krylov_iterations = 0
+        self._fixed = None
+
+    def fixed(self, ops: Operators, weights: ModelWeights, tau: float) -> np.ndarray:
+        """``energy.jacobian_ch_fixed``'s data, built once per operators, eps and tau."""
+        f = self._fixed
+        if f is None or f[0] is not ops or f[1:3] != (weights.eps, tau):
+            f = self._fixed = (ops, weights.eps, tau, en.jacobian_ch_fixed(ops, weights, tau))
+        return f[3]
 
     def solve(self, J, rhs: np.ndarray, rtol: float) -> np.ndarray:
         if self.lu is not None and self.lu.shape == J.shape:
@@ -364,9 +386,10 @@ _NEWTON_FORCING = 1e-2
 
 
 def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndarray,
-            weights: ModelWeights, config: SchemeConfig,
+            a_new: np.ndarray, weights: ModelWeights, config: SchemeConfig,
             cache: JacobianCache | None = None):
-    """Advance (phi, mu) by Newton.
+    """Advance (phi, mu) by Newton; ``a_new`` is ``energy.was_weights``
+    of s_new.
 
     The Newton systems are solved on the factors held by ``cache`` (see
     :class:`JacobianCache`); without one, the step starts from a fresh
@@ -378,28 +401,29 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
     """
     cache = JacobianCache() if cache is None else cache
     phi_prev = state.phi.values
+    m_prev = ops.mass @ phi_prev
     phi, mu = phi_prev.copy(), state.mu.values.copy()
-    A0 = en.ch_step_matrix(ops, weights, s_new, n_new)
-    fixed = en.jacobian_ch_fixed(ops, weights, config.tau)
+    A0 = en.ch_step_matrix(ops, weights, s_new, n_new, a_new)
+    fixed = cache.fixed(ops, weights, config.tau)
     n = ops.mesh.n_nodes
 
     history = []
     iters = 0
     for it in range(config.newton_max_iter + 1):
-        R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, A0)
+        R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, m_prev, A0)
         res = float(np.linalg.norm(R))
         history.append(res)
         if res <= config.newton_res_tol:
             return phi, mu, iters, history, R
         if it == config.newton_max_iter:
             break
-        J = en.jacobian_ch(ops, weights, config.tau, phi, A0, fixed)
+        J = en.jacobian_ch(ops, weights, phi, A0, fixed)
         delta = cache.solve(J, -R, min(_NEWTON_LINEAR_RTOL, _NEWTON_FORCING * res))
         phi = phi + delta[:n]
         mu = mu + delta[n:]
         iters += 1
         if float(np.linalg.norm(delta)) <= config.newton_abs_tol:
-            R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, A0)
+            R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, m_prev, A0)
             history.append(float(np.linalg.norm(R)))
             return phi, mu, iters, history, R
     raise NewtonError(
@@ -416,41 +440,39 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
 def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
                        config: SchemeConfig, bc: BoundaryConditions,
                        phi_mass_ref: float | None = None,
-                       cache: JacobianCache | None = None,
-                       before: EnergyReport | None = None):
+                       cache: JacobianCache | None = None):
     """One full step; returns (new_state, StepReport).
 
-    ``cache`` carries interface Jacobian factors between the steps of a
-    run (see :func:`ch_step`).  ``before`` is the energy of ``state``
-    (the previous step's ``after``), evaluated here when absent.
+    ``cache`` carries the interface Jacobian's factors and constant blocks
+    between the steps of a run (see :func:`ch_step`).
 
-    What the stages and the ledger share is evaluated once, here: the
-    gradient of phi_prev, the coupling tensors there, the explicit
-    double-well load at s_prev, after the director stage the nodal
-    coefficients of the elastic form at n_new, and after the interface
-    stage the gradient of phi_new, which ``after`` and the ledger share."""
+    What the stages and the ledger share is evaluated once: the gradient
+    of phi_prev, the coupling tensors there and the energy come with
+    ``state`` (see :class:`PhaseState`; evaluated here for a state that
+    does not carry them), and then the explicit double-well load at
+    s_prev, the nodal coefficients of the elastic form at n_new, the
+    ``was_weights`` of s_new, and the gradient of phi_new, the coupling
+    tensors there and the energy, which the new state carries."""
     mesh = ops.mesh
     tau = config.tau
     eps = weights.eps
-    s_prev, n_prev, phi_prev = state.s.values, state.n.values, state.phi.values
-
-    if before is None:
-        before = en.total_energy(ops, weights, s_prev, n_prev, phi_prev)
-
-    gphi_prev = assembly.element_gradients(mesh, phi_prev)
-    coupling = en.coupling_tensors(ops, gphi_prev, gphi_prev)
+    if state.energy is None:
+        state = with_energy(ops, weights, state)
+    s_prev, phi_prev = state.s.values, state.phi.values
+    gphi_prev, coupling, before = state.gphi, state.coupling, state.energy
     dw_load = en.explicit_dw_load(ops, weights.dw, s_prev)
 
     n_tilde, n_new, v, r_n = director_step(ops, state, weights, config, bc, coupling)
     elastic_diag = en.eform_scalar_diag(ops, n_new)
     s_new, r_s = s_step(ops, state, n_new, weights, config, bc,
                         gphi_prev, coupling, elastic_diag, dw_load)
+    a_new = en.was_weights(ops, s_new, weights.s_star)
     phi_new, mu_new, iters, _, R_acc = ch_step(
-        ops, state, s_new, n_new, weights, config, cache
+        ops, state, s_new, n_new, a_new, weights, config, cache
     )
-
-    gphi_new = assembly.element_gradients(mesh, phi_new)
-    after = en.total_energy(ops, weights, s_new, n_new, phi_new, gphi_new)
+    new_state = with_energy(ops, weights, make_state(
+        mesh, s_new, n_new, phi_new, mu_new, state.time + tau, state.step_index + 1), a_new)
+    gphi_new, after = new_state.gphi, new_state.energy
 
     # --- dissipation budget (every term of the discrete energy law) ---
     s2_prev = s_prev * s_prev
@@ -500,8 +522,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         ),
         "tau2_was": weights.w_was
         * (
-            en.energy_was(ops, s_new, gphi_new - gphi_prev, eps, weights.s_star)
-            + en.energy_was(ops, ds, gphi_prev, eps, 0.0)
+            en.energy_was(ops, a_new, gphi_new - gphi_prev, eps)
+            + en.energy_was(ops, en.was_weights(ops, ds, 0.0), gphi_prev, eps)
         ),
     }
     split_term = float((en.implicit_dw_load(ops, weights.dw, s_new) - dw_load) @ ds)
@@ -530,10 +552,6 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         max_s=float(s_new.max()),
         solver_defect=defect,
     )
-    new_state = make_state(
-        mesh, s_new, n_new, phi_new, mu_new,
-        time=state.time + tau, step_index=state.step_index + 1,
-    )
     return new_state, report
 
 
@@ -546,23 +564,20 @@ def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
     aborts the run after the sinks have seen the last good state.
     """
     n_steps = int(round(config.t_final / config.tau))
-    state = initial
+    state = initial  # returned as it is when there is no step
+    carried = with_energy(ops, weights, initial)
     mass0 = float(ops.mass_rows @ initial.phi.values)
     cache = JacobianCache()
 
-    energy = en.total_energy(
-        ops, weights, initial.s.values, initial.n.values, initial.phi.values
-    )
     for sink in sinks:
         if hasattr(sink, "on_start"):
-            sink.on_start(state, energy)
+            sink.on_start(state, carried.energy)
     try:
         for _ in range(n_steps):
             state, report = gradient_flow_step(
-                ops, state, weights, config, bc, phi_mass_ref=mass0, cache=cache,
-                before=energy,
+                ops, carried, weights, config, bc, phi_mass_ref=mass0, cache=cache,
             )
-            energy = report.after
+            carried = state
             for sink in sinks:
                 if hasattr(sink, "on_step"):
                     sink.on_step(state, report)

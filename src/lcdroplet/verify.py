@@ -225,8 +225,8 @@ def fd_derivative_check(ops: Operators, weights: ModelWeights, energy_id: str,
                              en.explicit_dw_load(ops, w.dw, s))
         exact = float((A @ s - b) @ delta)
     else:
-        r = en.residual_ch(ops, w, 1.0, phi, np.zeros_like(phi), phi,
-                           en.ch_step_matrix(ops, w, s, n))
+        r = en.residual_ch(ops, w, 1.0, phi, np.zeros_like(phi), phi, ops.mass @ phi,
+                           en.ch_step_matrix(ops, w, s, n, en.was_weights(ops, s, w.s_star)))
         exact = float(r[ops.mesh.n_nodes:] @ delta)
 
     rel = abs(fd - exact) / max(abs(exact), abs(fd), 1e-14)

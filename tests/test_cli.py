@@ -204,7 +204,13 @@ RECT = "mesh.rect must be two points [[x0, y0], [x1, y1]] of finite numbers, got
         ("initial.s=true", "initial.s must be an expression or a number, got True"),
         ("bc.n=[1, null]", "bc.n[1] must be an expression or a number, got None"),
         ("initial.n=[0, 0]",
-         "initial.n is not a director field: cannot normalize zero vector at node 0"),
+         "initial.n is not a director field: cannot normalize zero vector at node 0 at (0, 0)"),
+        # the zero vector is named by mesh node, not by its place among the
+        # boundary nodes (7)
+        ("bc.n=[x-0.5, 0]",
+         "bc.n is not a director field: cannot normalize zero vector at node 10 at (0.5, 0)"),
+        ("initial.phi=x < 0.5", "initial.phi: a comparison is allowed only as the "
+         "condition of where() in 'x < 0.5'"),
         pytest.param("initial.phi=" + "-" * 5000 + "x",
                      "initial.phi: expression nested too deeply (5001 characters)",
                      id="initial.phi=-...-x nested 5000 deep"),
@@ -285,7 +291,8 @@ def test_expression_wheres_and_functions():
 
 def test_expression_rejects_unsafe():
     for src in ("__import__('os')", "x.real", "lambda: 1", "foo(x)", "x @ y",
-                "where(x, 1, 2)", "where(x < 1, 2)"):
+                "where(x, 1, 2)", "where(x < 1, 2)", "x < 0.5", "where(x < 1, x < 2, 1)",
+                "1 + (y >= x)"):
         with pytest.raises(ExpressionError):
             compile_expression(src)(np.zeros(2), np.zeros(2))
 
@@ -425,7 +432,9 @@ def test_cli_simulate_config_error_is_one_line(tmp_path, capsys):
     for item, message in (("scheme.tua=1", "unknown config keys: ['scheme.tua']"),
                           ("weights.w_chdw=nan", "w_chdw must be finite and nonnegative"),
                           ("initial.phi=q", "unknown name"),
-                          ("initial.phi=[1", "override initial.phi: '[1' is not valid YAML")):
+                          ("initial.phi=[1", "override initial.phi: '[1' is not valid YAML"),
+                          ("initial.phi=x < 0.5", "initial.phi: a comparison is allowed only"),
+                          ("bc.n=[x-0.5, 0]", "zero vector at node 10 at (0.5, 0)")):
         rc = cli.main(["simulate", "--preset", "droplet_corner", "--set", "mesh.nx=4",
                        "--set", "mesh.ny=4", "--set", item, "--out", str(out)])
         assert rc == 2

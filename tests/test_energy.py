@@ -103,7 +103,7 @@ def test_cform_phi_matrix_consistency(ops4, rng):
     n = unit_director(rng.uniform(0, 2 * np.pi, mesh.n_nodes))
     phi = rng.standard_normal(mesh.n_nodes)
     psi = rng.standard_normal(mesh.n_nodes)
-    A0 = en.ch_step_matrix(ops4, weights, s, n)
+    A0 = en.ch_step_matrix(ops4, weights, s, n, en.was_weights(ops4, s, weights.s_star))
     direct = weights.w_wan * weights.eps * en.cform(
         ops4, n, element_gradients(mesh, phi), n, element_gradients(mesh, psi), s, s
     )
@@ -199,17 +199,17 @@ def test_anchoring_energy_zeros(ops4, rng):
     s = rng.uniform(0.1, 0.9, mesh.n_nodes)
     n = unit_director(rng.uniform(0, 2 * np.pi, mesh.n_nodes))
     gz = np.zeros((mesh.n_elements, 2))
-    assert en.energy_wan(ops4, s, n, gz, eps) == 0.0
-    assert en.energy_was(ops4, s, gz, eps, s_star) == 0.0
+    assert en.energy_wan(s, n, en.coupling_tensors(ops4, gz, gz), eps) == 0.0
+    assert en.energy_was(ops4, en.was_weights(ops4, s, s_star), gz, eps) == 0.0
     phi = rng.uniform(-1, 1, mesh.n_nodes)
     gphi = element_gradients(mesh, phi)
     s_const = np.full(mesh.n_nodes, s_star)
-    assert en.energy_was(ops4, s_const, gphi, eps, s_star) == pytest.approx(
+    assert en.energy_was(ops4, en.was_weights(ops4, s_const, s_star), gphi, eps) == pytest.approx(
         0.0, abs=1e-16
     )
     aligned = np.tile([1.0, 0.0], (mesh.n_nodes, 1))
     gx = element_gradients(mesh, mesh.nodes[:, 0].copy())
-    assert en.energy_wan(ops4, s, aligned, gx, eps) == 0.0
+    assert en.energy_wan(s, aligned, en.coupling_tensors(ops4, gx, gx), eps) == 0.0
 
 
 def test_was_energy_two_expressions_agree(ops4, rng):
@@ -221,8 +221,9 @@ def test_was_energy_two_expressions_agree(ops4, rng):
     n = unit_director(rng.uniform(0, 2 * np.pi, mesh.n_nodes))
     phi = rng.uniform(-1, 1, mesh.n_nodes)
     gphi = element_gradients(mesh, phi)
-    direct = weights.w_was * en.energy_was(ops4, s, gphi, weights.eps, weights.s_star)
-    via_matrix = 0.5 * float(phi @ (en.ch_step_matrix(ops4, weights, s, n) @ phi))
+    a = en.was_weights(ops4, s, weights.s_star)
+    direct = weights.w_was * en.energy_was(ops4, a, gphi, weights.eps)
+    via_matrix = 0.5 * float(phi @ (en.ch_step_matrix(ops4, weights, s, n, a) @ phi))
     assert direct == pytest.approx(via_matrix, rel=1e-12)
 
 
@@ -320,8 +321,8 @@ def test_ch_jacobian_phi_block_symmetric(ops2, rng):
     s = rng.uniform(0.1, 0.9, mesh.n_nodes)
     n = unit_director(rng.uniform(0, 2 * np.pi, mesh.n_nodes))
     phi = rng.uniform(-1, 1, mesh.n_nodes)
-    A0 = en.ch_step_matrix(ops2, weights, s, n)
-    J = en.jacobian_ch(ops2, weights, 0.002, phi, A0).toarray()
+    A0 = en.ch_step_matrix(ops2, weights, s, n, en.was_weights(ops2, s, weights.s_star))
+    J = en.jacobian_ch(ops2, weights, phi, A0, en.jacobian_ch_fixed(ops2, weights, 0.002)).toarray()
     nn = mesh.n_nodes
     phi_block = J[nn:, :nn]
     assert np.abs(phi_block - phi_block.T).max() <= 1e-12 * np.abs(phi_block).max()
@@ -379,16 +380,14 @@ def step_case(request):
 
 def test_ch_matrices_match_coo_assembly(step_case):
     ops, weights, f = step_case
-    A0 = en.ch_step_matrix(ops, weights, f["s"], f["n"])
+    A0 = en.ch_step_matrix(ops, weights, f["s"], f["n"],
+                            en.was_weights(ops, f["s"], weights.s_star))
     A0_ref = naive.ch_step_matrix(ops.mesh, weights, f["s"], f["n"])
     assert naive.relative_error(A0, A0_ref) <= 1e-13
-    J = en.jacobian_ch(ops, weights, 0.002, f["phi"], A0)
+    J = en.jacobian_ch(ops, weights, f["phi"], A0, en.jacobian_ch_fixed(ops, weights, 0.002))
     J_ref = naive.jacobian_ch(ops.mesh, weights, 0.002, f["phi"], A0_ref)
     assert naive.relative_error(J, J_ref) <= 1e-13
     assert np.array_equal(J.indptr, J_ref.indptr) and np.array_equal(J.indices, J_ref.indices)
-    fixed = en.jacobian_ch_fixed(ops, weights, 0.002)
-    J2 = en.jacobian_ch(ops, weights, 0.002, f["phi"], A0, fixed=fixed)
-    assert np.array_equal(J2.data, J.data)
 
 
 def test_director_system_matches_coo_assembly(step_case):

@@ -47,6 +47,11 @@ def director_stage(ops, state, weights, scheme, bc):
                             en.coupling_tensors(ops, gphi, gphi))
 
 
+def interface_stage(ops, state, s_new, n_new, weights, scheme):
+    return sv.ch_step(ops, state, s_new, n_new, en.was_weights(ops, s_new, weights.s_star),
+                      weights, scheme)
+
+
 def s_stage(ops, state, n_new, weights, scheme, bc):
     gphi = element_gradients(ops.mesh, state.phi.values)
     return sv.s_step(ops, state, n_new, weights, scheme, bc, gphi,
@@ -185,7 +190,7 @@ def test_ch_step_pure_phase_immediate():
     ops = build_operators(mesh)
     weights = ModelWeights(w_wan=0.0, w_was=0.0, s_star=0.75)
     state = constant_state(mesh, phi_val=1.0)
-    phi, mu, iters, hist, _ = sv.ch_step(
+    phi, mu, iters, hist, _ = interface_stage(
         ops, state, state.s.values, state.n.values, weights, SchemeConfig()
     )
     assert iters <= 1
@@ -197,7 +202,7 @@ def test_ch_step_mass_conservation(rng):
     prob = small_problem(nx=8)
     state = prob.initial
     rows = prob.ops.mass @ np.ones(prob.mesh.n_nodes)
-    phi, mu, iters, hist, _ = sv.ch_step(
+    phi, mu, iters, hist, _ = interface_stage(
         prob.ops, state, state.s.values, state.n.values, prob.weights, prob.scheme
     )
     assert abs(rows @ (phi - state.phi.values)) <= 1e-10
@@ -214,7 +219,7 @@ def test_ch_step_quadratic_newton_convergence():
         prob.ops, state, prob.weights, prob.scheme, prob.bc
     )
     s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, prob.scheme, prob.bc)
-    phi, mu, iters, hist, _ = sv.ch_step(
+    phi, mu, iters, hist, _ = interface_stage(
         prob.ops, state, s_new, n_new, prob.weights, prob.scheme
     )
     assert hist[-1] <= prob.scheme.newton_res_tol
@@ -351,7 +356,7 @@ def test_ch_step_newton_failure_reports_history():
     )
     state = prob.initial
     with pytest.raises(NewtonError) as err:
-        sv.ch_step(
+        interface_stage(
             prob.ops, state, state.s.values, state.n.values, prob.weights, scheme
         )
     assert len(err.value.residual_history) >= 1
@@ -565,40 +570,74 @@ def test_state_requires_shared_mesh():
         )
 
 
-def test_step_with_energy_passed_in_is_bit_identical():
+def test_step_from_carried_state_is_bit_identical():
+    """A step from the state a step returns, which carries its grad phi,
+    coupling tensors and energy, equals a step from ``make_state`` of the
+    same arrays, which evaluates them afresh."""
     problem = small_problem(nx=8, tau=0.004)
     ops, w, sc, bc = problem.ops, problem.weights, problem.scheme, problem.bc
     state, first = gradient_flow_step(ops, problem.initial, w, sc, bc)
-    _, fresh = gradient_flow_step(ops, state, w, sc, bc)
-    _, passed = gradient_flow_step(ops, state, w, sc, bc, before=first.after)
-    assert passed == fresh
-    assert passed.before == en.total_energy(
+    assert state.energy == first.after
+    bare = make_state(ops.mesh, state.s.values, state.n.values, state.phi.values,
+                      state.mu.values, state.time, state.step_index)
+    assert bare.energy is None
+    carried_next, carried = gradient_flow_step(ops, state, w, sc, bc)
+    bare_next, fresh = gradient_flow_step(ops, bare, w, sc, bc)
+    assert carried == fresh
+    assert carried.before == en.total_energy(
         ops, w, state.s.values, state.n.values, state.phi.values
     )
+    for name in ("s", "n", "phi", "mu"):
+        assert np.array_equal(getattr(carried_next, name).values,
+                              getattr(bare_next, name).values)
+    for name in ("gphi", "coupling"):
+        assert np.array_equal(getattr(carried_next, name), getattr(bare_next, name))
+    assert carried_next.energy == bare_next.energy == carried.after
+    assert (carried_next.time, carried_next.step_index) == (bare_next.time, bare_next.step_index)
+
+
+def _count_calls(monkeypatch, targets):
+    calls = dict.fromkeys([name for _, name in targets], 0)
+    for module, name in targets:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_step_evaluates_shared_inputs_once(monkeypatch):
-    """Given the energy of the state, one step evaluates grad phi twice
-    (at phi_prev and phi_new), the elastic form twice, the coupling
-    tensors at most three times and the explicit double-well load once:
-    the stages and the ledger share what they need of the old state, and
-    the new energy and the ledger share grad phi_new."""
+    """A step from a state that carries its grad phi, coupling tensors and
+    energy evaluates grad phi once (at phi_new), the coupling tensors at
+    most twice (at phi_new, for the new state, and at the phase increment,
+    for the ledger), the elastic form twice and the explicit double-well
+    load once: the stages and the ledger share what they need of the old
+    state, and the new state and the ledger share grad phi_new."""
     problem = small_problem(nx=8)
     ops, w, sc, bc = problem.ops, problem.weights, problem.scheme, problem.bc
-    before = en.total_energy(ops, w, problem.initial.s.values,
-                             problem.initial.n.values, problem.initial.phi.values)
-    calls = {}
-    for module, name in ((sv.assembly, "element_gradients"), (en, "coupling_tensors"),
-                         (en, "eform"), (en, "explicit_dw_load")):
-        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-    gradient_flow_step(ops, problem.initial, w, sc, bc, before=before)
-    assert calls["element_gradients"] <= 2
-    assert calls["coupling_tensors"] <= 3
+    state, _ = gradient_flow_step(ops, problem.initial, w, sc, bc)
+    calls = _count_calls(monkeypatch, ((sv.assembly, "element_gradients"),
+                                       (en, "coupling_tensors"), (en, "eform"),
+                                       (en, "explicit_dw_load")))
+    gradient_flow_step(ops, state, w, sc, bc)
+    assert calls["element_gradients"] == 1
+    assert calls["coupling_tensors"] <= 2
     assert calls["eform"] <= 2
     assert calls["explicit_dw_load"] == 1
+
+
+def test_run_builds_constant_jacobian_blocks_once(monkeypatch):
+    problem = small_problem(nx=8, t_final=0.006)
+    calls = _count_calls(monkeypatch, ((en, "jacobian_ch_fixed"),))
+    steps = []
+
+    class Steps:
+        def on_step(self, state, report):
+            steps.append(report)
+
+    sv.run(problem.ops, problem.initial, problem.weights, problem.scheme, problem.bc, [Steps()])
+    assert len(steps) == 3
+    assert calls["jacobian_ch_fixed"] == 1
 
 
 def test_ledger_terms_match_forms_of_returned_fields():
