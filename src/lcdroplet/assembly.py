@@ -46,9 +46,12 @@ def vertex_sum(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
 def assemble_stiffness(mesh: TriMesh) -> SparseOperator:
     """Matrix of the gradient inner product, entry (i,j) = integral of
     grad(eta_i) . grad(eta_j).  Symmetric PSD with constants in the kernel."""
-    gx, gy = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
-    ke = gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-    return _scatter(mesh, ke * mesh.areas[:, None, None])
+    g, area = mesh.grads.transpose(1, 2, 0), mesh.areas  # g[a, i]: contiguous rows
+    ke = np.empty((mesh.n_elements, 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            ke[:, a, b] = ke[:, b, a] = (g[a, 0] * g[b, 0] + g[a, 1] * g[b, 1]) * area
+    return _scatter(mesh, ke)
 
 
 def assemble_mass(mesh: TriMesh) -> SparseOperator:

@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import assembly, config as cfgmod, solver as sv, verify as vf, vtkio
-from .mesh import audit_weak_acuteness, build_structured_mesh, mesh_size
+from .mesh import MeshError, audit_weak_acuteness, build_structured_mesh, mesh_size
 
 CSV_COLUMNS = (
     "step", "time", "e_erk", "e_dw", "e_chdw", "e_chgd", "e_wan", "e_was",
@@ -187,7 +187,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mesh_audit(args) -> int:
-    mesh = build_structured_mesh(args.nx, args.ny)
+    try:
+        mesh = build_structured_mesh(args.nx, args.ny)
+    except MeshError as exc:
+        print(f"mesh error: {exc}", file=sys.stderr)
+        return 2
     report = audit_weak_acuteness(mesh, assembly.assemble_stiffness(mesh))
     print(
         f"mesh {args.nx}x{args.ny}: nodes={mesh.n_nodes} "
@@ -200,6 +204,17 @@ def _cmd_mesh_audit(args) -> int:
     for i, j, k in report.violating_pairs[:10]:
         print(f"  violating pair ({i}, {j}): k_ij = {k:.6g}")
     return 0 if report.is_weakly_acute else 1
+
+
+def _seed(text: str) -> int:
+    """A random seed: a nonnegative integer, as ``np.random.default_rng`` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     ver = sub.add_parser("verify", help="run the verification suite")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--report", help="write a JSON-lines check report here")
     ver.add_argument("--mutate", help=argparse.SUPPRESS)
     ver.set_defaults(func=_cmd_verify)

@@ -6,6 +6,12 @@ element areas and hat-function gradients, computed once by the
 validation that rejects degenerate elements, the edges and the CSR
 pattern of the P1 operators.
 
+Per-element arrays are built component-major: one contiguous row of
+length n_elements per vertex, coordinate or block entry (``verts`` is
+(3, ne), the gradients are (3, 2, ne) behind the (ne, 3, 2) view
+``grads``).  A trailing axis of length 2 to 9 would make numpy run its
+inner loops 2 to 9 elements long, once per element.
+
 The simulator relies on the discrete maximum principle: the off-diagonal
 entries ``k_ij = -(stiffness)_ij`` of the P1 stiffness matrix must be
 nonnegative.  This holds on weakly acute (non-obtuse) meshes, and the
@@ -59,16 +65,20 @@ class TriMesh:
         Vertex indices of each triangle, positively oriented.
     boundary_nodes : ndarray
         Sorted indices of nodes on the Dirichlet boundary.
+    verts : ndarray, shape (3, n_elements)
+        ``elements.T``, contiguous.
     areas : ndarray, shape (n_elements,)
         Element areas, set by validation.
     grads : ndarray, shape (n_elements, 3, 2)
         ``grads[e, a]`` is the (constant) gradient of the hat function of
-        local vertex ``a`` on element ``e``, set by validation.
+        local vertex ``a`` on element ``e``, set by validation; a view of a
+        (3, 2, n_elements) array, so ``grads[:, a, i]`` is contiguous.
     """
 
     nodes: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
+    verts: np.ndarray = field(init=False, repr=False)
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
 
@@ -87,24 +97,25 @@ class TriMesh:
             raise MeshError("element vertex index out of range")
         if bnodes.size and (bnodes.min() < 0 or bnodes.max() >= len(nodes)):
             raise MeshError("boundary node index out of range")
-        v0, v1, v2 = elements.T
+        v0, v1, v2 = verts = np.ascontiguousarray(elements.T)
+        object.__setattr__(self, "verts", verts)
         repeated = np.flatnonzero((v0 == v1) | (v1 == v2) | (v2 == v0))
         if repeated.size:
             raise MeshError(f"element {repeated[0]} has repeated vertices")
-        # np.take, not nodes[elements]: a row gather an order of magnitude faster
-        xy = np.take(nodes, elements, axis=0)  # (ne, 3, 2)
-        x, y = xy[..., 0], xy[..., 1]
-        # b_a = y_{a+1} - y_{a+2}, c_a = x_{a+2} - x_{a+1} (cyclic)
-        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-        det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-            y[:, 1] - y[:, 0]
-        )
+        x, y = np.take(nodes.T, verts, axis=1)  # (3, ne) each
+        # b_a = y_{a+1} - y_{a+2} and c_a = x_{a+2} - x_{a+1}, indices mod 3
+        g = np.empty((3, 2, len(elements)))
+        for a in range(3):
+            np.subtract(y[a - 2], y[a - 1], out=g[a, 0])
+            np.subtract(x[a - 1], x[a - 2], out=g[a, 1])
+        # (x1 - x0)(y2 - y0) - (x2 - x0)(y1 - y0) = c_2 b_1 - c_1 b_2, exactly
+        det = g[2, 1] * g[1, 0] - g[1, 1] * g[2, 0]
         if np.any(det <= 0.0):
             bad = int(np.argmin(det))
             raise MeshError(f"element {bad} is degenerate or negatively oriented")
+        g /= det
         object.__setattr__(self, "areas", 0.5 * det)
-        object.__setattr__(self, "grads", np.stack([b, c], axis=2) / det[:, None, None])
+        object.__setattr__(self, "grads", g.transpose(2, 0, 1))
         # An edge may be shared by at most two triangles; hanging nodes are
         # outside the supported mesh family.
         counts = self.edges.counts
@@ -117,23 +128,25 @@ class TriMesh:
         """The mesh edges, found by one sort of int64 keys lo * n + hi.
 
         Computed once, by validation; the sparsity pattern reuses it."""
-        n = self.n_nodes
-        e = self.elements
-        a = e[:, [p for p, _ in _EDGE_PAIRS]]
-        b = e[:, [q for _, q in _EDGE_PAIRS]]
-        # edge by edge, not element by element: then the keys of a
+        n, v = self.n_nodes, self.verts  # row k of v starts edge k
+        # pair by pair, not element by element: then the keys of a
         # structured mesh come in long sorted runs, which a stable sort
         # merges fast
-        keys = (np.minimum(a, b) * n + np.maximum(a, b)).T.ravel()
+        w = v[[q for _, q in _EDGE_PAIRS]]
+        keys = np.minimum(v, w)
+        keys *= n
+        keys += np.maximum(v, w)
+        keys = keys.ravel()
         # np.unique(keys, return_inverse=True, return_counts=True)
         order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        ordered = np.take(keys, order)
+        first = np.ones(keys.size + 1, dtype=bool)  # and an end marker
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
+        bounds = np.flatnonzero(first)
+        counts = bounds[1:] - bounds[:-1]
         inverse = np.empty(keys.size, dtype=np.int64)
-        inverse[order] = np.cumsum(first) - 1
-        unique = ordered[first]
-        counts = np.diff(np.append(np.flatnonzero(first), keys.size))
+        inverse[order] = np.repeat(np.arange(counts.size), counts)
+        unique = np.take(ordered, bounds[:-1])
         lo = unique // n
         return MeshEdges(lo, unique - lo * n, inverse.reshape(3, -1).T, counts)
 
@@ -192,33 +205,31 @@ class SparsityPattern:
         # the keys sort the edges by (lo, hi): edges with the same lo are
         # consecutive and in column order
         k = np.arange(lo.size, dtype=idx)
-        upper = diag[lo] + 1 + k - (np.cumsum(n_up) - n_up)[lo]
+        upper = k + np.take(diag + 1 - (np.cumsum(n_up) - n_up), lo)
         # edges with the same hi are in order of lo too; a stable sort by
         # hi groups them without reordering
         by_hi = np.argsort(hi, kind="stable")
-        rank = np.empty_like(k)
-        rank[by_hi] = k - (np.cumsum(n_low) - n_low)[hi[by_hi]]
-        lower = indptr[hi] + rank
+        lower = np.empty_like(k)
+        lower[by_hi] = k + np.take(indptr[:-1] - (np.cumsum(n_low) - n_low), np.take(hi, by_hi))
         indices = np.empty(indptr[-1], dtype=idx)
         indices[diag] = np.arange(n)
         indices[upper] = hi
         indices[lower] = lo
 
-        e = mesh.elements
-        slots = np.empty((len(e), 3, 3), dtype=idx)
-        for a in range(3):
-            slots[:, a, a] = diag[e[:, a]]
-        for k, (a, b) in enumerate(_EDGE_PAIRS):
-            edge = edges.of_element[:, k]
-            a_lo = e[:, a] < e[:, b]
-            slots[:, a, b] = np.where(a_lo, upper[edge], lower[edge])
-            slots[:, b, a] = np.where(a_lo, lower[edge], upper[edge])
+        # one (3, 3, ne) row per block entry; edge k joins rows v[k] and w[k]
+        v, of = mesh.verts, edges.of_element.T
+        w = v[[q for _, q in _EDGE_PAIRS]]
+        slots = np.empty((3, 3, v.shape[1]), dtype=idx)
+        slots[[0, 1, 2], [0, 1, 2]] = np.take(diag, v)
+        up, low, v_lo = np.take(upper, of), np.take(lower, of), v < w
+        slots[[0, 1, 2], [1, 2, 0]] = np.where(v_lo, up, low)
+        slots[[1, 2, 0], [0, 1, 2]] = np.where(v_lo, low, up)
 
         self.n = n
         self.nnz = int(indptr[-1])
         self.indptr, self.indices = indptr, indices
         self.diag, self.upper, self.lower = diag, upper, lower
-        self.slots = slots.reshape(len(e), 9)
+        self.slots = np.ascontiguousarray(slots.reshape(9, -1).T)
         self._free_blocks = {}
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
@@ -311,31 +322,17 @@ def build_structured_mesh(nx: int, ny: int, rect=((0.0, 0.0), (1.0, 1.0))) -> Tr
     if not (x1 > x0 and y1 > y0):
         raise MeshError(f"degenerate rectangle {rect}")
 
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    a = nid(I, J)
-    b = nid(I + 1, J)
-    c = nid(I + 1, J + 1)
-    d = nid(I, J + 1)
-    # diagonal a-c: triangles (a, b, c) and (a, c, d), both CCW
-    lower = np.column_stack([a, b, c])
-    upper = np.column_stack([a, c, d])
-    elements = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    elements[0::2] = lower
-    elements[1::2] = upper
-
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
-    on_boundary = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
-    boundary = np.nonzero(on_boundary.ravel())[0]
-    return TriMesh(nodes, elements, boundary)
+    nodes = np.empty((nx + 1, ny + 1, 2))
+    nodes[..., 0] = np.linspace(x0, x1, nx + 1)[:, None]
+    nodes[..., 1] = np.linspace(y0, y1, ny + 1)
+    # node (i, j) is i * (ny + 1) + j; cell (i, j) has corners a = (i, j),
+    # b = a + (1, 0), c = a + (1, 1), d = a + (0, 1), and its diagonal a-c
+    # splits it into triangles (a, b, c) and (a, c, d), both CCW
+    a = np.arange(nx, dtype=np.int64)[:, None] * (ny + 1) + np.arange(ny, dtype=np.int64)
+    elements = a.reshape(-1, 1, 1) + np.array([[0, ny + 1, ny + 2], [0, ny + 2, 1]])
+    on_boundary = np.ones((nx + 1, ny + 1), dtype=bool)
+    on_boundary[1:-1, 1:-1] = False
+    return TriMesh(nodes.reshape(-1, 2), elements.reshape(-1, 3), np.flatnonzero(on_boundary))
 
 
 def mesh_size(mesh: TriMesh) -> float:
@@ -360,21 +357,20 @@ def audit_weak_acuteness(
             f"stiffness shape {stiffness.shape} does not match mesh with "
             f"{mesh.n_nodes} nodes"
         )
-    coo = sp.coo_matrix(stiffness)
-    off = coo.row != coo.col
-    rows, cols, vals = coo.row[off], coo.col[off], -coo.data[off]
-    if rows.size == 0:
+    K = stiffness.tocsr()
+    rows = np.repeat(np.arange(K.shape[0]), K.indptr[1:] - K.indptr[:-1])
+    off = rows != K.indices
+    data = K.data[off]  # -k_ij
+    if data.size == 0:
         return AcutenessReport(True, 0.0, [])
-    min_k = float(vals.min() + 0.0)  # fold -0.0 into +0.0
-    bad = vals < -tol
+    min_k = float(-data.max() + 0.0)  # fold -0.0 into +0.0
+    bad = data > tol
+    if not bad.any():
+        return AcutenessReport(True, min_k, [])
     # report each unordered pair once
-    violating = sorted(
-        {
-            (int(min(i, j)), int(max(i, j)), float(v))
-            for i, j, v in zip(rows[bad], cols[bad], vals[bad])
-        }
-    )
-    return AcutenessReport(not violating, min_k, violating)
+    violating = sorted({(int(min(i, j)), int(max(i, j)), float(-d))
+                        for i, j, d in zip(rows[off][bad], K.indices[off][bad], data[bad])})
+    return AcutenessReport(False, min_k, violating)
 
 
 def count_components(mesh: TriMesh, node_mask: np.ndarray) -> int:

@@ -19,6 +19,7 @@ from lcdroplet.assembly import (
     tensor_stiffness,
     weighted_mass,
 )
+from lcdroplet.verify import element_geometry
 
 
 def unit_triangle():
@@ -147,6 +148,33 @@ def test_apply_dirichlet_symmetric_elimination():
 def pattern_mesh(request):
     m = build_structured_mesh(5, 4, ((0.0, 0.0), (1.0, 0.8)))
     return m if request.param == "structured" else naive.shuffled(m)
+
+
+def perturbed_mesh():
+    """A 6x5 mesh with its interior nodes moved at random by up to 0.15 of a
+    cell side per axis, which keeps every triangle positively oriented."""
+    m = build_structured_mesh(6, 5)
+    inner = np.setdiff1d(np.arange(m.n_nodes), m.boundary_nodes)
+    nodes = m.nodes.copy()
+    nodes[inner] += np.random.default_rng(4).uniform(-0.15, 0.15, (inner.size, 2)) / [6, 5]
+    return TriMesh(nodes, m.elements, m.boundary_nodes)
+
+
+def assert_geometry_matches_nodes(m):
+    areas, grads = element_geometry(m)
+    assert m.grads.shape == (m.n_elements, 3, 2)
+    assert np.abs(m.areas - areas).max() <= 1e-14 * np.abs(areas).max()
+    assert np.abs(m.grads - grads).max() <= 1e-14 * np.abs(grads).max()
+
+
+def test_geometry_matches_node_oracle(pattern_mesh):
+    assert_geometry_matches_nodes(pattern_mesh)
+
+
+def test_geometry_matches_node_oracle_perturbed():
+    m = perturbed_mesh()
+    assert len(np.unique(m.areas)) == m.n_elements  # no two elements alike
+    assert_geometry_matches_nodes(m)
 
 
 def test_pattern_is_adjacency_plus_diagonal(pattern_mesh):

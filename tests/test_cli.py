@@ -460,6 +460,23 @@ def test_cli_simulate_unreadable_config_file_is_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_mesh_audit_bad_cell_count_is_one_line(capsys):
+    rc = cli.main(["mesh-audit", "--nx", "0", "--ny", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "mesh error: cell counts must be >= 1, got nx=0, ny=3\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_cli_verify_rejects_bad_seed(seed, capsys, monkeypatch):
+    monkeypatch.setattr(cli.vf, "run_suite", lambda **kw: pytest.fail("suite ran"))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--seed", seed])
+    assert err.value.code == 2
+    assert f"argument --seed: must be a nonnegative integer, got '{seed}'" in capsys.readouterr().err
+
+
 def test_cli_simulate_requires_source(capsys):
     rc = cli.main(["simulate"])
     assert rc == 2

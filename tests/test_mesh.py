@@ -88,6 +88,29 @@ def test_repeated_vertex_rejected():
         TriMesh(nodes, np.array([[0, 1, 1]]), np.array([]))
 
 
+@pytest.mark.parametrize(
+    "corruption,message",
+    [
+        ("repeated", "element 17 has repeated vertices"),
+        ("swapped", "element 17 is degenerate or negatively oriented"),
+        ("out of range", "element vertex index out of range"),
+    ],
+)
+def test_validation_names_the_corrupt_element(corruption, message):
+    # element 17 of 40: a report of the first or the last element fails
+    m = build_structured_mesh(5, 4)
+    e = m.elements.copy()
+    if corruption == "repeated":
+        e[17, 2] = e[17, 0]
+    elif corruption == "swapped":
+        e[17, [1, 2]] = e[17, [2, 1]]
+    else:
+        e[17, 1] = m.n_nodes
+    with pytest.raises(MeshError) as err:
+        TriMesh(m.nodes, e, m.boundary_nodes)
+    assert str(err.value) == message
+
+
 def test_refinement_nesting():
     coarse = build_structured_mesh(3, 2)
     fine = build_structured_mesh(6, 4)
