@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature as quad
-from .mesh import SparsityPattern, TriMesh
+from .mesh import TriMesh
 
 SparseOperator = sp.csr_matrix
 
@@ -155,19 +155,17 @@ def build_operators(mesh: TriMesh) -> Operators:
     return Operators(mesh, K, M, -K.data[mesh.pattern.upper], M @ np.ones(mesh.n_nodes))
 
 
-def apply_dirichlet(A: SparseOperator, b: np.ndarray, fixed: np.ndarray, values: np.ndarray,
-                    pattern: SparsityPattern):
-    """Symmetric row/column elimination of Dirichlet constraints.
+def apply_dirichlet(A: SparseOperator, b: np.ndarray, values, mesh: TriMesh):
+    """Symmetric row/column elimination of the Dirichlet constraints
+    x = ``values`` at ``mesh.boundary_nodes``.
 
-    ``A`` is a CSR matrix on ``pattern`` (``mesh.pattern``), whose cached
-    index map gives its free block.  Returns (A_ff, b_f, free) where
-    ``free`` is the boolean mask of retained dofs and the right-hand side
-    has been lifted by the prescribed values.
+    ``A`` is a CSR matrix on the mesh pattern, whose ``interior`` map
+    gives its free block.  Returns (A_ff, b_f, free) where ``free`` is the
+    boolean mask of retained dofs and the right-hand side has been lifted
+    by the prescribed values.
     """
-    n = A.shape[0]
-    free = np.ones(n, dtype=bool)
-    free[fixed] = False
-    g = np.zeros(n)
-    g[fixed] = values
-    b_f = (b - A @ g)[free]
-    return pattern.free_block(free).csr(A.data), b_f, free
+    free, keep, indptr, indices = mesh.pattern.interior
+    g = np.zeros(mesh.n_nodes)
+    g[mesh.boundary_nodes] = values
+    A_ff = SparseOperator((A.data[keep], indices, indptr), shape=(len(indptr) - 1,) * 2)
+    return A_ff, (b - A @ g)[free], free

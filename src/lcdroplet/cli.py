@@ -22,6 +22,7 @@ import yaml
 from . import assembly, config as cfgmod, solver as sv, verify as vf, vtkio
 from .mesh import MeshError, audit_weak_acuteness, build_structured_mesh, mesh_size
 
+ENERGY_LOG = "energy.csv"  # the energy trace, in the output directory
 CSV_COLUMNS = (
     "step", "time", "e_erk", "e_dw", "e_chdw", "e_chgd", "e_wan", "e_was",
     "total", "mass_drift", "newton_iters", "min_s", "max_s",
@@ -135,7 +136,7 @@ def run_scenario(problem: cfgmod.Problem, out_dir: str | None = None):
         yaml.safe_dump(resolved, fh, sort_keys=False)
 
     sinks = [
-        EnergyCSVSink(os.path.join(out, cfg.output.get("energy_log", "energy.csv"))),
+        EnergyCSVSink(os.path.join(out, ENERGY_LOG)),
         SnapshotSink(out, problem.snapshot_every),
         FinalStateSink(os.path.join(out, "final_state.npz")),
     ]
@@ -174,6 +175,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.report:
+        try:  # an unwritable report path fails before the suite runs
+            open(args.report, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"cannot write report {args.report}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     outcomes = vf.run_suite(seed=args.seed, mutate=args.mutate)
     if args.report:
         vf.write_report(outcomes, args.report)

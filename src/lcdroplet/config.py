@@ -86,8 +86,7 @@ def _base_config(name: str, t_final: float, w_chgd: float, w_wan: float,
         },
         initial={"s": "s_star"},
         bc={"s": "s_star"},
-        output={"dir": f"out/{name}", "snapshot_every": "auto",
-                "energy_log": "energy.csv"},
+        output={"dir": f"out/{name}", "snapshot_every": "auto"},
     )
 
 
@@ -264,7 +263,7 @@ _KNOWN_KEYS = {
     "scheme": {f.name for f in fields(sv.SchemeConfig)},
     "initial": {"s", "n", "phi"},
     "bc": {"s", "n"},
-    "output": {"dir", "snapshot_every", "energy_log"},
+    "output": {"dir", "snapshot_every"},
 }
 
 
@@ -361,7 +360,7 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     xb, yb = mesh.nodes[bnodes, 0], mesh.nodes[bnodes, 1]
     s_bc = _evaluate("bc.s", bcfg["s"], xb, yb, consts)
     n_bc = _eval_director("bc.n", bcfg["n"], bnodes, xb, yb, consts)
-    bc = sv.BoundaryConditions(bnodes, s_bc, bnodes, n_bc)
+    bc = sv.BoundaryConditions(s_bc, n_bc)
 
     # the discrete flow lives in the boundary-constrained spaces, so the
     # initial fields take the prescribed values on the boundary

@@ -64,7 +64,7 @@ class TriMesh:
     elements : ndarray, shape (n_elements, 3)
         Vertex indices of each triangle, positively oriented.
     boundary_nodes : ndarray
-        Sorted indices of nodes on the Dirichlet boundary.
+        Sorted indices of the Dirichlet nodes of every solve on the mesh.
     verts : ndarray, shape (3, n_elements)
         ``elements.T``, contiguous.
     areas : ndarray, shape (n_elements,)
@@ -164,21 +164,6 @@ class TriMesh:
         return self.elements.shape[0]
 
 
-@dataclass(frozen=True)
-class FreeBlock:
-    """Index map from a CSR structure to its block of free rows and
-    columns: ``data[keep]`` is the block's data on (indptr, indices)."""
-
-    keep: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        """The free block of the matrix with full data ``data``."""
-        n = len(self.indptr) - 1
-        return sp.csr_matrix((data[self.keep], self.indices, self.indptr), shape=(n, n))
-
-
 class SparsityPattern:
     """CSR pattern of the P1 operators on a mesh, built once per mesh.
 
@@ -187,7 +172,8 @@ class SparsityPattern:
     adjacency plus the diagonal.  ``slots[e]`` maps element e's 3x3 block,
     row-major, to data slots; ``diag``, ``upper`` and ``lower`` are the
     slots of (i, i), (lo, hi) and (hi, lo) for node i and edge (lo, hi)
-    (``mesh.edges``, in the order of their keys).
+    (``mesh.edges``, in the order of their keys); ``interior`` maps the
+    slots to the block off ``mesh.boundary_nodes``.
     Every operator built on the pattern shares ``indptr`` and ``indices``,
     so a linear combination of operators is one of their ``data`` arrays.
     """
@@ -230,7 +216,7 @@ class SparsityPattern:
         self.indptr, self.indices = indptr, indices
         self.diag, self.upper, self.lower = diag, upper, lower
         self.slots = np.ascontiguousarray(slots.reshape(9, -1).T)
-        self._free_blocks = {}
+        self._boundary = mesh.boundary_nodes
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with ``data`` in the pattern's slots."""
@@ -241,24 +227,21 @@ class SparsityPattern:
         """Row index of every slot."""
         return np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
 
-    def free_block(self, free: np.ndarray) -> FreeBlock:
-        """Index map to the block of free rows and columns (boolean mask
-        ``free``), computed once per mask."""
-        key = np.asarray(free, dtype=bool).tobytes()
-        block = self._free_blocks.get(key)
-        if block is None:
-            if len(self._free_blocks) >= 4:
-                self._free_blocks.clear()
-            free = np.frombuffer(key, dtype=bool)
-            rows, dtype = self.rows, self.indices.dtype
-            keep = np.flatnonzero(free[rows] & free[self.indices])
-            new = np.cumsum(free, dtype=dtype) - 1
-            n_free = int(np.count_nonzero(free))
-            sub = np.zeros(n_free + 1, dtype=dtype)
-            np.cumsum(np.bincount(new[rows[keep]], minlength=n_free), out=sub[1:])
-            block = FreeBlock(keep, sub, new[self.indices[keep]])
-            self._free_blocks[key] = block
-        return block
+    @cached_property
+    def interior(self) -> tuple:
+        """The block of rows and columns off the mesh's Dirichlet set
+        ``mesh.boundary_nodes``: (free, keep, indptr, indices), where
+        ``free`` masks the retained rows and ``data[keep]`` is the block's
+        data on its CSR structure (indptr, indices)."""
+        free = np.ones(self.n, dtype=bool)
+        free[self._boundary] = False
+        rows, dtype = self.rows, self.indices.dtype
+        keep = np.flatnonzero(free[rows] & free[self.indices])
+        new = np.cumsum(free, dtype=dtype) - 1
+        n_free = int(np.count_nonzero(free))
+        sub = np.zeros(n_free + 1, dtype=dtype)
+        np.cumsum(np.bincount(new[rows[keep]], minlength=n_free), out=sub[1:])
+        return free, keep, sub, new[self.indices[keep]]
 
     @cached_property
     def blocks(self) -> "BlockPattern":

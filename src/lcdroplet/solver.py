@@ -58,33 +58,28 @@ class NewtonError(StepError):
 class BoundaryConditions:
     """Nodal Dirichlet data for the orientation and director fields.
 
-    The interface fields (phi, mu) carry no essential conditions.
+    The Dirichlet set is the mesh's ``boundary_nodes``: ``s_values`` and
+    ``n_values`` give s and n there, in that order.  The flow keeps the
+    boundary values of the state it starts from, so the initial state must
+    satisfy this data (:func:`gradient_flow_step` checks).  The interface
+    fields (phi, mu) carry no essential conditions.
     """
 
-    s_nodes: np.ndarray
     s_values: np.ndarray
-    n_nodes: np.ndarray
     n_values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "s_nodes", np.asarray(self.s_nodes, dtype=np.int64))
         object.__setattr__(self, "s_values", np.asarray(self.s_values, dtype=float))
-        object.__setattr__(self, "n_nodes", np.asarray(self.n_nodes, dtype=np.int64))
         object.__setattr__(self, "n_values", np.asarray(self.n_values, dtype=float))
-        if self.s_values.shape != self.s_nodes.shape:
-            raise ValueError("s boundary values do not match node count")
-        if self.n_values.shape[:1] != self.n_nodes.shape:
-            raise ValueError("director boundary values do not match node count")
-        if self.s_values.size and not (
-            self.s_values.min() > S_RANGE[0] and self.s_values.max() < S_RANGE[1]
-        ):
-            raise ValueError(
-                f"prescribed orientation values must lie in {S_RANGE}"
-            )
-        if self.n_values.size:
-            err = np.abs(np.linalg.norm(self.n_values, axis=1) - 1.0).max()
-            if err > 1e-12:
-                raise ValueError(f"prescribed director values off unit length by {err:.2e}")
+        if self.s_values.ndim != 1 or self.n_values.shape != (self.s_values.size, 2):
+            raise ValueError("boundary values must have shapes (k,) for s and (k, 2) "
+                             f"for n, got {self.s_values.shape} and {self.n_values.shape}")
+        s = self.s_values
+        if s.size and not (s.min() > S_RANGE[0] and s.max() < S_RANGE[1]):
+            raise ValueError(f"prescribed orientation values must lie in {S_RANGE}")
+        err = np.max(np.abs(np.linalg.norm(self.n_values, axis=1) - 1.0), initial=0.0)
+        if err > 1e-12:
+            raise ValueError(f"prescribed director values off unit length by {err:.2e}")
 
 
 @dataclass(frozen=True)
@@ -232,25 +227,32 @@ def _solve_spd(A, b, config: SchemeConfig, stage: str):
     return x, b - A @ x
 
 
+def _constrained_solve(mesh: TriMesh, A, b, values, config: SchemeConfig, stage: str):
+    """Solve the SPD system A x = b of ``stage`` with x = ``values`` at
+    ``mesh.boundary_nodes``; returns (x, b - A x), zeroed at those nodes."""
+    A_ff, b_f, free = assembly.apply_dirichlet(A, b, values, mesh)
+    x, r = np.empty(mesh.n_nodes), np.zeros(mesh.n_nodes)
+    x[mesh.boundary_nodes] = values
+    x[free], r[free] = _solve_spd(A_ff, b_f, config, stage)
+    return x, r
+
+
 def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
-                  config: SchemeConfig, bc: BoundaryConditions, coupling: np.ndarray):
+                  config: SchemeConfig, coupling: np.ndarray):
     """Advance the director; returns (n_tilde, n_new, v, r).
 
     ``coupling`` is ``energy.coupling_tensors`` at the gradient of the
     phase field of ``state``.  ``r`` is the residual of the
-    tangent-coefficient system as a nodal tangent field (zero at fixed
+    tangent-coefficient system as a nodal tangent field (zero at boundary
     nodes), so that pairing it with a velocity w gives the residual of
     the stage equation tested with w."""
-    mesh = ops.mesh
     n_prev = state.n.values
     t = tangent_space(n_prev)
 
     A, b = en.residual_director(ops, weights, config.tau, state.s.values, n_prev,
                                 coupling, t)
     # the velocity vanishes where n is prescribed
-    A_ff, b_f, free = assembly.apply_dirichlet(A, b, bc.n_nodes, 0.0, mesh.pattern)
-    coeff, resid = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
-    coeff[free], resid[free] = _solve_spd(A_ff, b_f, config, "director")
+    coeff, resid = _constrained_solve(ops.mesh, A, b, 0.0, config, "director")
     v = coeff[:, None] * t
     n_tilde = n_prev + config.tau * v
     try:
@@ -265,18 +267,11 @@ def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
            gphi_prev: np.ndarray, coupling: np.ndarray, elastic_diag: np.ndarray,
            dw_load: np.ndarray):
     """Advance the orientation parameter; returns (s_new, r), the new
-    nodal values and the system's residual (zero at fixed nodes).  The
+    nodal values and the system's residual (zero at boundary nodes).  The
     last four arguments are those of ``energy.residual_s``."""
-    mesh = ops.mesh
     A, b = en.residual_s(ops, weights, config.tau, state.s.values, n_new, gphi_prev,
                          coupling, elastic_diag, dw_load)
-    A_ff, b_f, freemask = assembly.apply_dirichlet(
-        A, b, bc.s_nodes, bc.s_values, mesh.pattern
-    )
-    s_new, resid = np.empty(mesh.n_nodes), np.zeros(mesh.n_nodes)
-    s_new[bc.s_nodes] = bc.s_values
-    s_new[freemask], resid[freemask] = _solve_spd(A_ff, b_f, config, "s")
-    return s_new, resid
+    return _constrained_solve(ops.mesh, A, b, bc.s_values, config, "s")
 
 
 class JacobianCache:
@@ -437,6 +432,20 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
 # full step with energy budget
 # ---------------------------------------------------------------------------
 
+def check_boundary_data(state: PhaseState, bc: BoundaryConditions) -> None:
+    """Raise a ValueError, naming the field and the first node that
+    differs, unless ``state`` takes the values of ``bc`` at the mesh's
+    boundary nodes: s exactly, and n within 1e-12, as it is normalized."""
+    b = state.mesh.boundary_nodes
+    for name, given, want, tol in (("s", state.s.values[b], bc.s_values, 0.0),
+                                   ("n", state.n.values[b], bc.n_values, 1e-12)):
+        off = np.flatnonzero(~(np.abs(given - want) <= tol).reshape(b.size, -1).all(axis=1))
+        if off.size:
+            k = off[0]
+            raise ValueError(f"state does not satisfy the boundary data: {name} at node "
+                             f"{b[k]} is {given[k]} where bc gives {want[k]}")
+
+
 def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
                        config: SchemeConfig, bc: BoundaryConditions,
                        phi_mass_ref: float | None = None,
@@ -452,7 +461,10 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     does not carry them), and then the explicit double-well load at
     s_prev, the nodal coefficients of the elastic form at n_new, the
     ``was_weights`` of s_new, and the gradient of phi_new, the coupling
-    tensors there and the energy, which the new state carries."""
+    tensors there and the energy, which the new state carries.  ``state``
+    must satisfy ``bc`` (:func:`check_boundary_data`); the state returned
+    does so by construction."""
+    check_boundary_data(state, bc)
     mesh = ops.mesh
     tau = config.tau
     eps = weights.eps
@@ -462,7 +474,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     gphi_prev, coupling, before = state.gphi, state.coupling, state.energy
     dw_load = en.explicit_dw_load(ops, weights.dw, s_prev)
 
-    n_tilde, n_new, v, r_n = director_step(ops, state, weights, config, bc, coupling)
+    n_tilde, n_new, v, r_n = director_step(ops, state, weights, config, coupling)
     elastic_diag = en.eform_scalar_diag(ops, n_new)
     s_new, r_s = s_step(ops, state, n_new, weights, config, bc,
                         gphi_prev, coupling, elastic_diag, dw_load)

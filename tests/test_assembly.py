@@ -131,7 +131,7 @@ def test_apply_dirichlet_symmetric_elimination():
     b = np.zeros(m.n_nodes)
     fixed = m.boundary_nodes
     vals = m.nodes[fixed, 0]  # boundary data of the harmonic function x
-    A_ff, b_f, free = apply_dirichlet(K.tolil().tocsr(), b, fixed, vals, m.pattern)
+    A_ff, b_f, free = apply_dirichlet(K.tolil().tocsr(), b, vals, m)
     import scipy.sparse.linalg as spla
 
     x = np.empty(m.n_nodes)
@@ -223,17 +223,24 @@ def test_operators_edges_match_stiffness(pattern_mesh):
 
 
 def test_apply_dirichlet_pattern_map_matches_slicing(pattern_mesh, rng):
-    m = pattern_mesh
-    K = assemble_stiffness(m)
-    b = rng.standard_normal(m.n_nodes)
-    vals = rng.standard_normal(len(m.boundary_nodes))
-    A_ff, b_f, free = apply_dirichlet(K, b, m.boundary_nodes, vals, m.pattern)
-    ref = K[free][:, free]
-    assert np.array_equal(A_ff.indptr, ref.indptr) and np.array_equal(A_ff.indices, ref.indices)
-    assert np.array_equal(A_ff.data, ref.data)
-    g = np.zeros(m.n_nodes)
-    g[m.boundary_nodes] = vals
-    assert np.allclose(b_f, (b - K @ g)[free], rtol=0, atol=1e-13)
+    inner = np.setdiff1d(np.arange(pattern_mesh.n_nodes), pattern_mesh.boundary_nodes)
+    # the structured boundary, and an irregular set: every third boundary
+    # node and three interior nodes
+    irregular = np.concatenate([pattern_mesh.boundary_nodes[::3], inner[[0, 1, 7]]])
+    for dirichlet in (pattern_mesh.boundary_nodes, irregular):
+        m = TriMesh(pattern_mesh.nodes, pattern_mesh.elements, dirichlet)
+        K = assemble_stiffness(m)
+        b = rng.standard_normal(m.n_nodes)
+        vals = rng.standard_normal(len(m.boundary_nodes))
+        A_ff, b_f, free = apply_dirichlet(K, b, vals, m)
+        assert np.array_equal(np.flatnonzero(~free), np.sort(dirichlet))
+        ref = K[free][:, free]
+        assert np.array_equal(A_ff.indptr, ref.indptr)
+        assert np.array_equal(A_ff.indices, ref.indices)
+        assert np.array_equal(A_ff.data, ref.data)
+        g = np.zeros(m.n_nodes)
+        g[m.boundary_nodes] = vals
+        assert np.allclose(b_f, (b - K @ g)[free], rtol=0, atol=1e-13)
 
 
 def test_mmd_ordered_spd_solve_matches_spsolve(pattern_mesh, rng):

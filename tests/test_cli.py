@@ -121,7 +121,7 @@ def test_bad_override_rejected():
 @pytest.mark.parametrize(
     "key",
     ["mesh.nxx", "weights.w_chdww", "weights.dw.fcc", "scheme.tua",
-     "initial.phii", "bc.nn", "output.snapshot_evry"],
+     "initial.phii", "bc.nn", "output.snapshot_evry", "output.energy_log"],
 )
 def test_unknown_key_rejected(key):
     c = cfg.merge_config(cfg.preset("droplet_corner"), None, [f"{key}=1", "mesh.nx=4"])
@@ -475,6 +475,15 @@ def test_cli_verify_rejects_bad_seed(seed, capsys, monkeypatch):
         cli.main(["verify", "--seed", seed])
     assert err.value.code == 2
     assert f"argument --seed: must be a nonnegative integer, got '{seed}'" in capsys.readouterr().err
+
+
+def test_cli_verify_unwritable_report_fails_before_the_suite(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.vf, "run_suite", lambda **kw: pytest.fail("suite ran"))
+    report = tmp_path / "missing" / "checks.jsonl"
+    assert cli.main(["verify", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot write report {report}: No such file or directory\n"
+    assert captured.out == ""
 
 
 def test_cli_simulate_requires_source(capsys):

@@ -292,7 +292,7 @@ def test_director_system_spd(ops2, rng):
     t = tangent_space(n)
     G = en.coupling_tensors(ops2, gphi, gphi)
     A, b = en.residual_director(ops2, weights, tau, s, n, G, t)
-    A_ff, _, free = apply_dirichlet(A, b, mesh.boundary_nodes, 0.0, mesh.pattern)
+    A_ff, _, free = apply_dirichlet(A, b, 0.0, mesh)
     Ad = A_ff.toarray()
     assert np.abs(Ad - Ad.T).max() <= 1e-13
     eigs = np.linalg.eigvalsh(Ad)
@@ -402,7 +402,7 @@ def test_director_system_matches_coo_assembly(step_case):
     A_ref, b_ref = naive.director_system(mesh, weights, 0.01, f["s"], f["n"], f["phi"], t)
     assert A.shape == A_ref.shape
     assert naive.relative_error(A, A_ref) <= 1e-13
-    A_ff, b_f, free = apply_dirichlet(A, b, mesh.boundary_nodes, 0.0, mesh.pattern)
+    A_ff, b_f, free = apply_dirichlet(A, b, 0.0, mesh)
     assert naive.relative_error(A_ff, A_ref[free][:, free]) <= 1e-13
     assert np.abs(b_f - b_ref[free]).max() <= 1e-13 * np.abs(b_ref[free]).max()
 
@@ -416,7 +416,6 @@ def test_orientation_system_matches_coo_assembly(step_case):
                          en.explicit_dw_load(ops, weights.dw, f["s"]))
     A_ref = naive.s_matrix(mesh, weights, 0.002, f["n"], f["phi"])
     assert naive.relative_error(A, A_ref) <= 1e-13
-    fixed = mesh.boundary_nodes
-    vals = np.full(len(fixed), 0.5)
-    A_ff, b_f, free = apply_dirichlet(A, b, fixed, vals, mesh.pattern)
+    vals = np.full(len(mesh.boundary_nodes), 0.5)
+    A_ff, b_f, free = apply_dirichlet(A, b, vals, mesh)
     assert naive.relative_error(A_ff, A_ref[free][:, free]) <= 1e-13

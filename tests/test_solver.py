@@ -9,6 +9,7 @@ from lcdroplet import energy as en
 from lcdroplet.assembly import element_gradients
 from lcdroplet import solver as sv
 from lcdroplet.energy import ModelWeights
+from lcdroplet.fields import normalized
 from lcdroplet.solver import (
     BoundaryConditions,
     NewtonError,
@@ -36,15 +37,12 @@ def constant_state(mesh, s_val=0.75, phi_val=1.0, n_dir=(1.0, 0.0)):
 
 def full_boundary_bc(mesh, s_val=0.75, n_dir=(1.0, 0.0)):
     b = mesh.boundary_nodes
-    return BoundaryConditions(
-        b, np.full(len(b), s_val), b, np.tile(n_dir, (len(b), 1))
-    )
+    return BoundaryConditions(np.full(len(b), s_val), np.tile(n_dir, (len(b), 1)))
 
 
-def director_stage(ops, state, weights, scheme, bc):
+def director_stage(ops, state, weights, scheme):
     gphi = element_gradients(ops.mesh, state.phi.values)
-    return sv.director_step(ops, state, weights, scheme, bc,
-                            en.coupling_tensors(ops, gphi, gphi))
+    return sv.director_step(ops, state, weights, scheme, en.coupling_tensors(ops, gphi, gphi))
 
 
 def interface_stage(ops, state, s_new, n_new, weights, scheme):
@@ -87,9 +85,8 @@ def test_director_step_zero_weights_identity():
     ops = build_operators(mesh)
     weights = ModelWeights(w_erk=0.0, w_wan=0.0, s_star=0.75)
     state = constant_state(mesh)
-    bc = full_boundary_bc(mesh)
     n_tilde, n_new, v, _ = director_stage(
-        ops, state, weights, SchemeConfig(tau=0.01, t_final=0.01), bc
+        ops, state, weights, SchemeConfig(tau=0.01, t_final=0.01)
     )
     assert np.allclose(n_tilde, state.n.values, atol=1e-14)
     assert np.allclose(n_new, state.n.values, atol=1e-14)
@@ -102,11 +99,9 @@ def test_director_step_pythagoras_and_drops():
     c.mesh["nx"] = c.mesh["ny"] = 8
     prob = cfg.build_problem(c)
     state = prob.initial
-    n_tilde, n_new, v, _ = director_stage(
-        prob.ops, state, prob.weights, prob.scheme, prob.bc
-    )
+    n_tilde, n_new, v, _ = director_stage(prob.ops, state, prob.weights, prob.scheme)
     free = np.ones(prob.mesh.n_nodes, dtype=bool)
-    free[prob.bc.n_nodes] = False
+    free[prob.mesh.boundary_nodes] = False
     tau = prob.scheme.tau
 
     # tangency of the update at free nodes
@@ -215,9 +210,7 @@ def test_ch_step_quadratic_newton_convergence():
     c.mesh["nx"] = c.mesh["ny"] = 16
     prob = cfg.build_problem(c)
     state = prob.initial
-    n_tilde, n_new, _, _ = director_stage(
-        prob.ops, state, prob.weights, prob.scheme, prob.bc
-    )
+    n_tilde, n_new, _, _ = director_stage(prob.ops, state, prob.weights, prob.scheme)
     s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, prob.scheme, prob.bc)
     phi, mu, iters, hist, _ = interface_stage(
         prob.ops, state, s_new, n_new, prob.weights, prob.scheme
@@ -543,9 +536,24 @@ def test_boundary_condition_validation():
     mesh = build_structured_mesh(2, 2)
     b = mesh.boundary_nodes
     with pytest.raises(ValueError, match="orientation"):
-        BoundaryConditions(b, np.full(len(b), 1.5), b, np.tile([1.0, 0], (len(b), 1)))
+        BoundaryConditions(np.full(len(b), 1.5), np.tile([1.0, 0], (len(b), 1)))
     with pytest.raises(ValueError, match="unit"):
-        BoundaryConditions(b, np.full(len(b), 0.75), b, np.tile([1.0, 0.5], (len(b), 1)))
+        BoundaryConditions(np.full(len(b), 0.75), np.tile([1.0, 0.5], (len(b), 1)))
+    with pytest.raises(ValueError, match=r"shapes \(k,\) for s and \(k, 2\) for n"):
+        BoundaryConditions(np.full(len(b), 0.75), np.tile([1.0, 0.0], (len(b) - 1, 1)))
+
+
+def test_state_off_the_boundary_data_is_rejected():
+    prob = small_problem(nx=8)  # s = s_star and n = (1, 0) on the boundary
+    b, bc = prob.mesh.boundary_nodes, prob.bc
+    s_off = BoundaryConditions(np.full(b.size, 0.5), bc.n_values)
+    n_off = BoundaryConditions(bc.s_values, np.tile([0.0, 1.0], (b.size, 1)))
+    for off, field in ((s_off, "s"), (n_off, "n")):
+        with pytest.raises(ValueError, match=f"boundary data: {field} at node {b[0]} is "):
+            gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme, off)
+    # normalized directors may differ in their last bits
+    near = BoundaryConditions(bc.s_values, normalized(bc.n_values + [0.0, 1e-13]))
+    gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme, near)
 
 
 def test_scheme_config_validation():
@@ -651,7 +659,7 @@ def test_ledger_terms_match_forms_of_returned_fields():
     new, rep = gradient_flow_step(ops, state, w, sc, bc)
     s0, s1, n1 = state.s.values, new.s.values, new.n.values
     # the director stage is solved again, to recover n~ and v
-    n_tilde, n_again, v, _ = director_stage(ops, state, w, sc, bc)
+    n_tilde, n_again, v, _ = director_stage(ops, state, w, sc)
     assert np.array_equal(n_again, n1)
     g0 = element_gradients(ops.mesh, state.phi.values)
     gd = (element_gradients(ops.mesh, new.phi.values) - g0) / sc.tau
@@ -687,7 +695,7 @@ def test_drop_eform_is_accurate_to_its_own_size():
     state = problem.initial
     difference_errors = []
     for _ in range(6):
-        n_tilde, n_new, _, _ = director_stage(ops, state, w, sc, bc)
+        n_tilde, n_new, _, _ = director_stage(ops, state, w, sc)
         s = state.s.values
         exact = Fraction(0)
         for i, j, k in zip(ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k):

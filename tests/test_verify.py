@@ -187,9 +187,7 @@ def test_energy_law_audit_zero_weight_run():
     phi = np.linspace(-1, 1, mesh.n_nodes)
     state = make_state(mesh, s, n, phi)
     b = mesh.boundary_nodes
-    bc = sv.BoundaryConditions(
-        b, np.full(len(b), 0.75), b, np.tile([1.0, 0.0], (len(b), 1))
-    )
+    bc = sv.BoundaryConditions(np.full(len(b), 0.75), np.tile([1.0, 0.0], (len(b), 1)))
     e0 = en.total_energy(ops, weights, s, n, phi).total
     reports = []
     for _ in range(3):
