@@ -9,15 +9,15 @@ One time step advances (s, n, phi, mu) through three stages, in order:
 2. orientation: one SPD solve for s (the convex part of the double well
    is implicit, the concave part explicit).
 3. interface: Newton on the coupled (phi, mu) system; the cubic term is
-   the only nonlinearity.  The Newton systems are solved by GMRES
-   preconditioned with the LU factors of an earlier Jacobian, one LU
-   solve per GMRES iteration (:class:`JacobianCache`); the Jacobian is
-   refactored only when GMRES stalls, and :func:`run` keeps the factors
-   from step to step.
+   the only nonlinearity.  The Newton systems are solved by GMRES in
+   double precision, preconditioned with single-precision LU factors of
+   an earlier Jacobian, one LU solve per GMRES iteration
+   (:class:`JacobianCache`); the Jacobian is refactored only when GMRES
+   stalls, and :func:`run` keeps the factors from step to step.
 
 Both SPD systems are solved by conjugate gradients by default, or by a
-sparse LU factorization (``linear_solver="direct"``), the reference whose
-solutions are exact up to roundoff.
+double-precision sparse LU factorization (``linear_solver="direct"``),
+the reference whose solutions are exact up to roundoff.
 
 Every step emits a :class:`StepReport` whose dissipation components sum,
 together with the energy difference, to zero up to solver tolerances:
@@ -275,8 +275,8 @@ def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
 
 
 class JacobianCache:
-    """LU factors of an earlier interface Jacobian, kept across Newton
-    iterations and time steps, and the Jacobian's constant blocks.
+    """Single-precision LU factors of an earlier interface Jacobian, kept
+    across Newton iterations and time steps, and its constant blocks.
 
     The Jacobian changes only through the cubic term's mass block and the
     anchoring blocks, slowly in time, so the stored factors are a close
@@ -285,20 +285,24 @@ class JacobianCache:
     z_k = LU^{-1} v_k next to the Arnoldi vectors v_k and forms
     x = sum_k y_k z_k, as flexible GMRES does (Saad, SIAM J. Sci. Comput.
     14, 1993): one LU solve per iteration and none after convergence.
-    ``x`` is accepted when its true residual |b - J x| is within the
-    requested relative tolerance; otherwise, or when that takes more than
-    ``MAX_KRYLOV`` iterations, the Jacobian is refactored and solved
-    directly.  ``factorizations`` and ``krylov_iterations`` count the LU
+    Everything but the factors is double precision, so x is as accurate
+    as with double factors (Arioli & Duff, ETNA 33, 2009).  ``x`` is
+    accepted when its true residual |b - J x| is within the requested
+    relative tolerance; otherwise, or when that takes more than
+    ``MAX_KRYLOV`` iterations, the Jacobian is refactored and the cycle's
+    solution on the fresh factors is returned unchecked: Newton checks it.
+    ``factorizations`` and ``krylov_iterations`` count the LU
     factorizations and the GMRES iterations.  A singular Jacobian is a
     :class:`StepError`.
     """
 
-    # one LU solve per iteration; a factorization costs some twenty solves
-    # at 64^2 and thirty at 128^2
+    # one LU solve per iteration; a single-precision factorization costs
+    # some twenty-five single-precision solves at 64^2 and thirty at 128^2
     MAX_KRYLOV = 6
 
     def __init__(self):
         self.lu = None
+        self.lu_dtype = np.float64  # of self.lu: its solve casts no vector down to it
         self.factorizations = 0
         self.krylov_iterations = 0
         self._fixed = None
@@ -316,15 +320,16 @@ class JacobianCache:
             if x is not None:
                 return x
         try:
-            self.lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self.lu = spla.splu(J.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise StepError(f"interface solve: {exc}") from exc
+        self.lu_dtype = np.float32
         self.factorizations += 1
-        return self.lu.solve(rhs)
+        return self._gmres(J, rhs, rtol, checked=False)
 
-    def _gmres(self, J, b: np.ndarray, rtol: float) -> np.ndarray | None:
+    def _gmres(self, J, b: np.ndarray, rtol: float, checked: bool = True):
         """One GMRES cycle from x = 0 on J LU^{-1}; the solution, or None
-        when its true residual is above ``rtol * |b|``."""
+        when ``checked`` and its true residual is above ``rtol * |b|``."""
         beta = float(np.linalg.norm(b))
         if beta == 0.0:
             return np.zeros_like(b)
@@ -338,7 +343,7 @@ class JacobianCache:
         g[0] = beta
         V[0] = b / beta
         for j in range(m):
-            Z[j] = self.lu.solve(V[j])
+            Z[j] = self.lu.solve(V[j].astype(self.lu_dtype, copy=False))
             self.krylov_iterations += 1
             w = J @ Z[j]
             w_norm = float(np.linalg.norm(w))
@@ -357,8 +362,8 @@ class JacobianCache:
                 H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
                                         cs[i] * H[i + 1, j] - sn[i] * H[i, j])
             r = math.hypot(H[j, j], H[j + 1, j])
-            if r == 0.0:  # J z_j = 0: J is singular, which refactoring reports
-                return None
+            if r == 0.0:
+                raise StepError("interface solve: the Jacobian is singular (J z = 0)")
             cs[j], sn[j] = H[j, j] / r, H[j + 1, j] / r
             H[j, j], H[j + 1, j] = r, 0.0
             g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
@@ -366,7 +371,7 @@ class JacobianCache:
                 break
         k = j + 1
         x = sla.solve_triangular(H[:k, :k], g[:k]) @ Z[:k]
-        return x if float(np.linalg.norm(b - J @ x)) <= tol else None
+        return x if not checked or float(np.linalg.norm(b - J @ x)) <= tol else None
 
 
 # relative tolerance of the preconditioned Newton solves:
@@ -439,6 +444,9 @@ def check_boundary_data(state: PhaseState, bc: BoundaryConditions) -> None:
     b = state.mesh.boundary_nodes
     for name, given, want, tol in (("s", state.s.values[b], bc.s_values, 0.0),
                                    ("n", state.n.values[b], bc.n_values, 1e-12)):
+        if len(want) != b.size:
+            raise ValueError(f"bc gives {len(want)} values of {name} for the "
+                             f"{b.size} boundary nodes of the mesh")
         off = np.flatnonzero(~(np.abs(given - want) <= tol).reshape(b.size, -1).all(axis=1))
         if off.size:
             k = off[0]

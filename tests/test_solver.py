@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -341,6 +343,37 @@ def test_jacobian_cache_accepts_only_true_residual_within_rtol(rtol):
     assert np.linalg.norm(b - near @ x) <= rtol * np.linalg.norm(b)
 
 
+def ch_jacobian():
+    """The first interface Newton system of droplet_collide at 16^2 in its
+    droplet regime: the Jacobian and the right-hand side."""
+    c = cfg.preset("droplet_collide")
+    c.mesh["nx"] = c.mesh["ny"] = 16
+    c.weights["w_chdw"] = 100.0
+    prob = cfg.build_problem(c)
+    ops, weights, state = prob.ops, prob.weights, prob.initial
+    phi, mu = state.phi.values, state.mu.values
+    a = en.was_weights(ops, state.s.values, weights.s_star)
+    A0 = en.ch_step_matrix(ops, weights, state.s.values, state.n.values, a)
+    fixed = en.jacobian_ch_fixed(ops, weights, prob.scheme.tau)
+    R = en.residual_ch(ops, weights, prob.scheme.tau, phi, mu, phi, ops.mass @ phi, A0)
+    return en.jacobian_ch(ops, weights, phi, A0, fixed), -R
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 1e-12])
+def test_jacobian_cache_fresh_single_precision_factors(rtol):
+    """A refactored Jacobian is factored in single precision, and GMRES on
+    the fresh factors still reaches the requested double-precision
+    tolerance in a few iterations."""
+    J, b = ch_jacobian()
+    cache = sv.JacobianCache()
+    x = cache.solve(J, b, rtol)
+    assert cache.factorizations == 1
+    assert cache.lu.L.dtype == np.float32
+    assert 1 <= cache.krylov_iterations <= 3
+    assert x.dtype == np.float64
+    assert np.linalg.norm(b - J @ x) <= rtol * np.linalg.norm(b)
+
+
 def test_ch_step_newton_failure_reports_history():
     prob = small_problem(nx=4)
     scheme = SchemeConfig(
@@ -532,6 +565,12 @@ def test_singular_jacobian_is_a_step_error():
         sv.JacobianCache().solve(sp.csr_matrix((4, 4)), np.ones(4), 1e-8)
 
 
+def test_singular_jacobian_on_kept_factors_is_a_step_error():
+    cache = cache_on(sp.identity(3).tocsr())
+    with pytest.raises(sv.StepError, match="^interface solve: .*singular"):
+        cache.solve(sp.diags([1.0, 0.0, 2.0]).tocsr(), np.array([0.0, 1.0, 0.0]), 1e-8)
+
+
 def test_boundary_condition_validation():
     mesh = build_structured_mesh(2, 2)
     b = mesh.boundary_nodes
@@ -554,6 +593,18 @@ def test_state_off_the_boundary_data_is_rejected():
     # normalized directors may differ in their last bits
     near = BoundaryConditions(bc.s_values, normalized(bc.n_values + [0.0, 1e-13]))
     gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme, near)
+
+
+@pytest.mark.parametrize("field", ["s", "n"])
+def test_boundary_data_of_the_wrong_length_is_rejected(field):
+    prob = small_problem(nx=8)
+    nb = prob.mesh.boundary_nodes.size
+    # the constructor checks only that s and n have one length
+    short = replace(prob.bc)
+    object.__setattr__(short, f"{field}_values", getattr(prob.bc, f"{field}_values")[:-1])
+    with pytest.raises(ValueError, match=f"^bc gives {nb - 1} values of {field} for the "
+                                         f"{nb} boundary nodes of the mesh$"):
+        gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme, short)
 
 
 def test_scheme_config_validation():
