@@ -133,6 +133,8 @@ def run_scenario(problem: cfgmod.Problem, out_dir: str | None = None):
     # that the preset leaves at their defaults
     resolved["scheme"] = asdict(problem.scheme)
     with open(os.path.join(out, "config.yaml"), "w", encoding="utf-8") as fh:
+        # a comment, so that the file stays a scenario document
+        fh.write(f"# dissolution_ratio: {cfgmod.dissolution_ratio(problem)!r}\n")
         yaml.safe_dump(resolved, fh, sort_keys=False)
 
     sinks = [
@@ -171,6 +173,10 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    ratio = cfgmod.dissolution_ratio(problem)
+    if ratio >= 1.0:
+        print(f"warning: dissolution ratio {ratio:.3g} >= 1: dissolving "
+              "the initial droplets lowers the energy", file=sys.stderr)
     return run_scenario(problem, args.out)[1]
 
 

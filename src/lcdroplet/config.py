@@ -28,7 +28,7 @@ from .assembly import Operators, build_operators
 from .energy import S_RANGE, DoubleWell, ModelWeights, default_double_well
 from .expressions import ExpressionError, compile_expression
 from .fields import normalized
-from .mesh import TriMesh, build_structured_mesh, mesh_size
+from .mesh import TriMesh, build_structured_mesh, count_components, mesh_size
 
 PRESET_NAMES = ("droplet_move", "droplet_corner", "droplet_collide", "droplet_split")
 
@@ -216,6 +216,25 @@ class Problem:
     bc: sv.BoundaryConditions
     initial: sv.PhaseState
     snapshot_every: int
+
+
+def dissolution_ratio(problem: Problem) -> float:
+    """Interfacial energy of the initial droplets (the components of
+    phi > 0, taken as equal disks holding the positive-phase area the mass
+    of phi implies, with the tension (2 sqrt(2)/3) sqrt(w_chgd w_chdw) of
+    the 1D tanh profile) over that of the dissolved uniform state of equal
+    mass; 0 if either is absent.  From 1 on, dissolving the droplets
+    lowers the energy."""
+    ops, weights, phi = problem.ops, problem.weights, problem.initial.phi.values
+    area = float(ops.mass_rows.sum())
+    phi_bar = float(ops.mass_rows @ phi) / area
+    droplets = count_components(ops.mesh, phi > 0.0)
+    dissolved = area * weights.w_chdw * (phi_bar**2 - 1.0) ** 2 / (4.0 * weights.eps)
+    if droplets == 0 or dissolved == 0.0:
+        return 0.0
+    perimeter = 2.0 * math.sqrt(math.pi * droplets * max(0.5 * (phi_bar + 1.0) * area, 0.0))
+    sigma = (2.0 * math.sqrt(2.0) / 3.0) * math.sqrt(weights.w_chgd * weights.w_chdw)
+    return perimeter * sigma / dissolved
 
 
 def _evaluate(key: str, src, x, y, constants) -> np.ndarray:

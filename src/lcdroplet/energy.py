@@ -481,26 +481,8 @@ def residual_ch(ops: Operators, weights: ModelWeights, tau: float, phi, mu, phi_
     return np.concatenate([r_phi, r_mu])
 
 
-def jacobian_ch_fixed(ops: Operators, weights: ModelWeights, tau: float) -> np.ndarray:
-    """Data of the interface Jacobian with its three blocks that do not
-    depend on phi written (M/tau, eps K, -M) and zeros in the fourth;
-    computed once per run (``solver.JacobianCache.fixed``)."""
-    blocks = ops.mesh.pattern.blocks
-    M = ops.mass.data
-    data = np.zeros(blocks.nnz)
-    data[blocks.slots[0, 0]] = M / tau
-    data[blocks.slots[0, 1]] = weights.eps * ops.stiffness.data
-    data[blocks.slots[1, 1]] = -M
-    return data
-
-
-def jacobian_ch(ops: Operators, weights: ModelWeights, phi, A0: SparseOperator,
-                fixed: np.ndarray) -> SparseOperator:
-    """Jacobian [[M/tau, eps K], [3 W_chdw/eps M(phi^2) + A0, -M]] of the
-    interface system, as a CSR matrix on the mesh's block pattern, given
-    ``jacobian_ch_fixed``'s data."""
-    blocks = ops.mesh.pattern.blocks
-    data = fixed.copy()
+def jacobian_ch(ops: Operators, weights: ModelWeights, phi, A0: SparseOperator) -> SparseOperator:
+    """B = 3 W_chdw/eps M(phi^2) + A0 on the mesh pattern: the block of the interface
+    Jacobian [[M/tau, eps K], [B, -M]] that depends on phi (``solver.InterfaceJacobian``)."""
     M2 = assembly.squared_field_mass(ops.mesh, np.asarray(phi))
-    data[blocks.slots[1, 0]] = (3.0 * weights.w_chdw / weights.eps) * M2.data + A0.data
-    return blocks.csr(data)
+    return ops.mesh.pattern.csr((3.0 * weights.w_chdw / weights.eps) * M2.data + A0.data)

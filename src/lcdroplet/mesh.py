@@ -243,34 +243,6 @@ class SparsityPattern:
         np.cumsum(np.bincount(new[rows[keep]], minlength=n_free), out=sub[1:])
         return free, keep, sub, new[self.indices[keep]]
 
-    @cached_property
-    def blocks(self) -> "BlockPattern":
-        """Pattern of 2x2 block matrices whose blocks are on this pattern."""
-        return BlockPattern(self)
-
-
-class BlockPattern:
-    """CSR pattern of a 2n x 2n matrix [[A, B], [C, D]] with all four
-    blocks on one n x n pattern.  ``slots[r, c]`` maps block (r, c)'s data
-    to the matrix's data slots."""
-
-    def __init__(self, p: SparsityPattern):
-        rows = p.rows
-        count = np.diff(p.indptr)
-        left = p.indptr[rows] + np.arange(p.nnz, dtype=p.indptr.dtype)
-        right = left + count[rows]
-        self.n = 2 * p.n
-        self.nnz = 4 * p.nnz
-        self.indptr = np.concatenate([2 * p.indptr, 2 * p.nnz + 2 * p.indptr[1:]])
-        self.indices = np.empty(self.nnz, dtype=p.indices.dtype)
-        self.slots = np.array([[left, right], [left + 2 * p.nnz, right + 2 * p.nnz]])
-        for r in range(2):
-            self.indices[self.slots[r, 0]] = p.indices
-            self.indices[self.slots[r, 1]] = p.indices + p.n
-
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
 
 @dataclass(frozen=True)
 class AcutenessReport:

@@ -10,9 +10,9 @@ One time step advances (s, n, phi, mu) through three stages, in order:
    is implicit, the concave part explicit).
 3. interface: Newton on the coupled (phi, mu) system; the cubic term is
    the only nonlinearity.  The Newton systems are solved by GMRES in
-   double precision, preconditioned with single-precision LU factors of
-   an earlier Jacobian, one LU solve per GMRES iteration
-   (:class:`JacobianCache`); the Jacobian is refactored only when GMRES
+   double precision, preconditioned by an earlier Jacobian with its (2,2)
+   mass block lumped, whose n x n Schur complement is factored in single
+   precision (:class:`JacobianCache`); it is refactored only when GMRES
    stalls, and :func:`run` keeps the factors from step to step.
 
 Both SPD systems are solved by conjugate gradients by default, or by a
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly, energy as en, quadrature as quad
@@ -274,61 +275,80 @@ def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
     return _constrained_solve(ops.mesh, A, b, bc.s_values, config, "s")
 
 
-class JacobianCache:
-    """Single-precision LU factors of an earlier interface Jacobian, kept
-    across Newton iterations and time steps, and its constant blocks.
+@dataclass(frozen=True)
+class InterfaceJacobian:
+    """The interface Newton Jacobian J = [[M/tau, eps K], [B, -M]] as its n x n
+    blocks (B from ``energy.jacobian_ch``); ``lumped`` holds M_L, M's row sums."""
 
-    The Jacobian changes only through the cubic term's mass block and the
-    anchoring blocks, slowly in time, so the stored factors are a close
-    preconditioner.  A Newton system J x = b is solved by one cycle of
-    right-preconditioned GMRES that keeps the preconditioned vectors
-    z_k = LU^{-1} v_k next to the Arnoldi vectors v_k and forms
-    x = sum_k y_k z_k, as flexible GMRES does (Saad, SIAM J. Sci. Comput.
-    14, 1993): one LU solve per iteration and none after convergence.
-    Everything but the factors is double precision, so x is as accurate
-    as with double factors (Arioli & Duff, ETNA 33, 2009).  ``x`` is
-    accepted when its true residual |b - J x| is within the requested
-    relative tolerance; otherwise, or when that takes more than
-    ``MAX_KRYLOV`` iterations, the Jacobian is refactored and the cycle's
-    solution on the fresh factors is returned unchecked: Newton checks it.
-    ``factorizations`` and ``krylov_iterations`` count the LU
-    factorizations and the GMRES iterations.  A singular Jacobian is a
-    :class:`StepError`.
+    M: sp.csr_matrix
+    K: sp.csr_matrix
+    B: sp.csr_matrix
+    lumped: np.ndarray
+    eps: float
+    tau: float
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        phi, mu = np.split(z, 2)
+        return np.concatenate([self.M @ phi / self.tau + self.eps * (self.K @ mu),
+                               self.B @ phi - self.M @ mu])
+
+
+class JacobianCache:
+    """Single-precision LU factors that precondition the interface Newton
+    systems, kept across Newton iterations and time steps.
+
+    J (:class:`InterfaceJacobian`) is preconditioned by itself with the
+    mass of its second block row lumped, P = [[M/tau, eps K], [B, -M_L]],
+    so P^{-1} (r1, r2) is phi = S^{-1} (r1 + eps K M_L^{-1} r2),
+    mu = M_L^{-1} (B phi - r2), and only the n x n Schur complement
+    S = M/tau + eps K M_L^{-1} B is factored (Bosch, Stoll & Benner,
+    J. Comput. Phys. 262, 2014; Boyanova, Do-Quang & Neytcheva, Comput.
+    Methods Appl. Math. 12, 2012).  P keeps the J it was factored from,
+    which changes slowly in time.  J x = b is solved by one cycle of
+    right-preconditioned GMRES that keeps z_k = P^{-1} v_k next to the
+    Arnoldi vectors v_k and forms x = sum_k y_k z_k, as flexible GMRES
+    does (Saad, SIAM J. Sci. Comput. 14, 1993).  J z is formed from J's
+    blocks and all but the factors is double precision, so x is as
+    accurate as with double factors (Arioli & Duff, ETNA 33, 2009).  x is
+    accepted when |b - J x| is within the relative tolerance; otherwise,
+    or after ``MAX_KRYLOV`` iterations, P is refactored and the cycle's
+    solution on the fresh factors is returned unchecked: Newton checks
+    it.  ``factorizations`` and ``krylov_iterations`` count the
+    factorizations and iterations; a singular S or J is a :class:`StepError`.
     """
 
-    # one LU solve per iteration; a single-precision factorization costs
-    # some twenty-five single-precision solves at 64^2 and thirty at 128^2
+    # one application of P^{-1} per iteration; forming and factoring S
+    # costs about thirty of them at 64^2 and at 128^2
     MAX_KRYLOV = 6
 
     def __init__(self):
         self.lu = None
-        self.lu_dtype = np.float64  # of self.lu: its solve casts no vector down to it
+        self.factored = None  # the InterfaceJacobian whose S self.lu factors
         self.factorizations = 0
         self.krylov_iterations = 0
-        self._fixed = None
 
-    def fixed(self, ops: Operators, weights: ModelWeights, tau: float) -> np.ndarray:
-        """``energy.jacobian_ch_fixed``'s data, built once per operators, eps and tau."""
-        f = self._fixed
-        if f is None or f[0] is not ops or f[1:3] != (weights.eps, tau):
-            f = self._fixed = (ops, weights.eps, tau, en.jacobian_ch_fixed(ops, weights, tau))
-        return f[3]
-
-    def solve(self, J, rhs: np.ndarray, rtol: float) -> np.ndarray:
-        if self.lu is not None and self.lu.shape == J.shape:
+    def solve(self, J: InterfaceJacobian, rhs: np.ndarray, rtol: float) -> np.ndarray:
+        if self.lu is not None and self.lu.shape == J.B.shape:
             x = self._gmres(J, rhs, rtol)
             if x is not None:
                 return x
+        S = J.M / J.tau + J.eps * (J.K @ (sp.diags(1.0 / J.lumped) @ J.B))
         try:
-            self.lu = spla.splu(J.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self.lu = spla.splu(S.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise StepError(f"interface solve: {exc}") from exc
-        self.lu_dtype = np.float32
+        self.factored = J
         self.factorizations += 1
         return self._gmres(J, rhs, rtol, checked=False)
 
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """P^{-1} v on the kept factors."""
+        J, (r1, r2) = self.factored, np.split(v, 2)
+        phi = self.lu.solve((r1 + J.eps * (J.K @ (r2 / J.lumped))).astype(np.float32))
+        return np.concatenate([phi, (J.B @ phi.astype(float) - r2) / J.lumped])
+
     def _gmres(self, J, b: np.ndarray, rtol: float, checked: bool = True):
-        """One GMRES cycle from x = 0 on J LU^{-1}; the solution, or None
+        """One GMRES cycle from x = 0 on J P^{-1}; the solution, or None
         when ``checked`` and its true residual is above ``rtol * |b|``."""
         beta = float(np.linalg.norm(b))
         if beta == 0.0:
@@ -343,7 +363,7 @@ class JacobianCache:
         g[0] = beta
         V[0] = b / beta
         for j in range(m):
-            Z[j] = self.lu.solve(V[j].astype(self.lu_dtype, copy=False))
+            Z[j] = self.apply(V[j])
             self.krylov_iterations += 1
             w = J @ Z[j]
             w_norm = float(np.linalg.norm(w))
@@ -393,7 +413,8 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
 
     The Newton systems are solved on the factors held by ``cache`` (see
     :class:`JacobianCache`); without one, the step starts from a fresh
-    factorization.
+    factorization.  Newton starts at phi_prev, with the mu that solves the
+    mu-row there with lumped mass: M_L mu = R_mu(phi_prev, 0).
 
     Returns (phi, mu, iterations, residual_history, accepted_residual);
     the last entry is the residual vector at the accepted iterate, used to
@@ -402,30 +423,30 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
     cache = JacobianCache() if cache is None else cache
     phi_prev = state.phi.values
     m_prev = ops.mass @ phi_prev
-    phi, mu = phi_prev.copy(), state.mu.values.copy()
     A0 = en.ch_step_matrix(ops, weights, s_new, n_new, a_new)
-    fixed = cache.fixed(ops, weights, config.tau)
-    n = ops.mesh.n_nodes
-
+    n, eps, M, K, ML = ops.mesh.n_nodes, weights.eps, ops.mass, ops.stiffness, ops.mass_rows
+    phi = phi_prev.copy()
+    R = en.residual_ch(ops, weights, config.tau, phi, np.zeros(n), phi_prev, m_prev, A0)
+    mu = R[n:] / ML
+    R += np.concatenate([eps * (K @ mu), -(M @ mu)])  # R is affine in mu
     history = []
-    iters = 0
     for it in range(config.newton_max_iter + 1):
-        R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, m_prev, A0)
         res = float(np.linalg.norm(R))
         history.append(res)
         if res <= config.newton_res_tol:
-            return phi, mu, iters, history, R
+            return phi, mu, it, history, R
         if it == config.newton_max_iter:
             break
-        J = en.jacobian_ch(ops, weights, phi, A0, fixed)
+        J = InterfaceJacobian(M, K, en.jacobian_ch(ops, weights, phi, A0), ML, eps, config.tau)
         delta = cache.solve(J, -R, min(_NEWTON_LINEAR_RTOL, _NEWTON_FORCING * res))
-        phi = phi + delta[:n]
-        mu = mu + delta[n:]
-        iters += 1
+        # the exact update of phi has no mass, as the phi-row conserves it;
+        # GMRES's has some within its tolerance, and loses it by a constant
+        dphi = delta[:n] - (ML @ delta[:n]) / ML.sum()
+        phi, mu = phi + dphi, mu + delta[n:]
+        R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, m_prev, A0)
         if float(np.linalg.norm(delta)) <= config.newton_abs_tol:
-            R = en.residual_ch(ops, weights, config.tau, phi, mu, phi_prev, m_prev, A0)
             history.append(float(np.linalg.norm(R)))
-            return phi, mu, iters, history, R
+            return phi, mu, it + 1, history, R
     raise NewtonError(
         f"interface Newton did not reach tolerance in {config.newton_max_iter} "
         f"iterations (residuals {history[:3]} ... {history[-1]:.3e})",
@@ -460,8 +481,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
                        cache: JacobianCache | None = None):
     """One full step; returns (new_state, StepReport).
 
-    ``cache`` carries the interface Jacobian's factors and constant blocks
-    between the steps of a run (see :func:`ch_step`).
+    ``cache`` carries the interface preconditioner's factors between the
+    steps of a run (see :func:`ch_step`).
 
     What the stages and the ledger share is evaluated once: the gradient
     of phi_prev, the coupling tensors there and the energy come with
@@ -487,9 +508,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     s_new, r_s = s_step(ops, state, n_new, weights, config, bc,
                         gphi_prev, coupling, elastic_diag, dw_load)
     a_new = en.was_weights(ops, s_new, weights.s_star)
-    phi_new, mu_new, iters, _, R_acc = ch_step(
-        ops, state, s_new, n_new, a_new, weights, config, cache
-    )
+    phi_new, mu_new, iters, _, R_acc = ch_step(ops, state, s_new, n_new, a_new, weights,
+                                               config, cache)
     new_state = with_energy(ops, weights, make_state(
         mesh, s_new, n_new, phi_new, mu_new, state.time + tau, state.step_index + 1), a_new)
     gphi_new, after = new_state.gphi, new_state.energy

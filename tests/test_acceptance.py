@@ -251,6 +251,24 @@ def _full_run_components(name, n_droplets, overrides=()):
     return final, detail
 
 
+@pytest.mark.parametrize("overrides, expected", [((), 7.5), ((DROPLET_REGIME,), 0.75)])
+def test_simulate_checks_the_droplet_regime(tmp_path, capsys, overrides, expected):
+    """``config.dissolution_ratio`` computes the dissolution ratio of the
+    initial droplets as ``_dissolution_ratio`` does, and ``simulate``
+    records it in config.yaml and warns when it is 1 or more."""
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert cli.main(["simulate", "--preset", "droplet_collide", "--set", "scheme.t_final=0",
+                     *sets, "--out", str(tmp_path)]) == 0
+    prob = cfg.build_problem(cfg.merge_config(cfg.preset("droplet_collide"), None,
+                                              list(overrides)))
+    ratio = cfg.dissolution_ratio(prob)
+    assert abs(ratio - _dissolution_ratio(prob, 2)) <= 1e-12 * ratio
+    assert float(f"{ratio:.2g}") == expected  # two significant digits
+    config_yaml = (tmp_path / "config.yaml").read_text()
+    assert config_yaml.startswith(f"# dissolution_ratio: {ratio!r}\n")
+    assert ("warning" in capsys.readouterr().err) == (expected >= 1.0)
+
+
 @pytest.mark.slow
 def test_criterion_9a_collide_single_component():
     comps, detail = _full_run_components("droplet_collide", 2)

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from lcdroplet import build_operators, build_structured_mesh
 from lcdroplet import config as cfg
@@ -205,6 +204,24 @@ def test_ch_step_mass_conservation(rng):
     assert abs(rows @ (phi - state.phi.values)) <= 1e-10
 
 
+def test_ch_step_takes_the_mass_out_of_inexact_updates():
+    """The exact Newton update of phi has no mass, as the phi-row
+    conserves it; ch_step takes out the mass of an inexact update, so a
+    linear solve that adds mass costs none."""
+    class AddsMass(sv.JacobianCache):
+        def solve(self, J, rhs, rtol):
+            x = super().solve(J, rhs, rtol)
+            x[: x.size // 2] += 1e-6
+            return x
+
+    prob = small_problem(nx=8)
+    state = prob.initial
+    s, n = state.s.values, state.n.values
+    phi, *_ = sv.ch_step(prob.ops, state, s, n, en.was_weights(prob.ops, s, prob.weights.s_star),
+                         prob.weights, prob.scheme, AddsMass())
+    assert abs(prob.ops.mass_rows @ (phi - state.phi.values)) <= 1e-14
+
+
 def test_ch_step_quadratic_newton_convergence():
     """The residual history contracts superlinearly: the signature of an
     exact Jacobian."""
@@ -251,22 +268,50 @@ def test_ch_step_factors_kept_across_steps_match_fresh_ones():
     assert 1 <= cache.factorizations < solves
 
 
+def ch_system(nx=16):
+    """The interface Jacobian of droplet_collide in its droplet regime as a
+    function of phi, the initial phi, and the right-hand side of the first
+    Newton system there."""
+    c = cfg.preset("droplet_collide")
+    c.mesh["nx"] = c.mesh["ny"] = nx
+    c.weights["w_chdw"] = 100.0
+    prob = cfg.build_problem(c)
+    ops, weights, state, tau = prob.ops, prob.weights, prob.initial, prob.scheme.tau
+    phi = state.phi.values
+    a = en.was_weights(ops, state.s.values, weights.s_star)
+    A0 = en.ch_step_matrix(ops, weights, state.s.values, state.n.values, a)
+
+    def jacobian(p):
+        return sv.InterfaceJacobian(ops.mass, ops.stiffness, en.jacobian_ch(ops, weights, p, A0),
+                                    ops.mass_rows, weights.eps, tau)
+
+    *_, R = sv.ch_step(ops, state, state.s.values, state.n.values, a, weights,
+                       replace(prob.scheme, newton_res_tol=np.inf))
+    return jacobian, phi, -R
+
+
+def nearby_systems(seed=0):
+    """An interface Jacobian, one at a phi perturbed by 1e-3, and a random
+    right-hand side."""
+    jacobian, phi, b = ch_system()
+    rng = np.random.default_rng(seed)
+    near = jacobian(phi + 1e-3 * rng.standard_normal(phi.size))
+    return jacobian(phi), near, rng.standard_normal(b.size)
+
+
 def test_jacobian_cache_refactors_when_gmres_stalls():
-    rng = np.random.default_rng(0)
-    n = 40
-    base = sp.random(n, n, density=0.2, random_state=1) + 5.0 * sp.identity(n)
+    jacobian, phi, _ = ch_system()
+    base, near, b = nearby_systems()
     cache = sv.JacobianCache()
-    b = rng.standard_normal(n)
-    x = cache.solve(base.tocsr(), b, 1e-10)
+    x = cache.solve(base, b, 1e-10)
     assert cache.factorizations == 1
     assert np.linalg.norm(base @ x - b) <= 1e-10 * np.linalg.norm(b)
-    # a nearby matrix is solved on the stored factors
-    near = (base + 1e-6 * sp.identity(n)).tocsr()
+    # a nearby Jacobian is solved on the stored factors
     x = cache.solve(near, b, 1e-8)
     assert cache.factorizations == 1
     assert np.linalg.norm(near @ x - b) <= 1e-8 * np.linalg.norm(b)
-    # an unrelated matrix needs more GMRES iterations and is refactored
-    far = (sp.random(n, n, density=0.2, random_state=2) + 5.0 * sp.identity(n)).tocsr()
+    # the Jacobian at a far phi needs more GMRES iterations and is refactored
+    far = jacobian(np.zeros_like(phi))
     x = cache.solve(far, b, 1e-10)
     assert cache.factorizations == 2
     assert np.linalg.norm(far @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -275,9 +320,9 @@ def test_jacobian_cache_refactors_when_gmres_stalls():
 class CountingFactor:
     """LU factors that count their triangular solves."""
 
-    def __init__(self, A):
-        self._lu = spla.splu(A.tocsc())
-        self.shape = self._lu.shape
+    def __init__(self, lu):
+        self._lu = lu
+        self.shape = lu.shape
         self.solves = 0
 
     def solve(self, b):
@@ -285,24 +330,18 @@ class CountingFactor:
         return self._lu.solve(b)
 
 
-def nonsymmetric_system(n=60, seed=0):
-    """A nonsymmetric sparse matrix, a nearby one, and a right-hand side."""
-    rng = np.random.default_rng(seed)
-    base = (sp.random(n, n, density=0.1, random_state=seed) + 4.0 * sp.identity(n)).tocsr()
-    bump = sp.random(n, n, density=0.05, random_state=seed + 1)
-    near = (base + 0.02 * (bump - 2.0 * bump.T)).tocsr()
-    assert abs(near - near.T).max() > 0.0
-    return base, near, rng.standard_normal(n)
-
-
-def cache_on(A):
+def cache_on(J):
+    """A cache holding the factors of J's preconditioner, which count their
+    solves, with its counters at 0."""
     cache = sv.JacobianCache()
-    cache.lu = CountingFactor(A)
+    cache.solve(J, np.ones(2 * J.lumped.size), 1e-4)  # factors P
+    cache.lu = CountingFactor(cache.lu)
+    cache.factorizations = cache.krylov_iterations = 0
     return cache
 
 
 def test_jacobian_cache_one_lu_solve_per_krylov_iteration():
-    base, near, b = nonsymmetric_system()
+    base, near, b = nearby_systems()
     cache = cache_on(base)
     x = cache.solve(near, b, 1e-10)
     assert cache.factorizations == 0
@@ -313,13 +352,16 @@ def test_jacobian_cache_one_lu_solve_per_krylov_iteration():
 
 
 def test_jacobian_cache_happy_breakdown():
-    """When J is the factored matrix, the first iteration solves the
-    system; with exact arithmetic the new Arnoldi vector is zero, and
-    nothing divides by it."""
-    base, _, b = nonsymmetric_system()
-    diag = sp.diags(2.0 ** np.arange(-3, 5)).tocsr()  # LU solves exact
+    """When J is its own preconditioner (a diagonal mass, so M = M_L) and
+    the factors are exact (diagonal blocks of powers of two), the first
+    iteration solves the system; with exact arithmetic the new Arnoldi
+    vector is zero, and nothing divides by it."""
+    M = sp.diags(2.0 ** np.arange(-3, 5)).tocsr()
+    J = sv.InterfaceJacobian(M, M, 2.0 * M, M.diagonal(), 1.0, 0.5)  # S = 4 M
+    both = np.zeros(16)
+    both[[1, 4, 9, 14]] = [1.0, -1.0, 1.0, -1.0]  # norm 2: its Arnoldi vector is exact too
     with np.errstate(all="raise"):
-        for J, rhs in ((base, b), (diag, np.eye(8)[2] * 3.0)):
+        for rhs in (np.eye(16)[2] * 3.0, both):
             cache = cache_on(J)
             x = cache.solve(J, rhs, 1e-12)
             assert (cache.factorizations, cache.krylov_iterations, cache.lu.solves) == (0, 1, 1)
@@ -327,51 +369,52 @@ def test_jacobian_cache_happy_breakdown():
 
 
 def test_jacobian_cache_zero_rhs_returns_zeros():
-    base, near, _ = nonsymmetric_system()
+    base, near, _ = nearby_systems()
     cache = cache_on(base)
-    x = cache.solve(near, np.zeros(near.shape[0]), 1e-8)
-    assert np.array_equal(x, np.zeros(near.shape[0]))
+    x = cache.solve(near, np.zeros(2 * near.lumped.size), 1e-8)
+    assert np.array_equal(x, np.zeros(2 * near.lumped.size))
     assert (cache.factorizations, cache.krylov_iterations, cache.lu.solves) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("rtol", [1e-4, 1e-8, 1e-10])
 def test_jacobian_cache_accepts_only_true_residual_within_rtol(rtol):
-    base, near, b = nonsymmetric_system()
+    base, near, b = nearby_systems()
     cache = cache_on(base)
     x = cache.solve(near, b, rtol)
     assert cache.factorizations == 0
     assert np.linalg.norm(b - near @ x) <= rtol * np.linalg.norm(b)
 
 
-def ch_jacobian():
-    """The first interface Newton system of droplet_collide at 16^2 in its
-    droplet regime: the Jacobian and the right-hand side."""
-    c = cfg.preset("droplet_collide")
-    c.mesh["nx"] = c.mesh["ny"] = 16
-    c.weights["w_chdw"] = 100.0
-    prob = cfg.build_problem(c)
-    ops, weights, state = prob.ops, prob.weights, prob.initial
-    phi, mu = state.phi.values, state.mu.values
-    a = en.was_weights(ops, state.s.values, weights.s_star)
-    A0 = en.ch_step_matrix(ops, weights, state.s.values, state.n.values, a)
-    fixed = en.jacobian_ch_fixed(ops, weights, prob.scheme.tau)
-    R = en.residual_ch(ops, weights, prob.scheme.tau, phi, mu, phi, ops.mass @ phi, A0)
-    return en.jacobian_ch(ops, weights, phi, A0, fixed), -R
-
-
 @pytest.mark.parametrize("rtol", [1e-4, 1e-12])
 def test_jacobian_cache_fresh_single_precision_factors(rtol):
-    """A refactored Jacobian is factored in single precision, and GMRES on
-    the fresh factors still reaches the requested double-precision
-    tolerance in a few iterations."""
-    J, b = ch_jacobian()
+    """A refactored preconditioner is factored in single precision, and
+    GMRES on the fresh factors still reaches the requested
+    double-precision tolerance in a few iterations: two at 1e-4; at
+    1e-12 five, because the lumped mass makes P differ from J."""
+    jacobian, phi, b = ch_system()
+    J = jacobian(phi)
     cache = sv.JacobianCache()
     x = cache.solve(J, b, rtol)
     assert cache.factorizations == 1
     assert cache.lu.L.dtype == np.float32
-    assert 1 <= cache.krylov_iterations <= 3
+    assert 1 <= cache.krylov_iterations <= {1e-4: 3, 1e-12: 5}[rtol]
     assert x.dtype == np.float64
     assert np.linalg.norm(b - J @ x) <= rtol * np.linalg.norm(b)
+
+
+def test_jacobian_cache_applies_the_inverse_preconditioner():
+    """P apply(v) = v to single precision, for the preconditioner
+    P = [[M/tau, eps K], [B, -M_L]] of the factored Jacobian: the single
+    precision solve with S leaves about 6e-6 of |v|."""
+    jacobian, phi, _ = ch_system()
+    J = jacobian(phi)
+    cache = sv.JacobianCache()
+    cache.solve(J, np.ones(2 * J.lumped.size), 1e-4)  # factors P
+    P = sp.bmat([[J.M / J.tau, J.eps * J.K], [J.B, -sp.diags(J.lumped)]], format="csr")
+    v = np.random.default_rng(1).standard_normal(P.shape[0])
+    z = cache.apply(v)
+    assert z.dtype == np.float64
+    assert np.linalg.norm(P @ z - v) <= 1e-4 * np.linalg.norm(v)
 
 
 def test_ch_step_newton_failure_reports_history():
@@ -560,15 +603,26 @@ def test_singular_spd_system_is_a_step_error():
         sv._solve_spd(A, np.ones(3), SchemeConfig(linear_solver="direct"), "director")
 
 
+def diagonal_jacobian(m, k, b):
+    """The interface Jacobian with diagonal blocks M, K and B, M_L = 1 and
+    eps = tau = 1."""
+    M, K, B = (sp.diags(np.asarray(d, dtype=float)).tocsr() for d in (m, k, b))
+    return sv.InterfaceJacobian(M, K, B, np.ones(M.shape[0]), 1.0, 1.0)
+
+
 def test_singular_jacobian_is_a_step_error():
+    # S = M/tau + eps K M_L^{-1} B = 0
+    J = diagonal_jacobian(np.zeros(4), np.zeros(4), np.zeros(4))
     with pytest.raises(sv.StepError, match="^interface solve: Factor is exactly singular"):
-        sv.JacobianCache().solve(sp.csr_matrix((4, 4)), np.ones(4), 1e-8)
+        sv.JacobianCache().solve(J, np.ones(8), 1e-8)
 
 
 def test_singular_jacobian_on_kept_factors_is_a_step_error():
-    cache = cache_on(sp.identity(3).tocsr())
+    cache = cache_on(diagonal_jacobian(np.ones(3), np.zeros(3), np.zeros(3)))
+    # P^{-1} maps the right-hand side to z = (e_1, 0), and J z = 0
+    J = diagonal_jacobian([1.0, 0.0, 2.0], np.zeros(3), np.zeros(3))
     with pytest.raises(sv.StepError, match="^interface solve: .*singular"):
-        cache.solve(sp.diags([1.0, 0.0, 2.0]).tocsr(), np.array([0.0, 1.0, 0.0]), 1e-8)
+        cache.solve(J, np.eye(6)[1], 1e-8)
 
 
 def test_boundary_condition_validation():
@@ -683,20 +737,6 @@ def test_step_evaluates_shared_inputs_once(monkeypatch):
     assert calls["coupling_tensors"] <= 2
     assert calls["eform"] <= 2
     assert calls["explicit_dw_load"] == 1
-
-
-def test_run_builds_constant_jacobian_blocks_once(monkeypatch):
-    problem = small_problem(nx=8, t_final=0.006)
-    calls = _count_calls(monkeypatch, ((en, "jacobian_ch_fixed"),))
-    steps = []
-
-    class Steps:
-        def on_step(self, state, report):
-            steps.append(report)
-
-    sv.run(problem.ops, problem.initial, problem.weights, problem.scheme, problem.bc, [Steps()])
-    assert len(steps) == 3
-    assert calls["jacobian_ch_fixed"] == 1
 
 
 def test_ledger_terms_match_forms_of_returned_fields():
