@@ -35,7 +35,6 @@ from .mesh import (
     mesh_size,
 )
 from .solver import (
-    BoundaryConditions,
     PhaseState,
     SchemeConfig,
     StepReport,
@@ -47,7 +46,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcutenessReport", "BoundaryConditions", "DirectorField", "DoubleWell",
+    "AcutenessReport", "DirectorField", "DoubleWell",
     "EnergyReport", "ModelWeights", "NodalScalarField", "Operators",
     "PhaseState", "SchemeConfig", "StepReport", "TriMesh", "assemble_mass",
     "assemble_stiffness", "audit_weak_acuteness", "build_operators",

@@ -206,14 +206,16 @@ def merge_config(preset_cfg: ScenarioConfig | None, file_data: dict | None,
 
 @dataclass(frozen=True)
 class Problem:
-    """A fully resolved scenario, ready to run."""
+    """A fully resolved scenario, ready to run.  ``bc`` is the pair (s, n)
+    of the boundary data at ``mesh.boundary_nodes``, which ``initial``
+    takes there."""
 
     config: ScenarioConfig
     mesh: TriMesh
     ops: Operators
     weights: ModelWeights
     scheme: sv.SchemeConfig
-    bc: sv.BoundaryConditions
+    bc: tuple[np.ndarray, np.ndarray]
     initial: sv.PhaseState
     snapshot_every: int
 
@@ -369,9 +371,6 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
             if key not in section:
                 raise ValueError(f"{name}.{key} missing from configuration")
     s0 = _evaluate("initial.s", icfg["s"], x, y, consts)
-    if not (s0.min() > S_RANGE[0] and s0.max() < S_RANGE[1]):
-        raise ValueError(f"initial.s must lie in {S_RANGE}, "
-                         f"got range [{s0.min():.6g}, {s0.max():.6g}]")
     phi0 = _evaluate("initial.phi", icfg["phi"], x, y, consts)
     n0 = _eval_director("initial.n", icfg["n"], np.arange(mesh.n_nodes), x, y, consts)
 
@@ -379,7 +378,10 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     xb, yb = mesh.nodes[bnodes, 0], mesh.nodes[bnodes, 1]
     s_bc = _evaluate("bc.s", bcfg["s"], xb, yb, consts)
     n_bc = _eval_director("bc.n", bcfg["n"], bnodes, xb, yb, consts)
-    bc = sv.BoundaryConditions(s_bc, n_bc)
+    for key, s in (("initial.s", s0), ("bc.s", s_bc)):
+        if not (s.min() > S_RANGE[0] and s.max() < S_RANGE[1]):
+            raise ValueError(f"{key} must lie in {S_RANGE}, "
+                             f"got range [{s.min():.6g}, {s.max():.6g}]")
 
     # the discrete flow lives in the boundary-constrained spaces, so the
     # initial fields take the prescribed values on the boundary
@@ -395,4 +397,4 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     snap = _typed("output.snapshot_every", snap, int)
     if snap < 1:
         raise ValueError(f"output.snapshot_every must be at least 1, got {snap}")
-    return Problem(cfg, mesh, ops, weights, scheme, bc, initial, snap)
+    return Problem(cfg, mesh, ops, weights, scheme, (s_bc, n_bc), initial, snap)

@@ -43,6 +43,7 @@ from .fields import DirectorField, NodalScalarField, normalized
 from .mesh import TriMesh
 
 S_RANGE = en.S_RANGE
+CG_MAXITER = 20000  # iterations of one conjugate-gradient solve
 
 
 class StepError(RuntimeError):
@@ -56,34 +57,6 @@ class NewtonError(StepError):
 
 
 @dataclass(frozen=True)
-class BoundaryConditions:
-    """Nodal Dirichlet data for the orientation and director fields.
-
-    The Dirichlet set is the mesh's ``boundary_nodes``: ``s_values`` and
-    ``n_values`` give s and n there, in that order.  The flow keeps the
-    boundary values of the state it starts from, so the initial state must
-    satisfy this data (:func:`gradient_flow_step` checks).  The interface
-    fields (phi, mu) carry no essential conditions.
-    """
-
-    s_values: np.ndarray
-    n_values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "s_values", np.asarray(self.s_values, dtype=float))
-        object.__setattr__(self, "n_values", np.asarray(self.n_values, dtype=float))
-        if self.s_values.ndim != 1 or self.n_values.shape != (self.s_values.size, 2):
-            raise ValueError("boundary values must have shapes (k,) for s and (k, 2) "
-                             f"for n, got {self.s_values.shape} and {self.n_values.shape}")
-        s = self.s_values
-        if s.size and not (s.min() > S_RANGE[0] and s.max() < S_RANGE[1]):
-            raise ValueError(f"prescribed orientation values must lie in {S_RANGE}")
-        err = np.max(np.abs(np.linalg.norm(self.n_values, axis=1) - 1.0), initial=0.0)
-        if err > 1e-12:
-            raise ValueError(f"prescribed director values off unit length by {err:.2e}")
-
-
-@dataclass(frozen=True)
 class SchemeConfig:
     """Time stepping and solver controls."""
 
@@ -94,7 +67,6 @@ class SchemeConfig:
     newton_max_iter: int = 50
     linear_solver: str = "cg"  # "cg" or "direct" (SPD solves only)
     cg_tol: float = 1e-12
-    cg_maxiter: int = 20000
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0.0):
@@ -104,9 +76,6 @@ class SchemeConfig:
         if not all(tol > 0.0 for tol in
                    (self.newton_abs_tol, self.newton_res_tol, self.cg_tol)):
             raise ValueError("tolerances must be positive")
-        # scipy's cg reports success for maxiter=0 without iterating
-        if self.cg_maxiter < 1:
-            raise ValueError(f"cg_maxiter must be at least 1, got {self.cg_maxiter}")
         if self.newton_max_iter < 0:
             raise ValueError(f"newton_max_iter must be nonnegative, got {self.newton_max_iter}")
         if self.linear_solver not in ("direct", "cg"):
@@ -213,7 +182,7 @@ def tangent_space(n_values: np.ndarray) -> np.ndarray:
 def _solve_spd(A, b, config: SchemeConfig, stage: str):
     """Solve the SPD system of ``stage``; returns (x, b - A x)."""
     if config.linear_solver == "cg":
-        x, info = spla.cg(A, b, rtol=config.cg_tol, atol=0.0, maxiter=config.cg_maxiter)
+        x, info = spla.cg(A, b, rtol=config.cg_tol, atol=0.0, maxiter=CG_MAXITER)
         if info != 0:
             raise StepError(
                 f"{stage} solve: conjugate gradient failed to converge (info={info})"
@@ -264,15 +233,16 @@ def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
 
 def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
-           weights: ModelWeights, config: SchemeConfig, bc: BoundaryConditions,
-           gphi_prev: np.ndarray, coupling: np.ndarray, elastic_diag: np.ndarray,
-           dw_load: np.ndarray):
-    """Advance the orientation parameter; returns (s_new, r), the new
-    nodal values and the system's residual (zero at boundary nodes).  The
-    last four arguments are those of ``energy.residual_s``."""
-    A, b = en.residual_s(ops, weights, config.tau, state.s.values, n_new, gphi_prev,
+           weights: ModelWeights, config: SchemeConfig, gphi_prev: np.ndarray,
+           coupling: np.ndarray, elastic_diag: np.ndarray, dw_load: np.ndarray):
+    """Advance the orientation parameter, keeping the boundary values of
+    ``state``; returns (s_new, r), the new nodal values and the system's
+    residual (zero at boundary nodes).  The last four arguments are those
+    of ``energy.residual_s``."""
+    s_prev = state.s.values
+    A, b = en.residual_s(ops, weights, config.tau, s_prev, n_new, gphi_prev,
                          coupling, elastic_diag, dw_load)
-    return _constrained_solve(ops.mesh, A, b, bc.s_values, config, "s")
+    return _constrained_solve(ops.mesh, A, b, s_prev[ops.mesh.boundary_nodes], config, "s")
 
 
 @dataclass(frozen=True)
@@ -458,13 +428,14 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
 # full step with energy budget
 # ---------------------------------------------------------------------------
 
-def check_boundary_data(state: PhaseState, bc: BoundaryConditions) -> None:
+def check_boundary_data(state: PhaseState, bc: tuple[np.ndarray, np.ndarray]) -> None:
     """Raise a ValueError, naming the field and the first node that
-    differs, unless ``state`` takes the values of ``bc`` at the mesh's
-    boundary nodes: s exactly, and n within 1e-12, as it is normalized."""
+    differs, unless ``state`` takes the boundary data ``bc``, the pair
+    (s, n) of values at the mesh's boundary nodes: s exactly, and n within
+    1e-12, as it is normalized."""
     b = state.mesh.boundary_nodes
-    for name, given, want, tol in (("s", state.s.values[b], bc.s_values, 0.0),
-                                   ("n", state.n.values[b], bc.n_values, 1e-12)):
+    for name, given, want, tol in (("s", state.s.values[b], bc[0], 0.0),
+                                   ("n", state.n.values[b], bc[1], 1e-12)):
         if len(want) != b.size:
             raise ValueError(f"bc gives {len(want)} values of {name} for the "
                              f"{b.size} boundary nodes of the mesh")
@@ -476,8 +447,7 @@ def check_boundary_data(state: PhaseState, bc: BoundaryConditions) -> None:
 
 
 def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
-                       config: SchemeConfig, bc: BoundaryConditions,
-                       phi_mass_ref: float | None = None,
+                       config: SchemeConfig, phi_mass_ref: float | None = None,
                        cache: JacobianCache | None = None):
     """One full step; returns (new_state, StepReport).
 
@@ -490,10 +460,9 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     does not carry them), and then the explicit double-well load at
     s_prev, the nodal coefficients of the elastic form at n_new, the
     ``was_weights`` of s_new, and the gradient of phi_new, the coupling
-    tensors there and the energy, which the new state carries.  ``state``
-    must satisfy ``bc`` (:func:`check_boundary_data`); the state returned
-    does so by construction."""
-    check_boundary_data(state, bc)
+    tensors there and the energy, which the new state carries.  The
+    state returned keeps the boundary values of ``state``: s exactly, and
+    n up to its renormalization, as the velocity vanishes there."""
     mesh = ops.mesh
     tau = config.tau
     eps = weights.eps
@@ -505,8 +474,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
     n_tilde, n_new, v, r_n = director_step(ops, state, weights, config, coupling)
     elastic_diag = en.eform_scalar_diag(ops, n_new)
-    s_new, r_s = s_step(ops, state, n_new, weights, config, bc,
-                        gphi_prev, coupling, elastic_diag, dw_load)
+    s_new, r_s = s_step(ops, state, n_new, weights, config, gphi_prev, coupling,
+                        elastic_diag, dw_load)
     a_new = en.was_weights(ops, s_new, weights.s_star)
     phi_new, mu_new, iters, _, R_acc = ch_step(ops, state, s_new, n_new, a_new, weights,
                                                config, cache)
@@ -596,13 +565,16 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
 
 def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
-        config: SchemeConfig, bc: BoundaryConditions, sinks=()) -> PhaseState:
+        config: SchemeConfig, bc: tuple[np.ndarray, np.ndarray], sinks=()) -> PhaseState:
     """Iterate the gradient flow to t_final, streaming reports to sinks.
 
-    Sinks may define any of ``on_start(state, energy_report)``,
-    ``on_step(state, step_report)``, ``on_finish(state)``.  A failing step
-    aborts the run after the sinks have seen the last good state.
+    ``initial`` must take the boundary data ``bc`` (see
+    :func:`check_boundary_data`), which every step then keeps.  Sinks may
+    define any of ``on_start(state, energy_report)``, ``on_step(state,
+    step_report)``, ``on_finish(state)``.  A failing step aborts the run
+    after the sinks have seen the last good state.
     """
+    check_boundary_data(initial, bc)
     n_steps = int(round(config.t_final / config.tau))
     state = initial  # returned as it is when there is no step
     carried = with_energy(ops, weights, initial)
@@ -615,7 +587,7 @@ def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
     try:
         for _ in range(n_steps):
             state, report = gradient_flow_step(
-                ops, carried, weights, config, bc, phi_mass_ref=mass0, cache=cache,
+                ops, carried, weights, config, phi_mass_ref=mass0, cache=cache,
             )
             carried = state
             for sink in sinks:

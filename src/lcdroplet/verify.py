@@ -459,25 +459,25 @@ def continuous_total_energy(triple: SmoothTriple, weights: ModelWeights,
     }
 
 
-def anisotropic_identity_check(weights: ModelWeights | None = None,
-                               n_gauss: int = 200) -> CheckOutcome:
-    """Interface + normal-anchoring energy equals the single integral with
-    the effective tension tensor I + s^2 (I - n x n)."""
+def anisotropic_identity_check(ops: Operators,
+                               weights: ModelWeights | None = None) -> CheckOutcome:
+    """The stiffness that the interface stage assembles with the tension
+    tensor eps (w_chgd + w_was a) I + w_wan eps s^2 (I - n x n), the last
+    averaged over each element's vertices (``energy.ch_step_matrix``),
+    gives the weighted gradient and anchoring energies of
+    ``total_energy``: 1/2 phi^T A0 phi = w_chgd E_chgd + w_wan E_wan +
+    w_was E_was, for the smooth triple interpolated on the mesh of
+    ``ops``."""
     weights = weights or ModelWeights()
     triple = SmoothTriple()
-    parts = continuous_total_energy(triple, weights, n_gauss)
-    pts, w = quad.gauss_legendre_grid(n_gauss)
-    x, y = pts[:, 0], pts[:, 1]
-    s = triple.s(x, y)
-    nx, ny = triple.n(x, y)
-    px, py = triple.grad_phi(x, y)
-    gphi2 = px * px + py * py
-    ndotp = nx * px + ny * py
-    lhs = parts["e_chdw"] + parts["e_chgd"] + parts["e_wan"]
-    tensor_quad = gphi2 + s * s * (gphi2 - ndotp**2)
-    rhs = parts["e_chdw"] + 0.5 * weights.eps * float(w @ tensor_quad)
-    rel = abs(lhs - rhs) / max(abs(lhs), 1e-14)
-    return CheckOutcome("anisotropic_tension_identity", rel <= 1e-10, rel, 1e-10)
+    x, y = ops.mesh.nodes[:, 0], ops.mesh.nodes[:, 1]
+    s, n, phi = triple.s(x, y), np.column_stack(triple.n(x, y)), triple.phi(x, y)
+    A0 = en.ch_step_matrix(ops, weights, s, n, en.was_weights(ops, s, weights.s_star))
+    parts = en.total_energy(ops, weights, s, n, phi)
+    tension = (weights.w_chgd * parts.e_chgd + weights.w_wan * parts.e_wan
+               + weights.w_was * parts.e_was)
+    rel = abs(0.5 * float(phi @ (A0 @ phi)) - tension) / max(abs(tension), 1e-14)
+    return CheckOutcome("anisotropic_tension_identity", rel <= 1e-12, rel, 1e-12)
 
 
 def refinement_energy_consistency(weights: ModelWeights | None = None,
@@ -661,7 +661,7 @@ def run_suite(seed: int = 0, mutate: str | None = None, acuteness_max: int = 64)
     outcomes.append(projection_monotonicity_check(ops4, rng))
     outcomes.append(lumped_monotonicity_check(ops4, rng))
     outcomes.append(convex_split_check(ops4, rng))
-    outcomes.append(anisotropic_identity_check())
+    outcomes.append(anisotropic_identity_check(ops8))
     refinement, _ = refinement_energy_consistency()
     outcomes.append(refinement)
 

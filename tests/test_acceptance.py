@@ -76,9 +76,7 @@ def test_criterion_2_unconditional_stability_sweep():
         state = prob.initial
         worst = -np.inf
         for _ in range(50):
-            state, rep = sv.gradient_flow_step(
-                prob.ops, state, prob.weights, prob.scheme, prob.bc
-            )
+            state, rep = sv.gradient_flow_step(prob.ops, state, prob.weights, prob.scheme)
             worst = max(worst, rep.after.total - rep.before.total)
         worst_by_tau[tau] = worst
     elapsed = time.time() - t0

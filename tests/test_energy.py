@@ -353,10 +353,23 @@ def test_convex_split_inequality(ops4, rng):
     assert outcome.passed
 
 
-def test_anisotropic_tension_identity():
+def test_anisotropic_tension_identity(monkeypatch):
+    """The identity holds for the interface stage's stiffness and fails
+    when its anchoring coefficient is off by 1 %."""
+    from dataclasses import replace
+
     from lcdroplet.verify import anisotropic_identity_check
 
-    assert anisotropic_identity_check().passed
+    ops8 = build_operators(build_structured_mesh(8, 8))
+    collide = ModelWeights(w_chgd=21.0, w_wan=10.0, w_was=10.0, eps=3.0 / 64.0)
+    for weights in (ModelWeights(), collide):
+        assert anisotropic_identity_check(ops8, weights).passed
+    ch_step_matrix = en.ch_step_matrix
+    monkeypatch.setattr(en, "ch_step_matrix", lambda ops, weights, *args: ch_step_matrix(
+        ops, replace(weights, w_wan=1.01 * weights.w_wan), *args))
+    for weights in (ModelWeights(), collide):
+        outcome = anisotropic_identity_check(ops8, weights)
+        assert not outcome.passed and outcome.measured > 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from lcdroplet import solver as sv
 from lcdroplet.energy import ModelWeights
 from lcdroplet.fields import normalized
 from lcdroplet.solver import (
-    BoundaryConditions,
     NewtonError,
     SchemeConfig,
     gradient_flow_step,
@@ -36,11 +35,6 @@ def constant_state(mesh, s_val=0.75, phi_val=1.0, n_dir=(1.0, 0.0)):
     return make_state(mesh, s, n, phi)
 
 
-def full_boundary_bc(mesh, s_val=0.75, n_dir=(1.0, 0.0)):
-    b = mesh.boundary_nodes
-    return BoundaryConditions(np.full(len(b), s_val), np.tile(n_dir, (len(b), 1)))
-
-
 def director_stage(ops, state, weights, scheme):
     gphi = element_gradients(ops.mesh, state.phi.values)
     return sv.director_step(ops, state, weights, scheme, en.coupling_tensors(ops, gphi, gphi))
@@ -51,9 +45,9 @@ def interface_stage(ops, state, s_new, n_new, weights, scheme):
                       weights, scheme)
 
 
-def s_stage(ops, state, n_new, weights, scheme, bc):
+def s_stage(ops, state, n_new, weights, scheme):
     gphi = element_gradients(ops.mesh, state.phi.values)
-    return sv.s_step(ops, state, n_new, weights, scheme, bc, gphi,
+    return sv.s_step(ops, state, n_new, weights, scheme, gphi,
                      en.coupling_tensors(ops, gphi, gphi), en.eform_scalar_diag(ops, n_new),
                      en.explicit_dw_load(ops, weights.dw, state.s.values))
 
@@ -140,8 +134,7 @@ def test_s_step_stationary_pure_state():
     ops = build_operators(mesh)
     weights = ModelWeights(w_dw=100.0, w_wan=20.0, w_was=20.0, s_star=0.75)
     state = constant_state(mesh)
-    bc = full_boundary_bc(mesh)
-    s_new, _ = s_stage(ops, state, state.n.values, weights, SchemeConfig(), bc)
+    s_new, _ = s_stage(ops, state, state.n.values, weights, SchemeConfig())
     assert np.abs(s_new - 0.75).max() <= 1e-12
 
 
@@ -150,7 +143,7 @@ def test_s_step_small_tau_limit():
     state = prob.initial
     scheme = SchemeConfig(tau=1e-9, t_final=1e-9)
     n_new = state.n.values
-    s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, scheme, prob.bc)
+    s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, scheme)
     assert np.abs(s_new - state.s.values).max() <= 1e-6
 
 
@@ -167,9 +160,8 @@ def test_s_step_quartic_well_dissipates():
     s0[mesh.boundary_nodes] = 0.75
     n = np.tile([1.0, 0.0], (mesh.n_nodes, 1))
     state = make_state(mesh, s0, n, phi)
-    bc = full_boundary_bc(mesh)
     scheme = SchemeConfig(tau=0.002, t_final=0.002)
-    s_new, _ = s_stage(ops, state, n, w, scheme, bc)
+    s_new, _ = s_stage(ops, state, n, w, scheme)
     assert np.all(np.isfinite(s_new))
     assert np.abs(s_new[mesh.boundary_nodes] - 0.75).max() <= 1e-14
     e_before = en.total_energy(ops, w, s0, n, phi).total
@@ -230,7 +222,7 @@ def test_ch_step_quadratic_newton_convergence():
     prob = cfg.build_problem(c)
     state = prob.initial
     n_tilde, n_new, _, _ = director_stage(prob.ops, state, prob.weights, prob.scheme)
-    s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, prob.scheme, prob.bc)
+    s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, prob.scheme)
     phi, mu, iters, hist, _ = interface_stage(
         prob.ops, state, s_new, n_new, prob.weights, prob.scheme
     )
@@ -256,10 +248,10 @@ def test_ch_step_factors_kept_across_steps_match_fresh_ones():
     solves = 0
     for _ in range(10):
         fresh, _ = gradient_flow_step(
-            prob.ops, fresh, prob.weights, prob.scheme, prob.bc
+            prob.ops, fresh, prob.weights, prob.scheme
         )
         kept, rep = gradient_flow_step(
-            prob.ops, kept, prob.weights, prob.scheme, prob.bc, cache=cache
+            prob.ops, kept, prob.weights, prob.scheme, cache=cache
         )
         solves += rep.newton_iters
         assert abs(rep.closed_budget_residual) <= 1e-10
@@ -440,7 +432,7 @@ def test_step_energy_decreases_move_preset():
     c.mesh["nx"] = c.mesh["ny"] = 16
     prob = cfg.build_problem(c)
     state, rep = gradient_flow_step(
-        prob.ops, prob.initial, prob.weights, prob.scheme, prob.bc
+        prob.ops, prob.initial, prob.weights, prob.scheme
     )
     assert rep.after.total < rep.before.total
     assert min(rep.dissipation.values()) >= -1e-12
@@ -462,8 +454,7 @@ def test_step_zero_weights_freezes_state():
     n0[mesh.boundary_nodes] = [1.0, 0.0]
     phi0 = rng.uniform(-1, 1, mesh.n_nodes)
     state = make_state(mesh, s0, n0, phi0, mu=rng.standard_normal(mesh.n_nodes))
-    bc = full_boundary_bc(mesh)
-    new, rep = gradient_flow_step(ops, state, weights, SchemeConfig(), bc)
+    new, rep = gradient_flow_step(ops, state, weights, SchemeConfig())
     assert np.allclose(new.s.values, s0, atol=1e-10)
     assert np.allclose(new.n.values, n0, atol=1e-10)
     assert np.allclose(new.phi.values, phi0, atol=1e-10)
@@ -477,11 +468,11 @@ def test_equilibrium_steps_are_flat():
     state = prob.initial
     for _ in range(300):
         state, rep = gradient_flow_step(
-            prob.ops, state, prob.weights, prob.scheme, prob.bc
+            prob.ops, state, prob.weights, prob.scheme
         )
     for _ in range(2):
         state, rep = gradient_flow_step(
-            prob.ops, state, prob.weights, prob.scheme, prob.bc
+            prob.ops, state, prob.weights, prob.scheme
         )
         rel = abs(rep.after.total - rep.before.total) / abs(rep.before.total)
         assert rel <= 1e-12
@@ -525,7 +516,7 @@ def test_unit_norm_after_steps():
     state = prob.initial
     for _ in range(5):
         state, _ = gradient_flow_step(
-            prob.ops, state, prob.weights, prob.scheme, prob.bc
+            prob.ops, state, prob.weights, prob.scheme
         )
         norms = np.linalg.norm(state.n.values, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-12
@@ -537,11 +528,11 @@ def test_cg_solver_matches_direct():
     prob = small_problem(nx=8, t_final=0.002)
     assert prob.scheme.linear_solver == "cg"
     viacg, _ = gradient_flow_step(
-        prob.ops, prob.initial, prob.weights, prob.scheme, prob.bc
+        prob.ops, prob.initial, prob.weights, prob.scheme
     )
     prob_lu = small_problem(nx=8, t_final=0.002, linear_solver="direct")
     direct, _ = gradient_flow_step(
-        prob_lu.ops, prob_lu.initial, prob_lu.weights, prob_lu.scheme, prob_lu.bc
+        prob_lu.ops, prob_lu.initial, prob_lu.weights, prob_lu.scheme
     )
     assert np.abs(viacg.s.values - direct.s.values).max() <= 1e-8
     assert np.abs(viacg.n.values - direct.n.values).max() <= 1e-8
@@ -590,7 +581,7 @@ def test_perturbed_spd_solutions_are_charged(monkeypatch):
     state = prob.initial
     for _ in range(3):
         state, rep = gradient_flow_step(
-            prob.ops, state, prob.weights, prob.scheme, prob.bc
+            prob.ops, state, prob.weights, prob.scheme
         )
         scale = max(abs(rep.before.total), abs(rep.after.total), 1.0)
         assert abs(rep.closed_budget_residual) <= 1e-15 * scale
@@ -625,40 +616,59 @@ def test_singular_jacobian_on_kept_factors_is_a_step_error():
         cache.solve(J, np.eye(6)[1], 1e-8)
 
 
-def test_boundary_condition_validation():
-    mesh = build_structured_mesh(2, 2)
-    b = mesh.boundary_nodes
-    with pytest.raises(ValueError, match="orientation"):
-        BoundaryConditions(np.full(len(b), 1.5), np.tile([1.0, 0], (len(b), 1)))
-    with pytest.raises(ValueError, match="unit"):
-        BoundaryConditions(np.full(len(b), 0.75), np.tile([1.0, 0.5], (len(b), 1)))
-    with pytest.raises(ValueError, match=r"shapes \(k,\) for s and \(k, 2\) for n"):
-        BoundaryConditions(np.full(len(b), 0.75), np.tile([1.0, 0.0], (len(b) - 1, 1)))
-
-
 def test_state_off_the_boundary_data_is_rejected():
-    prob = small_problem(nx=8)  # s = s_star and n = (1, 0) on the boundary
-    b, bc = prob.mesh.boundary_nodes, prob.bc
-    s_off = BoundaryConditions(np.full(b.size, 0.5), bc.n_values)
-    n_off = BoundaryConditions(bc.s_values, np.tile([0.0, 1.0], (b.size, 1)))
-    for off, field in ((s_off, "s"), (n_off, "n")):
+    prob = small_problem(nx=8, t_final=0.0)  # s = s_star and n = (1, 0) on the boundary
+    b, (s_bc, n_bc) = prob.mesh.boundary_nodes, prob.bc
+    s_off = (np.full(b.size, 0.5), n_bc)
+    n_off = (s_bc, np.tile([0.0, 1.0], (b.size, 1)))
+    # a director that is not unit cannot be the state's
+    n_long = (s_bc, np.tile([1.0, 0.5], (b.size, 1)))
+    for off, field in ((s_off, "s"), (n_off, "n"), (n_long, "n")):
         with pytest.raises(ValueError, match=f"boundary data: {field} at node {b[0]} is "):
-            gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme, off)
+            sv.run(prob.ops, prob.initial, prob.weights, prob.scheme, off)
     # normalized directors may differ in their last bits
-    near = BoundaryConditions(bc.s_values, normalized(bc.n_values + [0.0, 1e-13]))
-    gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme, near)
+    near = (s_bc, normalized(n_bc + [0.0, 1e-13]))
+    sv.run(prob.ops, prob.initial, prob.weights, prob.scheme, near)
 
 
 @pytest.mark.parametrize("field", ["s", "n"])
 def test_boundary_data_of_the_wrong_length_is_rejected(field):
-    prob = small_problem(nx=8)
+    prob = small_problem(nx=8, t_final=0.0)
     nb = prob.mesh.boundary_nodes.size
-    # the constructor checks only that s and n have one length
-    short = replace(prob.bc)
-    object.__setattr__(short, f"{field}_values", getattr(prob.bc, f"{field}_values")[:-1])
+    short = tuple(v[:-1] if name == field else v for name, v in zip("sn", prob.bc))
     with pytest.raises(ValueError, match=f"^bc gives {nb - 1} values of {field} for the "
                                          f"{nb} boundary nodes of the mesh$"):
-        gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme, short)
+        sv.run(prob.ops, prob.initial, prob.weights, prob.scheme, short)
+    # a pair one node short in both fields, s checked first
+    with pytest.raises(ValueError, match=f"^bc gives {nb - 1} values of s "):
+        sv.run(prob.ops, prob.initial, prob.weights, prob.scheme,
+               tuple(v[:-1] for v in prob.bc))
+
+
+@pytest.mark.parametrize("linear_solver", ["cg", "direct"])
+def test_run_keeps_the_initial_boundary_values(linear_solver):
+    """The flow keeps the boundary values of the state it starts from: s
+    bit for bit, and the director up to its renormalization, while the
+    interior moves."""
+    c = cfg.merge_config(cfg.preset("droplet_move"), None, [
+        "mesh.nx=8", "mesh.ny=8", "scheme.t_final=0.04", "bc.s=0.6 + 0.1*x",
+        f"scheme.linear_solver={linear_solver}",
+    ])
+    prob = cfg.build_problem(c)
+    b, (s_bc, n_bc) = prob.mesh.boundary_nodes, prob.bc
+    steps = []
+
+    class Collector:
+        def on_step(self, state, report):
+            steps.append(state)
+
+    final = sv.run(prob.ops, prob.initial, prob.weights, prob.scheme, prob.bc, [Collector()])
+    assert len(steps) == 20 and final is steps[-1]
+    for state in steps:
+        assert np.array_equal(state.s.values[b], s_bc)
+        assert np.abs(state.n.values[b] - n_bc).max() <= 1e-12
+    interior = np.setdiff1d(np.arange(prob.mesh.n_nodes), b)
+    assert np.abs(final.s.values[interior] - prob.initial.s.values[interior]).max() > 1e-6
 
 
 def test_scheme_config_validation():
@@ -688,14 +698,14 @@ def test_step_from_carried_state_is_bit_identical():
     coupling tensors and energy, equals a step from ``make_state`` of the
     same arrays, which evaluates them afresh."""
     problem = small_problem(nx=8, tau=0.004)
-    ops, w, sc, bc = problem.ops, problem.weights, problem.scheme, problem.bc
-    state, first = gradient_flow_step(ops, problem.initial, w, sc, bc)
+    ops, w, sc = problem.ops, problem.weights, problem.scheme
+    state, first = gradient_flow_step(ops, problem.initial, w, sc)
     assert state.energy == first.after
     bare = make_state(ops.mesh, state.s.values, state.n.values, state.phi.values,
                       state.mu.values, state.time, state.step_index)
     assert bare.energy is None
-    carried_next, carried = gradient_flow_step(ops, state, w, sc, bc)
-    bare_next, fresh = gradient_flow_step(ops, bare, w, sc, bc)
+    carried_next, carried = gradient_flow_step(ops, state, w, sc)
+    bare_next, fresh = gradient_flow_step(ops, bare, w, sc)
     assert carried == fresh
     assert carried.before == en.total_energy(
         ops, w, state.s.values, state.n.values, state.phi.values
@@ -727,12 +737,12 @@ def test_step_evaluates_shared_inputs_once(monkeypatch):
     load once: the stages and the ledger share what they need of the old
     state, and the new state and the ledger share grad phi_new."""
     problem = small_problem(nx=8)
-    ops, w, sc, bc = problem.ops, problem.weights, problem.scheme, problem.bc
-    state, _ = gradient_flow_step(ops, problem.initial, w, sc, bc)
+    ops, w, sc = problem.ops, problem.weights, problem.scheme
+    state, _ = gradient_flow_step(ops, problem.initial, w, sc)
     calls = _count_calls(monkeypatch, ((sv.assembly, "element_gradients"),
                                        (en, "coupling_tensors"), (en, "eform"),
                                        (en, "explicit_dw_load")))
-    gradient_flow_step(ops, state, w, sc, bc)
+    gradient_flow_step(ops, state, w, sc)
     assert calls["element_gradients"] == 1
     assert calls["coupling_tensors"] <= 2
     assert calls["eform"] <= 2
@@ -745,9 +755,9 @@ def test_ledger_terms_match_forms_of_returned_fields():
     are differences of nearly equal forms, so each term is compared
     relative to the sum of the magnitudes of the forms it is made of."""
     problem = small_problem(nx=8)
-    ops, w, sc, bc = problem.ops, problem.weights, problem.scheme, problem.bc
+    ops, w, sc = problem.ops, problem.weights, problem.scheme
     state = problem.initial
-    new, rep = gradient_flow_step(ops, state, w, sc, bc)
+    new, rep = gradient_flow_step(ops, state, w, sc)
     s0, s1, n1 = state.s.values, new.s.values, new.n.values
     # the director stage is solved again, to recover n~ and v
     n_tilde, n_again, v, _ = director_stage(ops, state, w, sc)
@@ -782,7 +792,7 @@ def test_drop_eform_is_accurate_to_its_own_size():
     from fractions import Fraction
 
     problem = small_problem(nx=8)
-    ops, w, sc, bc = problem.ops, problem.weights, problem.scheme, problem.bc
+    ops, w, sc = problem.ops, problem.weights, problem.scheme
     state = problem.initial
     difference_errors = []
     for _ in range(6):
@@ -799,7 +809,7 @@ def test_drop_eform_is_accurate_to_its_own_size():
         def rel_error(value):
             return float(abs(Fraction(value) - exact) / exact)
 
-        state, rep = gradient_flow_step(ops, state, w, sc, bc)
+        state, rep = gradient_flow_step(ops, state, w, sc)
         assert rep.drop_eform == en.eform_drop(ops, s, n_tilde, n_new)
         assert rel_error(rep.drop_eform) <= 1e-12
         difference_errors.append(rel_error(en.eform(ops, s, s, n_tilde, n_tilde)

@@ -174,7 +174,6 @@ def test_energy_law_audit_rejects_mutated_budget():
 
 
 def test_energy_law_audit_zero_weight_run():
-    import lcdroplet.solver as sv
     from lcdroplet.solver import SchemeConfig, gradient_flow_step, make_state
 
     mesh = build_structured_mesh(4, 4)
@@ -186,12 +185,10 @@ def test_energy_law_audit_zero_weight_run():
     n = np.tile([1.0, 0.0], (mesh.n_nodes, 1))
     phi = np.linspace(-1, 1, mesh.n_nodes)
     state = make_state(mesh, s, n, phi)
-    b = mesh.boundary_nodes
-    bc = sv.BoundaryConditions(np.full(len(b), 0.75), np.tile([1.0, 0.0], (len(b), 1)))
     e0 = en.total_energy(ops, weights, s, n, phi).total
     reports = []
     for _ in range(3):
-        state, rep = gradient_flow_step(ops, state, weights, SchemeConfig(), bc)
+        state, rep = gradient_flow_step(ops, state, weights, SchemeConfig())
         reports.append(rep)
     assert e0 == 0.0
     assert all(abs(sum(r.dissipation.values())) <= 1e-12 for r in reports)
