@@ -2,18 +2,18 @@
 
 Every operator is built from the element geometry the mesh owns
 (``TriMesh.areas`` and ``TriMesh.grads``, computed once by its
-validation).  All element matrices are closed-form (the stiffness, the
-weighted mass, and ``tensor_stiffness``, the one kernel for gradient
-terms with a piecewise-constant symmetric tensor weight) or use the
-degree-4 triangle rule (quartic integrands such as the double wells),
-written as products with constant matrices.  Sparse operators
-are plain ``scipy.sparse.csr_matrix`` objects on the mesh's fixed
-pattern (``TriMesh.pattern``, built once per mesh): one ``np.bincount``
-sums the element blocks into its data slots.  Explicit stored zeros are
-kept, so the sparsity pattern always equals the mesh adjacency pattern
-(the weak-acuteness audit relies on this), and operators on one mesh
-share their index arrays: a linear combination of them is one of their
-``data`` arrays.
+validation).  The stiffness takes its off-diagonal entries from the
+mesh's edge couplings (``TriMesh.edge_k``).  All other element matrices
+are closed-form (the weighted mass, and ``tensor_stiffness``, the one
+kernel for gradient terms with a piecewise-constant symmetric tensor
+weight) or use the degree-4 triangle rule (quartic integrands such as
+the double wells), written as products with constant matrices.  Sparse
+operators are plain ``scipy.sparse.csr_matrix`` objects on the mesh's
+fixed pattern (``TriMesh.pattern``, built once per mesh): one
+``np.bincount`` sums the element blocks into its data slots.  Explicit
+stored zeros are kept, so the sparsity pattern always equals the mesh
+adjacency pattern, and operators on one mesh share their index arrays: a
+linear combination of them is one of their ``data`` arrays.
 """
 from __future__ import annotations
 
@@ -45,13 +45,13 @@ def vertex_sum(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
 
 def assemble_stiffness(mesh: TriMesh) -> SparseOperator:
     """Matrix of the gradient inner product, entry (i,j) = integral of
-    grad(eta_i) . grad(eta_j).  Symmetric PSD with constants in the kernel."""
-    g, area = mesh.grads.transpose(1, 2, 0), mesh.areas  # g[a, i]: contiguous rows
-    ke = np.empty((mesh.n_elements, 3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            ke[:, a, b] = ke[:, b, a] = (g[a, 0] * g[b, 0] + g[a, 1] * g[b, 1]) * area
-    return _scatter(mesh, ke)
+    grad(eta_i) . grad(eta_j): -k_ij (``mesh.edge_k``) off the diagonal.
+    Symmetric PSD with constants in the kernel."""
+    g, area, p = mesh.grads.transpose(1, 2, 0), mesh.areas, mesh.pattern  # g[a, i]: rows
+    data = np.empty(p.nnz)
+    data[p.diag] = vertex_sum(mesh, ((g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]) * area).T)
+    data[p.upper] = data[p.lower] = -mesh.edge_k
+    return p.csr(data)
 
 
 def assemble_mass(mesh: TriMesh) -> SparseOperator:
@@ -119,9 +119,9 @@ def integrate_p1_function(mesh: TriMesh, f, values: np.ndarray) -> float:
 class Operators:
     """The operators assembled once per mesh and reused across time steps.
 
-    The two matrices are on the mesh pattern (``mesh.pattern``);
-    ``edge_k`` holds the stiffness couplings -K_ij of the mesh edges
-    (``mesh.edges``, in their order).  ``mass_rows`` holds the row sums
+    The two matrices are on the mesh pattern (``mesh.pattern``); the
+    stiffness couplings -K_ij of the mesh edges are ``mesh.edge_k``.
+    ``mass_rows`` holds the row sums
     of ``mass`` (the integrals of the hat functions), computed as
     ``mass @ ones``; they are also the vertex-rule (lumped) mass
     weights, the sum of |T|/3 over the elements touching each node."""
@@ -129,7 +129,6 @@ class Operators:
     mesh: TriMesh
     stiffness: SparseOperator
     mass: SparseOperator
-    edge_k: np.ndarray
     mass_rows: np.ndarray
 
     def grad_form(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -150,9 +149,8 @@ class Operators:
 
 
 def build_operators(mesh: TriMesh) -> Operators:
-    K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
-    return Operators(mesh, K, M, -K.data[mesh.pattern.upper], M @ np.ones(mesh.n_nodes))
+    return Operators(mesh, assemble_stiffness(mesh), M, M @ np.ones(mesh.n_nodes))
 
 
 def apply_dirichlet(A: SparseOperator, b: np.ndarray, values, mesh: TriMesh):

@@ -80,7 +80,6 @@ def _base_config(name: str, t_final: float, w_chgd: float, w_wan: float,
         scheme={
             "tau": 0.002,
             "t_final": t_final,
-            "newton_abs_tol": 1e-15,
             "newton_res_tol": 1e-7,
             "newton_max_iter": 50,
         },
@@ -390,10 +389,9 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
 
     initial = sv.make_state(mesh, s0, n0, phi0)
 
-    n_steps = int(round(scheme.t_final / scheme.tau))
     snap = cfg.output.get("snapshot_every", "auto")
     if snap == "auto":
-        snap = max(1, n_steps // 12)
+        snap = max(1, scheme.n_steps // 12)
     snap = _typed("output.snapshot_every", snap, int)
     if snap < 1:
         raise ValueError(f"output.snapshot_every must be at least 1, got {snap}")

@@ -155,7 +155,7 @@ def eform(ops: Operators, s, z, n, w) -> float:
     nn = ops.mesh.n_nodes
     if len(s) != nn or len(z) != nn or len(n) != nn or len(w) != nn:
         raise ValueError(f"eform fields must have {nn} nodal values")
-    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
+    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
     sz = np.asarray(s) * np.asarray(z)
     dn, dw_ = _edge_diff(ops, n), _edge_diff(ops, w)
     pair = dn[:, 0] * dw_[:, 0] + dn[:, 1] * dw_[:, 1] if dn.ndim == 2 else dn * dw_
@@ -179,7 +179,7 @@ def eform_drop(ops: Operators, s, n_tilde, n) -> float:
     formed as d_i - d_j with d = n~ - n, which is exact at a node where
     the two directors' components are within a factor of two (Sterbenz).
     """
-    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
+    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
     s2 = np.asarray(s) ** 2
     d = n_tilde - n
     pair = np.sum(_edge_diff(ops, d) * (_edge_diff(ops, n_tilde) + _edge_diff(ops, n)), axis=1)
@@ -312,7 +312,7 @@ def energy_report(ops: Operators, weights: ModelWeights, s, n, phi, gphi: np.nda
 
 def eform_derivative_n(ops: Operators, s, n) -> np.ndarray:
     """Vector D with sum_i D_i . w_i = eform(s, s, n, w)."""
-    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
+    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
     nn = ops.mesh.n_nodes
     s2 = np.asarray(s) ** 2
     wgt = 2.0 * k * 0.5 * (s2[ei] + s2[ej])
@@ -325,7 +325,7 @@ def eform_derivative_n(ops: Operators, s, n) -> np.ndarray:
 
 def eform_scalar_diag(ops: Operators, n) -> np.ndarray:
     """Nodal coefficients D with eform(s, z, n, n) = sum_i s_i z_i D_i."""
-    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k
+    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
     diff2 = np.sum(_edge_diff(ops, n) ** 2, axis=1)
     kd = k * diff2
     return np.bincount(np.concatenate([ei, ej]), np.concatenate([kd, kd]),
@@ -363,7 +363,7 @@ def residual_director(
     s2 = np.asarray(s_prev) ** 2
     ei, ej = ops.mesh.edges.lo, ops.mesh.edges.hi
     # weighted graph Laplacian sum_edges w (e_i - e_j)(e_i - e_j)^T, w = k c
-    w = ops.edge_k * 0.5 * (s2[ei] + s2[ej])
+    w = ops.mesh.edge_k * 0.5 * (s2[ei] + s2[ej])
     L = np.zeros(p.nnz)
     L[p.upper] = L[p.lower] = -w
     L[p.diag] = np.bincount(np.concatenate([ei, ej]), np.concatenate([w, w]),

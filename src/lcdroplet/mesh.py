@@ -1,10 +1,11 @@
-"""Triangle meshes, their element geometry, their sparsity pattern and the
-weak-acuteness audit.
+"""Triangle meshes, their element geometry, their edges, their sparsity
+pattern and the weak-acuteness audit.
 
 A ``TriMesh`` owns every per-mesh structure the assembly reads: the
 element areas and hat-function gradients, computed once by the
-validation that rejects degenerate elements, the edges and the CSR
-pattern of the P1 operators.
+validation that rejects degenerate elements; the edges, with the
+boundary (the nodes on edges of one element) and the stiffness
+couplings ``edge_k``; and the CSR pattern of the P1 operators.
 
 Per-element arrays are built component-major: one contiguous row of
 length n_elements per vertex, coordinate or block entry (``verts`` is
@@ -12,13 +13,12 @@ length n_elements per vertex, coordinate or block entry (``verts`` is
 ``grads``).  A trailing axis of length 2 to 9 would make numpy run its
 inner loops 2 to 9 elements long, once per element.
 
-The simulator relies on the discrete maximum principle: the off-diagonal
-entries ``k_ij = -(stiffness)_ij`` of the P1 stiffness matrix must be
-nonnegative.  This holds on weakly acute (non-obtuse) meshes, and the
-structured generator below produces such meshes by construction (each
-rectangular cell is split into two right triangles along a fixed
-diagonal).  ``audit_weak_acuteness`` certifies the property for any mesh
-given its assembled stiffness matrix.
+The simulator relies on the discrete maximum principle: the couplings
+``k_ij = -(stiffness)_ij`` of the mesh edges must be nonnegative.  This
+holds on weakly acute (non-obtuse) meshes, and the structured generator
+below produces such meshes by construction (each rectangular cell is
+split into two right triangles along a fixed diagonal).
+``audit_weak_acuteness`` certifies the property for any mesh.
 """
 from __future__ import annotations
 
@@ -64,7 +64,8 @@ class TriMesh:
     elements : ndarray, shape (n_elements, 3)
         Vertex indices of each triangle, positively oriented.
     boundary_nodes : ndarray
-        Sorted indices of the Dirichlet nodes of every solve on the mesh.
+        Sorted indices of the nodes on edges held by one element, set by
+        validation: the Dirichlet nodes of every solve on the mesh.
     verts : ndarray, shape (3, n_elements)
         ``elements.T``, contiguous.
     areas : ndarray, shape (n_elements,)
@@ -77,7 +78,7 @@ class TriMesh:
 
     nodes: np.ndarray
     elements: np.ndarray
-    boundary_nodes: np.ndarray
+    boundary_nodes: np.ndarray = field(init=False, repr=False)
     verts: np.ndarray = field(init=False, repr=False)
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
@@ -85,18 +86,14 @@ class TriMesh:
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
         elements = np.ascontiguousarray(np.asarray(self.elements, dtype=np.int64))
-        bnodes = np.unique(np.asarray(self.boundary_nodes, dtype=np.int64))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "boundary_nodes", bnodes)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise MeshError("nodes must have shape (n, 2)")
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise MeshError("elements must have shape (n, 3)")
         if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
             raise MeshError("element vertex index out of range")
-        if bnodes.size and (bnodes.min() < 0 or bnodes.max() >= len(nodes)):
-            raise MeshError("boundary node index out of range")
         v0, v1, v2 = verts = np.ascontiguousarray(elements.T)
         object.__setattr__(self, "verts", verts)
         repeated = np.flatnonzero((v0 == v1) | (v1 == v2) | (v2 == v0))
@@ -118,10 +115,12 @@ class TriMesh:
         object.__setattr__(self, "grads", g.transpose(2, 0, 1))
         # An edge may be shared by at most two triangles; hanging nodes are
         # outside the supported mesh family.
-        counts = self.edges.counts
-        if counts.size and counts.max() > 2:
+        edges = self.edges
+        if edges.counts.size and edges.counts.max() > 2:
             raise MeshError("mesh is not conforming: a facet is shared by "
-                            f"{int(counts.max())} elements")
+                            f"{int(edges.counts.max())} elements")
+        once = edges.counts == 1
+        object.__setattr__(self, "boundary_nodes", np.union1d(edges.lo[once], edges.hi[once]))
 
     @cached_property
     def edges(self) -> MeshEdges:
@@ -149,6 +148,19 @@ class TriMesh:
         unique = np.take(ordered, bounds[:-1])
         lo = unique // n
         return MeshEdges(lo, unique - lo * n, inverse.reshape(3, -1).T, counts)
+
+    @cached_property
+    def edge_k(self) -> np.ndarray:
+        """Stiffness couplings k_ij = -K_ij of the edges, in ``edges``
+        order: minus the sum of |T| grad(eta_i) . grad(eta_j) over the
+        elements T sharing edge ij."""
+        g, area = self.grads.transpose(1, 2, 0), self.areas  # g[a, i]: contiguous rows
+        dots = np.empty((len(_EDGE_PAIRS), self.n_elements))
+        for k, (a, b) in enumerate(_EDGE_PAIRS):
+            dots[k] = (g[a, 0] * g[b, 0] + g[a, 1] * g[b, 1]) * area
+        # of_element.T is (3, ne) like dots; two terms an edge add up alike in either order
+        return -np.bincount(self.edges.of_element.T.ravel(), dots.ravel(),
+                            minlength=self.edges.lo.size)
 
     @cached_property
     def pattern(self) -> "SparsityPattern":
@@ -285,9 +297,7 @@ def build_structured_mesh(nx: int, ny: int, rect=((0.0, 0.0), (1.0, 1.0))) -> Tr
     # splits it into triangles (a, b, c) and (a, c, d), both CCW
     a = np.arange(nx, dtype=np.int64)[:, None] * (ny + 1) + np.arange(ny, dtype=np.int64)
     elements = a.reshape(-1, 1, 1) + np.array([[0, ny + 1, ny + 2], [0, ny + 2, 1]])
-    on_boundary = np.ones((nx + 1, ny + 1), dtype=bool)
-    on_boundary[1:-1, 1:-1] = False
-    return TriMesh(nodes.reshape(-1, 2), elements.reshape(-1, 3), np.flatnonzero(on_boundary))
+    return TriMesh(nodes.reshape(-1, 2), elements.reshape(-1, 3))
 
 
 def mesh_size(mesh: TriMesh) -> float:
@@ -299,33 +309,19 @@ def mesh_size(mesh: TriMesh) -> float:
     return float(np.linalg.norm(d, axis=1).max())
 
 
-def audit_weak_acuteness(
-    mesh: TriMesh, stiffness: sp.spmatrix, tol: float = 1e-12
-) -> AcutenessReport:
-    """Check ``k_ij = -(stiffness)_ij >= 0`` for all stored pairs i != j.
+def audit_weak_acuteness(mesh: TriMesh, tol: float = 1e-12) -> AcutenessReport:
+    """Check ``k_ij >= 0`` (``mesh.edge_k``) on every edge of the mesh.
 
     Exact zeros occur legitimately (right angles opposite an edge), so the
-    classification tolerance is ``-tol`` rather than 0.
+    classification tolerance is ``-tol`` rather than 0.  The violating
+    pairs (i, j, k_ij) come in edge order, i < j.
     """
-    if stiffness.shape != (mesh.n_nodes, mesh.n_nodes):
-        raise MeshError(
-            f"stiffness shape {stiffness.shape} does not match mesh with "
-            f"{mesh.n_nodes} nodes"
-        )
-    K = stiffness.tocsr()
-    rows = np.repeat(np.arange(K.shape[0]), K.indptr[1:] - K.indptr[:-1])
-    off = rows != K.indices
-    data = K.data[off]  # -k_ij
-    if data.size == 0:
+    k, edges = mesh.edge_k, mesh.edges
+    if k.size == 0:
         return AcutenessReport(True, 0.0, [])
-    min_k = float(-data.max() + 0.0)  # fold -0.0 into +0.0
-    bad = data > tol
-    if not bad.any():
-        return AcutenessReport(True, min_k, [])
-    # report each unordered pair once
-    violating = sorted({(int(min(i, j)), int(max(i, j)), float(-d))
-                        for i, j, d in zip(rows[off][bad], K.indices[off][bad], data[bad])})
-    return AcutenessReport(False, min_k, violating)
+    violating = [(int(edges.lo[e]), int(edges.hi[e]), float(k[e]))
+                 for e in np.flatnonzero(k < -tol)]
+    return AcutenessReport(not violating, float(k.min()) + 0.0, violating)  # no -0.0
 
 
 def count_components(mesh: TriMesh, node_mask: np.ndarray) -> int:

@@ -20,7 +20,7 @@ def shuffled(mesh: TriMesh, seed: int = 0) -> TriMesh:
     perm = np.random.default_rng(seed).permutation(mesh.n_nodes)
     nodes = np.empty_like(mesh.nodes)
     nodes[perm] = mesh.nodes
-    return TriMesh(nodes, perm[mesh.elements], perm[mesh.boundary_nodes])
+    return TriMesh(nodes, perm[mesh.elements])
 
 
 def coo(mesh, ke):

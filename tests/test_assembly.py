@@ -24,7 +24,7 @@ from lcdroplet.verify import element_geometry
 
 def unit_triangle():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return TriMesh(nodes, np.array([[0, 1, 2]]), np.array([0, 1, 2]))
+    return TriMesh(nodes, np.array([[0, 1, 2]]))
 
 
 def test_stiffness_constant_in_kernel():
@@ -121,7 +121,7 @@ def test_stiffness_edge_identity_random(rng):
     lo, hi = m.edges.lo, m.edges.hi
     for _ in range(20):
         s = rng.standard_normal(m.n_nodes)
-        lhs = float(np.sum(ops.edge_k * (s[lo] - s[hi]) ** 2))
+        lhs = float(np.sum(ops.mesh.edge_k * (s[lo] - s[hi]) ** 2))
         assert lhs == pytest.approx(ops.grad_form(s, s), rel=1e-12)
 
 
@@ -157,7 +157,7 @@ def perturbed_mesh():
     inner = np.setdiff1d(np.arange(m.n_nodes), m.boundary_nodes)
     nodes = m.nodes.copy()
     nodes[inner] += np.random.default_rng(4).uniform(-0.15, 0.15, (inner.size, 2)) / [6, 5]
-    return TriMesh(nodes, m.elements, m.boundary_nodes)
+    return TriMesh(nodes, m.elements)
 
 
 def assert_geometry_matches_nodes(m):
@@ -215,32 +215,30 @@ def test_fixed_pattern_operators_match_coo_assembly(pattern_mesh, rng):
 
 
 def test_operators_edges_match_stiffness(pattern_mesh):
-    ops = build_operators(pattern_mesh)
-    ei, ej, k = naive.edges(pattern_mesh)
-    edges = pattern_mesh.edges
-    assert np.array_equal(edges.lo, ei) and np.array_equal(edges.hi, ej)
-    assert np.abs(ops.edge_k - k).max() <= 1e-13 * np.abs(k).max()
+    for m in (pattern_mesh, perturbed_mesh()):
+        K = assemble_stiffness(m)
+        ei, ej, k = naive.edges(m)
+        assert np.array_equal(m.edges.lo, ei) and np.array_equal(m.edges.hi, ej)
+        assert np.abs(m.edge_k - k).max() <= 1e-13 * np.abs(k).max()
+        # the stiffness takes its couplings from the mesh, bit for bit
+        assert np.array_equal(-K.data[m.pattern.upper], m.edge_k)
+        assert np.array_equal(K.data[m.pattern.lower], K.data[m.pattern.upper])
 
 
 def test_apply_dirichlet_pattern_map_matches_slicing(pattern_mesh, rng):
-    inner = np.setdiff1d(np.arange(pattern_mesh.n_nodes), pattern_mesh.boundary_nodes)
-    # the structured boundary, and an irregular set: every third boundary
-    # node and three interior nodes
-    irregular = np.concatenate([pattern_mesh.boundary_nodes[::3], inner[[0, 1, 7]]])
-    for dirichlet in (pattern_mesh.boundary_nodes, irregular):
-        m = TriMesh(pattern_mesh.nodes, pattern_mesh.elements, dirichlet)
-        K = assemble_stiffness(m)
-        b = rng.standard_normal(m.n_nodes)
-        vals = rng.standard_normal(len(m.boundary_nodes))
-        A_ff, b_f, free = apply_dirichlet(K, b, vals, m)
-        assert np.array_equal(np.flatnonzero(~free), np.sort(dirichlet))
-        ref = K[free][:, free]
-        assert np.array_equal(A_ff.indptr, ref.indptr)
-        assert np.array_equal(A_ff.indices, ref.indices)
-        assert np.array_equal(A_ff.data, ref.data)
-        g = np.zeros(m.n_nodes)
-        g[m.boundary_nodes] = vals
-        assert np.allclose(b_f, (b - K @ g)[free], rtol=0, atol=1e-13)
+    m = pattern_mesh
+    K = assemble_stiffness(m)
+    b = rng.standard_normal(m.n_nodes)
+    vals = rng.standard_normal(len(m.boundary_nodes))
+    A_ff, b_f, free = apply_dirichlet(K, b, vals, m)
+    assert np.array_equal(np.flatnonzero(~free), m.boundary_nodes)
+    ref = K[free][:, free]
+    assert np.array_equal(A_ff.indptr, ref.indptr)
+    assert np.array_equal(A_ff.indices, ref.indices)
+    assert np.array_equal(A_ff.data, ref.data)
+    g = np.zeros(m.n_nodes)
+    g[m.boundary_nodes] = vals
+    assert np.allclose(b_f, (b - K @ g)[free], rtol=0, atol=1e-13)
 
 
 def test_mmd_ordered_spd_solve_matches_spsolve(pattern_mesh, rng):

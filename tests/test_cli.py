@@ -24,7 +24,7 @@ def test_preset_parameters_shared():
         assert w["s_star"] == 0.750025
         assert c.mesh["nx"] == 64 and c.mesh["ny"] == 64
         assert c.scheme["tau"] == 0.002
-        assert c.scheme["newton_abs_tol"] == 1e-15
+        assert "newton_abs_tol" not in c.scheme
         assert c.scheme["newton_res_tol"] == 1e-7
 
 
@@ -164,6 +164,10 @@ RECT = "mesh.rect must be two points [[x0, y0], [x1, y1]] of finite numbers, got
         ("scheme.tau=inf", "tau must be finite and positive, got inf"),
         ("scheme.t_final=nan", "t_final must be finite and nonnegative, got nan"),
         ("scheme.t_final=inf", "t_final must be finite and nonnegative, got inf"),
+        ("scheme.t_final=0.005",
+         "t_final = 0.005 is not a whole number of steps of tau = 0.002 (2.5 steps)"),
+        ("scheme.t_final=0.007",
+         "t_final = 0.007 is not a whole number of steps of tau = 0.002 (3.5 steps)"),
         ("scheme.newton_max_iter=-1", "newton_max_iter must be nonnegative, got -1"),
         ("mesh.nx=2.7", "mesh.nx must be of type int, got 2.7"),
         ("mesh.nx=true", "mesh.nx must be of type int, got True"),
@@ -270,7 +274,7 @@ def test_presets_build_weights_and_scheme(name, w_chgd, w_wan, w_was, t_final):
         dw=default_double_well(),
     )
     assert prob.scheme == SchemeConfig(
-        tau=0.002, t_final=t_final, newton_abs_tol=1e-15, newton_res_tol=1e-7,
+        tau=0.002, t_final=t_final, newton_res_tol=1e-7,
         newton_max_iter=50, linear_solver="cg", cg_tol=1e-12,
     )
     assert type(prob.scheme.newton_max_iter) is int
@@ -431,6 +435,8 @@ def test_cli_simulate_and_mesh_audit(tmp_path, capsys):
 def test_cli_simulate_config_error_is_one_line(tmp_path, capsys):
     out = tmp_path / "sim"
     for item, message in (("scheme.tua=1", "unknown config keys: ['scheme.tua']"),
+                          ("scheme.newton_abs_tol=1e-15",
+                           "unknown config keys: ['scheme.newton_abs_tol']"),
                           ("weights.w_chdw=nan", "w_chdw must be finite and nonnegative"),
                           ("initial.phi=q", "unknown name"),
                           ("initial.phi=[1", "override initial.phi: '[1' is not valid YAML"),

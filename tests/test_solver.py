@@ -412,8 +412,7 @@ def test_jacobian_cache_applies_the_inverse_preconditioner():
 def test_ch_step_newton_failure_reports_history():
     prob = small_problem(nx=4)
     scheme = SchemeConfig(
-        tau=0.002, t_final=0.002, newton_res_tol=1e-30, newton_abs_tol=1e-30,
-        newton_max_iter=2,
+        tau=0.002, t_final=0.002, newton_res_tol=1e-30, newton_max_iter=2,
     )
     state = prob.initial
     with pytest.raises(NewtonError) as err:
@@ -678,6 +677,19 @@ def test_scheme_config_validation():
         SchemeConfig(linear_solver="lu")
 
 
+@pytest.mark.parametrize("t_final", [1e-12, 1e306])  # 0.005 and 0.007: test_cli
+def test_t_final_off_the_step_grid_rejected(t_final):
+    with pytest.raises(ValueError, match=r"t_final = .* tau = 0\.002"):
+        SchemeConfig(tau=0.002, t_final=t_final)
+
+
+def test_n_steps_forgives_roundoff():
+    # 0.05 / 0.002 = 25.000000000000004 and 0.3 / 0.1 = 2.9999999999999996
+    assert SchemeConfig(tau=0.002, t_final=0.05).n_steps == 25
+    assert SchemeConfig(tau=0.1, t_final=0.3).n_steps == 3
+    assert SchemeConfig(tau=0.002, t_final=0.0).n_steps == 0
+
+
 def test_state_requires_shared_mesh():
     m1 = build_structured_mesh(2, 2)
     m2 = build_structured_mesh(3, 3)
@@ -799,7 +811,7 @@ def test_drop_eform_is_accurate_to_its_own_size():
         n_tilde, n_new, _, _ = director_stage(ops, state, w, sc)
         s = state.s.values
         exact = Fraction(0)
-        for i, j, k in zip(ops.mesh.edges.lo, ops.mesh.edges.hi, ops.edge_k):
+        for i, j, k in zip(ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k):
             a = [Fraction(n_tilde[i, c]) - Fraction(n_tilde[j, c]) for c in range(2)]
             b = [Fraction(n_new[i, c]) - Fraction(n_new[j, c]) for c in range(2)]
             exact += (Fraction(k) * (Fraction(s[i]) ** 2 + Fraction(s[j]) ** 2)
