@@ -5,13 +5,15 @@
     lcdroplet mesh-audit --nx 32 --ny 32
 
 A simulation writes, into the output directory: the resolved scenario
-document (config.yaml), an energy trace CSV with one row per step, VTK
-snapshots of the fields at the configured cadence, and a final-state
-archive sufficient to restart.
+document (config.yaml), an energy trace CSV with one row per step, binary
+VTK frames of the fields at the configured cadence with fields.vtk.series,
+the index of their simulation times, and a final-state archive sufficient
+to restart.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import asdict
@@ -23,6 +25,7 @@ from . import config as cfgmod, solver as sv, verify as vf, vtkio
 from .mesh import MeshError, audit_weak_acuteness, build_structured_mesh, mesh_size
 
 ENERGY_LOG = "energy.csv"  # the energy trace, in the output directory
+SERIES_INDEX = "fields.vtk.series"  # each VTK frame's file name and time
 CSV_COLUMNS = (
     "step", "time", "e_erk", "e_dw", "e_chdw", "e_chgd", "e_wan", "e_was",
     "total", "mass_drift", "newton_iters", "min_s", "max_s",
@@ -75,16 +78,18 @@ class EnergyCSVSink:
 
 
 class SnapshotSink:
-    """Writes fields_<step>.vtk every ``every`` steps (and at start/end)."""
+    """Writes fields_<step>.vtk every ``every`` steps (and at start/end),
+    and at the end the index fields.vtk.series of the frames written."""
 
     def __init__(self, out_dir, every: int):
         self.out_dir = out_dir
         self.every = every
+        self.frames = []  # one {"name": ..., "time": ...} per frame written
 
     def _write(self, state):
-        path = os.path.join(self.out_dir, f"fields_{state.step_index}.vtk")
+        name = f"fields_{state.step_index}.vtk"
         vtkio.write_vtk(
-            path, state.mesh,
+            os.path.join(self.out_dir, name), state.mesh,
             point_scalars={
                 "orientation": state.s.values,
                 "phase": state.phi.values,
@@ -93,6 +98,7 @@ class SnapshotSink:
             point_vectors={"director": state.n.values},
             title=f"droplet state at t={state.time:g}",
         )
+        self.frames.append({"name": name, "time": float(state.time)})
 
     def on_start(self, state, energy_report):
         self._write(state)
@@ -104,6 +110,10 @@ class SnapshotSink:
     def on_finish(self, state):
         if state.step_index % self.every != 0:
             self._write(state)
+        # ParaView's file-series index; json writes each time exactly
+        with open(os.path.join(self.out_dir, SERIES_INDEX), "w", encoding="utf-8") as fh:
+            json.dump({"file-series-version": "1.0", "files": self.frames}, fh, indent=1)
+            fh.write("\n")
 
 
 class FinalStateSink:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import yaml
 
 from lcdroplet import cli, config as cfg
 from lcdroplet.expressions import ExpressionError, compile_expression
+from vtk_reader import float_bits, read_vtk
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +357,46 @@ def test_energy_csv_columns_and_monotonicity(corner_run):
     assert steps == list(range(11))
 
 
-def test_vtk_snapshot_well_formed(corner_run):
+def _frames(out):
+    """The run's fields_<step>.vtk files, in step order."""
+    steps = sorted(int(name[len("fields_"):-len(".vtk")])
+                   for name in os.listdir(out) if name.startswith("fields_"))
+    return [f"fields_{step}.vtk" for step in steps]
+
+
+def test_vtk_frames_decode_to_the_state(corner_run):
+    out, final, _ = corner_run
+    assert _frames(out) == ["fields_0.vtk", "fields_5.vtk", "fields_10.vtk"]
+    for name in _frames(out):
+        frame = read_vtk(out / name)
+        assert frame.counts == {"POINTS": 81, "CELLS": (128, 512), "CELL_TYPES": 128,
+                                "POINT_DATA": 81}, name
+        assert np.array_equal(frame.cells[:, 0], np.full(128, 3))
+        assert np.array_equal(frame.cell_types, np.full(128, 5))
+        assert list(frame.scalars) == ["orientation", "phase", "chemical_potential"]
+        assert list(frame.vectors) == ["director"]
+    last = read_vtk(out / "fields_10.vtk")
+    assert float_bits(last.points[:, :2]) == float_bits(final.mesh.nodes)
+    assert np.array_equal(last.cells[:, 1:], final.mesh.elements)
+    with np.load(out / "final_state.npz") as saved:
+        for key, name in (("s", "orientation"), ("phi", "phase"), ("mu", "chemical_potential")):
+            assert float_bits(last.scalars[name]) == float_bits(saved[key]), name
+        assert float_bits(last.vectors["director"][:, :2]) == float_bits(saved["n"])
+    assert float_bits(last.vectors["director"][:, 2]) == float_bits(np.zeros(81))
+
+
+def test_vtk_series_indexes_every_frame(corner_run):
     out, _, _ = corner_run
-    text = (out / "fields_0.vtk").read_text().split("\n")
-    assert text[0].startswith("# vtk DataFile")
-    assert "ASCII" in text[:5]
-    assert any(line.startswith("POINTS 81 double") for line in text)
-    assert any(line.startswith("CELLS 128 512") for line in text)
-    ct = text.index("CELL_TYPES 128")
-    assert text[ct + 1] == "5"
-    assert any(line.startswith("SCALARS orientation") for line in text)
-    assert any(line.startswith("SCALARS phase") for line in text)
-    assert any(line.startswith("VECTORS director") for line in text)
+    index = json.loads((out / cli.SERIES_INDEX).read_text())
+    assert index["file-series-version"] == "1.0"
+    assert [entry["name"] for entry in index["files"]] == _frames(out)
+    with open(out / "energy.csv", encoding="utf-8") as fh:
+        times = {int(row["step"]): row["time"] for row in csv.DictReader(fh)}
+    for entry in index["files"]:
+        step = int(entry["name"][len("fields_"):-len(".vtk")])
+        # the trace writes each state.time with repr, so text equality is
+        # equality of the floats
+        assert repr(entry["time"]) == times[step], entry
 
 
 def test_final_state_restartable(corner_run):
@@ -414,6 +444,9 @@ def test_solver_failure_reported_as_step_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("simulation aborted: interface solve: ")
     assert (tmp_path / "run" / "final_state.npz").exists()
+    # the frame of the last good state is indexed all the same
+    index = json.loads((tmp_path / "run" / cli.SERIES_INDEX).read_text())
+    assert index["files"] == [{"name": "fields_0.vtk", "time": 0.0}]
 
 
 def test_cli_simulate_and_mesh_audit(tmp_path, capsys):

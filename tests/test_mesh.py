@@ -13,6 +13,7 @@ from lcdroplet import (
     mesh_size,
 )
 from lcdroplet.mesh import MeshError
+from vtk_reader import float_bits, read_vtk
 
 
 def test_structured_mesh_counts():
@@ -196,18 +197,21 @@ def test_nonconforming_mesh_rejected():
         TriMesh(nodes, elements)
 
 
-def test_mesh_vtk_export(tmp_path):
+def test_mesh_vtk_reads_back(tmp_path):
     from lcdroplet.vtkio import write_vtk
 
     m = build_structured_mesh(2, 3)
     path = tmp_path / "mesh.vtk"
     write_vtk(path, m, title="bare mesh")
-    text = path.read_text().split("\n")
-    assert text[0].startswith("# vtk DataFile")
-    assert f"POINTS {m.n_nodes} double" in text
-    assert f"CELLS {m.n_elements} {4 * m.n_elements}" in text
-    idx = text.index(f"CELL_TYPES {m.n_elements}")
-    assert set(text[idx + 1: idx + 1 + m.n_elements]) == {"5"}
+    frame = read_vtk(path)
+    assert frame.title == "bare mesh"
+    assert frame.counts == {"POINTS": m.n_nodes, "CELLS": (m.n_elements, 4 * m.n_elements),
+                            "CELL_TYPES": m.n_elements}
+    assert float_bits(frame.points[:, :2]) == float_bits(m.nodes)
+    assert float_bits(frame.points[:, 2]) == float_bits(np.zeros(m.n_nodes))
+    assert np.array_equal(frame.cells, np.column_stack([np.full(m.n_elements, 3), m.elements]))
+    assert np.array_equal(frame.cell_types, np.full(m.n_elements, 5))
+    assert frame.scalars == {} and frame.vectors == {}
 
 
 def test_count_components():
@@ -240,34 +244,60 @@ def test_nonconforming_mesh_rejected_with_large_node_numbers():
     assert (m.edges.lo[shared], m.edges.hi[shared]) == (70_000, 70_001)
 
 
-def test_vtk_matches_per_line_writer(tmp_path):
-    from lcdroplet.vtkio import write_vtk
-
-    def per_line(path, mesh, scalars, vectors, title):
-        lines = ["# vtk DataFile Version 3.0", title, "ASCII",
-                 "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_nodes} double"]
-        lines += [f"{p[0]:.17g} {p[1]:.17g} 0" for p in mesh.nodes]
-        ne = mesh.n_elements
-        lines.append(f"CELLS {ne} {4 * ne}")
-        lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.elements]
-        lines.append(f"CELL_TYPES {ne}")
-        lines += ["5"] * ne
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
-        for name, values in scalars.items():
-            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-            lines += [f"{v:.17g}" for v in values]
-        for name, values in vectors.items():
-            lines.append(f"VECTORS {name} double")
-            lines += [f"{v[0]:.17g} {v[1]:.17g} 0" for v in values]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    m = build_structured_mesh(5, 3, ((-1.0, 0.0), (2.0, 1e-3)))
+def _vtk_fields(m):
     rng = np.random.default_rng(3)
     phi = rng.standard_normal(m.n_nodes) * 10.0 ** rng.integers(-300, 300, m.n_nodes)
     phi[:3] = [-0.0, 1.0, 1.0 / 3.0]
     theta = rng.uniform(0, 2 * np.pi, m.n_nodes)
     scalars = {"phase": phi, "orientation": np.linspace(-0.5, 1.0, m.n_nodes)}
     vectors = {"director": np.column_stack([np.cos(theta), np.sin(theta)])}
-    write_vtk(tmp_path / "fast.vtk", m, scalars, vectors, title="t")
-    per_line(tmp_path / "ref.vtk", m, scalars, vectors, "t")
-    assert (tmp_path / "fast.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+    return scalars, vectors
+
+
+def test_vtk_fields_read_back_bit_for_bit(tmp_path):
+    from lcdroplet.vtkio import write_vtk
+
+    m = build_structured_mesh(5, 3, ((-1.0, 0.0), (2.0, 1e-3)))
+    scalars, vectors = _vtk_fields(m)
+    write_vtk(tmp_path / "f.vtk", m, scalars, vectors, title="t = 1/3")
+    frame = read_vtk(tmp_path / "f.vtk")
+    assert frame.title == "t = 1/3"
+    assert frame.counts == {"POINTS": m.n_nodes, "CELLS": (m.n_elements, 4 * m.n_elements),
+                            "CELL_TYPES": m.n_elements, "POINT_DATA": m.n_nodes}
+    assert float_bits(frame.points[:, :2]) == float_bits(m.nodes)
+    assert np.array_equal(frame.cells[:, 1:], m.elements)
+    assert list(frame.scalars) == ["phase", "orientation"]
+    for name, values in scalars.items():
+        assert float_bits(frame.scalars[name]) == float_bits(values), name
+    assert list(frame.vectors) == ["director"]
+    assert float_bits(frame.vectors["director"][:, :2]) == float_bits(vectors["director"])
+    assert float_bits(frame.vectors["director"][:, 2]) == float_bits(np.zeros(m.n_nodes))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("short scalar", r"'phase' has shape \(11,\), but the mesh has 12 nodes, so it must be \(12,\)"),
+    ("long scalar", r"'phase' has shape \(13,\), but the mesh has 12 nodes"),
+    ("vector rows", r"'director' has shape \(11, 2\), but the mesh has 12 nodes, "
+                    r"so it must be \(12, 2\)"),
+    ("vector columns", r"'director' has shape \(12, 3\)"),
+    ("title", r"title 'a\\nb' is not one line"),
+])
+def test_vtk_rejects_misshapen_field_or_title(tmp_path, case, message):
+    from lcdroplet.vtkio import write_vtk
+
+    m = build_structured_mesh(3, 2)
+    scalars, vectors = _vtk_fields(m)
+    title = "t"
+    if case == "short scalar":
+        scalars["phase"] = scalars["phase"][:-1]
+    elif case == "long scalar":
+        scalars["phase"] = np.append(scalars["phase"], 0.0)
+    elif case == "vector rows":
+        vectors["director"] = vectors["director"][:-1]
+    elif case == "vector columns":
+        vectors["director"] = np.column_stack([vectors["director"], np.zeros(m.n_nodes)])
+    else:
+        title = "a\nb"
+    with pytest.raises(ValueError, match=message):
+        write_vtk(tmp_path / "f.vtk", m, scalars, vectors, title=title)
+    assert not (tmp_path / "f.vtk").exists()
