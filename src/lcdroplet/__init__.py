@@ -17,11 +17,9 @@ from .assembly import (
     element_gradients,
 )
 from .energy import (
-    DoubleWell,
     EnergyReport,
     ModelWeights,
     cform,
-    default_double_well,
     eform,
     total_energy,
 )
@@ -46,11 +44,10 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcutenessReport", "DirectorField", "DoubleWell",
-    "EnergyReport", "ModelWeights", "NodalScalarField", "Operators",
-    "PhaseState", "SchemeConfig", "StepReport", "TriMesh", "assemble_mass",
-    "assemble_stiffness", "audit_weak_acuteness", "build_operators",
-    "build_structured_mesh", "cform", "count_components",
-    "default_double_well", "eform", "element_gradients", "gradient_flow_step",
-    "make_state", "mesh_size", "run", "total_energy",
+    "AcutenessReport", "DirectorField", "EnergyReport", "ModelWeights",
+    "NodalScalarField", "Operators", "PhaseState", "SchemeConfig", "StepReport",
+    "TriMesh", "assemble_mass", "assemble_stiffness", "audit_weak_acuteness",
+    "build_operators", "build_structured_mesh", "cform", "count_components",
+    "eform", "element_gradients", "gradient_flow_step", "make_state",
+    "mesh_size", "run", "total_energy",
 ]

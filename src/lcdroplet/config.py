@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
 
 from . import solver as sv
 from .assembly import Operators, build_operators
-from .energy import S_RANGE, DoubleWell, ModelWeights, default_double_well
+from .energy import S_RANGE, ModelWeights
 from .expressions import ExpressionError, compile_expression
 from .fields import normalized
 from .mesh import TriMesh, build_structured_mesh, count_components, mesh_size
@@ -58,7 +58,6 @@ class ScenarioConfig:
 
 def _base_config(name: str, t_final: float, w_chgd: float, w_wan: float,
                  w_was: float) -> ScenarioConfig:
-    dw = default_double_well()
     return ScenarioConfig(
         mesh={"nx": 64, "ny": 64, "rect": [[0.0, 0.0], [1.0, 1.0]]},
         weights={
@@ -75,7 +74,6 @@ def _base_config(name: str, t_final: float, w_chgd: float, w_wan: float,
             # interface length is eps*sqrt(w_chgd/w_chdw) (0.16-0.30 here)
             "eps": 3.0 / 64.0,
             "s_star": 0.750025,
-            "dw": {"fc": list(dw.fc_coeffs), "fe": list(dw.fe_coeffs)},
         },
         scheme={
             "tau": 0.002,
@@ -279,7 +277,6 @@ def _eval_director(key: str, exprs, nodes, x, y, constants) -> np.ndarray:
 _KNOWN_KEYS = {
     "mesh": {"nx", "ny", "rect"},
     "weights": {f.name for f in fields(ModelWeights)},
-    "weights.dw": {"fc", "fe"},
     "scheme": {f.name for f in fields(sv.SchemeConfig)},
     "initial": {"s", "n", "phi"},
     "bc": {"s", "n"},
@@ -301,13 +298,6 @@ def _typed(key: str, value, kind: type):
     raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
 
 
-def _coefficients(key: str, value) -> tuple:
-    """``value`` as a tuple of polynomial coefficients (floats)."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list of polynomial coefficients, got {value!r}")
-    return tuple(_typed(key, c, float) for c in value)
-
-
 def _rectangle(key: str, value) -> tuple:
     """``value`` as two corner points ((x0, y0), (x1, y1)) of finite numbers."""
     message = f"{key} must be two points [[x0, y0], [x1, y1]] of finite numbers, got {value!r}"
@@ -324,18 +314,16 @@ def _rectangle(key: str, value) -> tuple:
 
 
 def _dataclass_kwargs(cls, name: str, section: dict) -> dict:
-    """The fields of dataclass ``cls`` with a plain default (float, int,
-    str or bool) that config section ``name`` sets, checked against the
-    default's type; the others keep the dataclass defaults."""
+    """The fields of dataclass ``cls``, each with a plain default (float,
+    int, str or bool), that config section ``name`` sets, checked against
+    the default's type; the others keep the dataclass defaults."""
     return {f.name: _typed(f"{name}.{f.name}", section[f.name], type(f.default))
-            for f in fields(cls) if f.default is not MISSING and f.name in section}
+            for f in fields(cls) if f.name in section}
 
 
 def build_problem(cfg: ScenarioConfig) -> Problem:
     sections = cfg.to_dict()
     for name, known in _KNOWN_KEYS.items():
-        if name == "weights.dw":
-            sections[name] = sections["weights"].get("dw", {})
         if not isinstance(sections[name], dict):
             raise ValueError(f"{name} must be a mapping with keys {sorted(known)}")
     unknown = sorted(f"{name}.{key}" for name, known in _KNOWN_KEYS.items()
@@ -354,10 +342,7 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
     wcfg = dict(cfg.weights)
     if wcfg.get("eps", "auto") == "auto":
         wcfg["eps"] = 3.0 * mesh_size(mesh) / math.sqrt(2.0)
-    dw_cfg, default_dw = sections["weights.dw"], default_double_well()
-    dw = DoubleWell(_coefficients("weights.dw.fc", dw_cfg.get("fc", default_dw.fc_coeffs)),
-                    _coefficients("weights.dw.fe", dw_cfg.get("fe", default_dw.fe_coeffs)))
-    weights = ModelWeights(dw=dw, **_dataclass_kwargs(ModelWeights, "weights", wcfg))
+    weights = ModelWeights(**_dataclass_kwargs(ModelWeights, "weights", wcfg))
     scheme = sv.SchemeConfig(**_dataclass_kwargs(sv.SchemeConfig, "scheme", cfg.scheme))
 
     consts = {"eps": weights.eps, "s_star": weights.s_star}

@@ -17,15 +17,18 @@ director energy-decreasing.  ``eform`` and ``cform`` are the two
 multilinear forms underlying E_erk, E_wan and all their derivatives.
 E_chgd, E_was and E_wan are quadratic in grad phi, so their part of the
 chemical-potential equation is one tensor-weighted stiffness
-(``ch_step_matrix``).  The variational derivatives exist only inside the
-time-step systems (``residual_director``, ``residual_s`` and the mu block
-of ``residual_ch``), where ``verify.fd_derivative_check`` checks them.
+(``ch_step_matrix``).  E_dw integrates the one orientation double well,
+``double_well`` = f_c - f_e, whose convex split is fixed: the orientation
+stage loads f_c' implicitly and f_e' explicitly.  The variational
+derivatives exist only inside the time-step systems
+(``residual_director``, ``residual_s`` and the mu block of
+``residual_ch``), where ``verify.fd_derivative_check`` checks them.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -40,62 +43,24 @@ S_RANGE = (-0.5, 1.0)
 # double well and model weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DoubleWell:
-    """Convex-split double well f = f_c - f_e.
-
-    ``fc_coeffs`` and ``fe_coeffs`` are ascending polynomial coefficients.
-    Both parts must be convex on the admissible range of the orientation
-    parameter; this is validated on a fine grid at construction.  The
-    implicit part f_c is at most quadratic, so that the orientation stage
-    is one linear solve; any f splits so, as f_c = c s^2 and
-    f_e = c s^2 - f with 2c >= max f'' on the range.
-    """
-
-    fc_coeffs: tuple
-    fe_coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "fc_coeffs", tuple(float(c) for c in self.fc_coeffs))
-        object.__setattr__(self, "fe_coeffs", tuple(float(c) for c in self.fe_coeffs))
-        if any(c != 0.0 for c in self.fc_coeffs[3:]):
-            raise ValueError(
-                f"f_c must be at most quadratic, got coefficients {self.fc_coeffs}; "
-                "split f again as f_c = c s^2 and f_e = c s^2 - f "
-                "with 2c >= max f'' on [-0.49, 0.99]"
-            )
-        grid = np.arange(-0.49, 0.99 + 1e-9, 1e-3)
-        for name, coeffs in (("f_c", self.fc_coeffs), ("f_e", self.fe_coeffs)):
-            dd = npoly.polyval(grid, npoly.polyder(np.array(coeffs), 2))
-            if np.any(dd < 0.0):
-                raise ValueError(f"{name} is not convex on [-0.49, 0.99]")
-
-    def f(self, s):
-        return self.fc(s) - self.fe(s)
-
-    def fc(self, s):
-        return npoly.polyval(s, np.array(self.fc_coeffs))
-
-    def fe(self, s):
-        return npoly.polyval(s, np.array(self.fe_coeffs))
-
-    def df(self, s):
-        return self.dfc(s) - self.dfe(s)
-
-    def dfc(self, s):
-        return npoly.polyval(s, npoly.polyder(np.array(self.fc_coeffs)))
-
-    def dfe(self, s):
-        return npoly.polyval(s, npoly.polyder(np.array(self.fe_coeffs)))
+# The orientation double well f(s) = 16 s^4 - (64/3) s^3 + 6 s^2, with
+# minima at s = 0 and s = 3/4, and its fixed convex split f = f_c - f_e:
+# f_c = 63 s^2 is implicit, so that the orientation stage is one linear
+# solve, and f_e = 63 s^2 - f is explicit.  f_e is convex on the
+# admissible range because f''(s) = 192 s^2 - 128 s + 12 stays below
+# 2 * 63 there (its maximum, 120.8, is at s = -0.49).  Ascending
+# coefficients; every value of the well and its parts is ``npoly.polyval``
+# on these arrays.
+DW_FC = np.array([0.0, 0.0, 63.0])
+DW_FE = np.array([0.0, 0.0, 57.0, 64.0 / 3.0, -16.0])
+DW_DFC, DW_DFE = npoly.polyder(DW_FC), npoly.polyder(DW_FE)
+for _coeffs in (DW_FC, DW_FE, DW_DFC, DW_DFE):
+    _coeffs.setflags(write=False)
 
 
-def default_double_well() -> DoubleWell:
-    """f(s) = 16 s^4 - (64/3) s^3 + 6 s^2, split as
-    f_c = 63 s^2 and f_e = -16 s^4 + (64/3) s^3 + 57 s^2."""
-    return DoubleWell(
-        fc_coeffs=(0.0, 0.0, 63.0),
-        fe_coeffs=(0.0, 0.0, 57.0, 64.0 / 3.0, -16.0),
-    )
+def double_well(s):
+    """f(s) = f_c(s) - f_e(s)."""
+    return npoly.polyval(s, DW_FC) - npoly.polyval(s, DW_FE)
 
 
 @dataclass(frozen=True)
@@ -112,7 +77,6 @@ class ModelWeights:
     rho: float = 1.0
     eps: float = 0.1
     s_star: float = 0.750025
-    dw: DoubleWell = field(default_factory=default_double_well)
 
     def __post_init__(self):
         for name in ("w_erk", "w_dw", "w_chdw", "w_chgd", "w_wan", "w_was"):
@@ -158,7 +122,7 @@ def eform(ops: Operators, s, z, n, w) -> float:
     ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
     sz = np.asarray(s) * np.asarray(z)
     dn, dw_ = _edge_diff(ops, n), _edge_diff(ops, w)
-    pair = dn[:, 0] * dw_[:, 0] + dn[:, 1] * dw_[:, 1] if dn.ndim == 2 else dn * dw_
+    pair = dn[:, 0] * dw_[:, 0] + dn[:, 1] * dw_[:, 1]
     # ordered double sum = 2x the edge sum, cancelling the 1/2 average
     return float(np.sum(k * (sz[ei] + sz[ej]) * pair))
 
@@ -242,7 +206,7 @@ def energy_ericksen(ops: Operators, s, n, kappa: float) -> float:
     return kappa * ops.grad_form(s, s) + 0.5 * eform(ops, s, s, n, n)
 
 
-def energy_dw(ops: Operators, s, dw: DoubleWell) -> float:
+def energy_dw(ops: Operators, s) -> float:
     smin, smax = float(np.min(s)), float(np.max(s))
     if smin <= S_RANGE[0] or smax >= S_RANGE[1]:
         warnings.warn(
@@ -251,7 +215,7 @@ def energy_dw(ops: Operators, s, dw: DoubleWell) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return assembly.integrate_p1_function(ops.mesh, dw.f, np.asarray(s))
+    return assembly.integrate_p1_function(ops.mesh, double_well, np.asarray(s))
 
 
 def energy_ch_dw(ops: Operators, phi, eps: float) -> float:
@@ -289,7 +253,7 @@ def energy_report(ops: Operators, weights: ModelWeights, s, n, phi, gphi: np.nda
     """``total_energy`` given the per-element gradient of phi, the
     ``coupling_tensors`` there and the ``was_weights`` of s."""
     e_erk = energy_ericksen(ops, s, n, weights.kappa)
-    e_dw = energy_dw(ops, s, weights.dw)
+    e_dw = energy_dw(ops, s)
     e_chdw = energy_ch_dw(ops, phi, weights.eps)
     e_chgd = energy_ch_grad(ops, phi, weights.eps)
     e_wan = energy_wan(s, n, coupling, weights.eps)
@@ -406,8 +370,6 @@ def residual_s(
     p = ops.mesh.pattern
     gamma = tensor_pairing(coupling, n_new, n_new)
     W_phi = assembly.weighted_mass(ops.mesh, np.sum(gphi_prev * gphi_prev, axis=1))
-    fc = weights.dw.fc_coeffs + (0.0, 0.0, 0.0)
-    c1, c2 = fc[1], fc[2]
 
     data = (
         ops.mass.data / tau
@@ -416,12 +378,11 @@ def residual_s(
     )
     data[p.diag] += (weights.w_erk * elastic_diag
                      + 0.5 * weights.w_wan * weights.eps * gamma)
-    data += (2.0 * c2 * weights.w_dw) * ops.mass.data
+    data += (2.0 * DW_FC[2] * weights.w_dw) * ops.mass.data
     A = p.csr(data)
 
     b = (
         ops.mass @ s_prev / tau
-        - weights.w_dw * c1 * ops.mass_rows
         + weights.w_dw * dw_load
         + weights.w_was * weights.eps * weights.s_star * (W_phi @ np.ones_like(s_prev))
         - 0.5 * weights.w_wan * weights.eps * gamma * s_prev
@@ -429,16 +390,16 @@ def residual_s(
     return A, b
 
 
-def explicit_dw_load(ops: Operators, dw: DoubleWell, s_prev) -> np.ndarray:
+def explicit_dw_load(ops: Operators, s_prev) -> np.ndarray:
     """Vector with entries integral of f_e'(s_h) eta_i (explicit part)."""
     sq = quad.at_quad_points(np.asarray(s_prev)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, dw.dfe(sq))
+    return assembly.nodal_load(ops.mesh, npoly.polyval(sq, DW_DFE))
 
 
-def implicit_dw_load(ops: Operators, dw: DoubleWell, s_new) -> np.ndarray:
+def implicit_dw_load(ops: Operators, s_new) -> np.ndarray:
     """Vector with entries integral of f_c'(s_h) eta_i (implicit part)."""
     sq = quad.at_quad_points(np.asarray(s_new)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, dw.dfc(sq))
+    return assembly.nodal_load(ops.mesh, npoly.polyval(sq, DW_DFC))
 
 
 def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new,

@@ -6,7 +6,7 @@ Two rules are used throughout the package:
   degree 4 exactly (enough for every quartic double-well integrand that
   appears in the energies and residuals), with all-positive weights so
   pointwise inequalities survive integration;
-* tensorized Gauss-Legendre grids on rectangles, used only by the
+* tensorized Gauss-Legendre grids on the unit square, used only by the
   verification layer to evaluate smooth reference integrals.
 """
 from __future__ import annotations
@@ -57,19 +57,15 @@ def integrate_elementwise(values_at_quad: np.ndarray, areas: np.ndarray) -> floa
     return float(areas @ (values_at_quad @ TRI4_WEIGHTS))
 
 
-def gauss_legendre_grid(n: int, rect=((0.0, 0.0), (1.0, 1.0))):
-    """Tensor Gauss-Legendre rule with ``n`` points per axis on a rectangle.
+def gauss_legendre_grid(n: int):
+    """Tensor Gauss-Legendre rule with ``n`` points per axis on the unit square.
 
     Returns (points, weights) with points of shape (n*n, 2).  Used by the
     verification layer for dense reference integrals of smooth functions.
     """
-    (x0, y0), (x1, y1) = rect
     t, w = np.polynomial.legendre.leggauss(n)
-    xs = 0.5 * (x1 - x0) * (t + 1.0) + x0
-    ys = 0.5 * (y1 - y0) * (t + 1.0) + y0
-    wx = 0.5 * (x1 - x0) * w
-    wy = 0.5 * (y1 - y0) * w
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    W = np.outer(wx, wy)
+    xs = 0.5 * (t + 1.0)
+    wx = 0.5 * w
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    return pts, W.ravel()
+    return pts, np.outer(wx, wx).ravel()

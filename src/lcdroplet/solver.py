@@ -6,8 +6,8 @@ One time step advances (s, n, phi, mu) through three stages, in order:
    n~ = n_prev + tau v, then renormalize nodewise.  Because v is
    orthogonal to n_prev at every node, |n~| >= 1 there, and the lumped
    forms decrease under the normalization (the two "drop" terms below).
-2. orientation: one SPD solve for s (the convex part of the double well
-   is implicit, the concave part explicit).
+2. orientation: one SPD solve for s (the fixed convex split of the double
+   well, ``energy.DW_FC`` implicit and ``energy.DW_FE`` explicit).
 3. interface: Newton on the coupled (phi, mu) system; the cubic term is
    the only nonlinearity.  The Newton systems are solved by GMRES in
    double precision, preconditioned by an earlier Jacobian with its (2,2)
@@ -15,7 +15,8 @@ One time step advances (s, n, phi, mu) through three stages, in order:
    precision (:class:`JacobianCache`); it is refactored only when GMRES
    stalls, and :func:`run` keeps the factors from step to step.
 
-Both SPD systems are solved by conjugate gradients by default, or by a
+Both SPD systems are solved by conjugate gradients by default, to the
+relative residual ``CG_RTOL`` within ``CG_MAXITER`` iterations, or by a
 double-precision sparse LU factorization (``linear_solver="direct"``),
 the reference whose solutions are exact up to roundoff.
 
@@ -43,6 +44,7 @@ from .fields import DirectorField, NodalScalarField, normalized
 from .mesh import TriMesh
 
 S_RANGE = en.S_RANGE
+CG_RTOL = 1e-12  # relative residual at which a conjugate-gradient solve stops
 CG_MAXITER = 20000  # iterations of one conjugate-gradient solve
 
 
@@ -65,7 +67,6 @@ class SchemeConfig:
     newton_res_tol: float = 1e-7
     newton_max_iter: int = 50
     linear_solver: str = "cg"  # "cg" or "direct" (SPD solves only)
-    cg_tol: float = 1e-12
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0.0):
@@ -76,8 +77,8 @@ class SchemeConfig:
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ValueError(f"t_final = {self.t_final!r} is not a whole number of "
                              f"steps of tau = {self.tau!r} ({steps:.6g} steps)")
-        if not all(tol > 0.0 for tol in (self.newton_res_tol, self.cg_tol)):
-            raise ValueError("tolerances must be positive")
+        if not self.newton_res_tol > 0.0:
+            raise ValueError(f"newton_res_tol must be positive, got {self.newton_res_tol!r}")
         if self.newton_max_iter < 0:
             raise ValueError(f"newton_max_iter must be nonnegative, got {self.newton_max_iter}")
         if self.linear_solver not in ("direct", "cg"):
@@ -190,7 +191,7 @@ def tangent_space(n_values: np.ndarray) -> np.ndarray:
 def _solve_spd(A, b, config: SchemeConfig, stage: str):
     """Solve the SPD system of ``stage``; returns (x, b - A x)."""
     if config.linear_solver == "cg":
-        x, info = spla.cg(A, b, rtol=config.cg_tol, atol=0.0, maxiter=CG_MAXITER)
+        x, info = spla.cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER)
         if info != 0:
             raise StepError(
                 f"{stage} solve: conjugate gradient failed to converge (info={info})"
@@ -476,7 +477,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         state = with_energy(ops, weights, state)
     s_prev, phi_prev = state.s.values, state.phi.values
     gphi_prev, coupling, before = state.gphi, state.coupling, state.energy
-    dw_load = en.explicit_dw_load(ops, weights.dw, s_prev)
+    dw_load = en.explicit_dw_load(ops, s_prev)
 
     n_tilde, n_new, v, r_n = director_step(ops, state, weights, config, coupling)
     elastic_diag = en.eform_scalar_diag(ops, n_new)
@@ -541,7 +542,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
             + en.energy_was(ops, en.was_weights(ops, ds, 0.0), gphi_prev, eps)
         ),
     }
-    split_term = float((en.implicit_dw_load(ops, weights.dw, s_new) - dw_load) @ ds)
+    split_term = float((en.implicit_dw_load(ops, s_new) - dw_load) @ ds)
     diss["convex_split_slack"] = weights.w_dw * (split_term - (after.e_dw - before.e_dw))
 
     # stopping errors of the three solves, each paired with the test

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import assembly, config as cfgmod, energy as en, quadrature as quad, solver as sv
 from .assembly import Operators, build_operators
-from .energy import ModelWeights, default_double_well
+from .energy import ModelWeights
 from .fields import normalized
 from .mesh import TriMesh, audit_weak_acuteness, build_structured_mesh
 
@@ -222,7 +222,7 @@ def fd_derivative_check(ops: Operators, weights: ModelWeights, energy_id: str,
     elif field == "s":
         A, b = en.residual_s(ops, w, 1.0, s, n, gphi, coupling,
                              en.eform_scalar_diag(ops, n),
-                             en.explicit_dw_load(ops, w.dw, s))
+                             en.explicit_dw_load(ops, s))
         exact = float((A @ s - b) @ delta)
     else:
         r = en.residual_ch(ops, w, 1.0, phi, np.zeros_like(phi), phi, ops.mass @ phi,
@@ -324,7 +324,6 @@ def convex_split_check(ops: Operators, rng, trials: int = 1000,
                        tol: float = 1e-11):
     """The implicit/explicit double-well pairing dominates the energy
     difference for arbitrary in-range field pairs."""
-    dw = default_double_well()
     mesh = ops.mesh
     worst = -np.inf
     violations = 0
@@ -333,10 +332,9 @@ def convex_split_check(ops: Operators, rng, trials: int = 1000,
         s_new = rng.uniform(-0.49, 0.99, mesh.n_nodes)
         ds = s_new - s_old
         pairing = float(
-            (en.implicit_dw_load(ops, dw, s_new) - en.explicit_dw_load(ops, dw, s_old))
-            @ ds
+            (en.implicit_dw_load(ops, s_new) - en.explicit_dw_load(ops, s_old)) @ ds
         )
-        gap = (en.energy_dw(ops, s_new, dw) - en.energy_dw(ops, s_old, dw)) - pairing
+        gap = (en.energy_dw(ops, s_new) - en.energy_dw(ops, s_old)) - pairing
         worst = max(worst, gap)
         if gap > tol:
             violations += 1
@@ -444,7 +442,7 @@ def continuous_total_energy(triple: SmoothTriple, weights: ModelWeights,
     gphi2 = px * px + py * py
     ndotp = nx * px + ny * py
     e_erk = float(w @ (weights.kappa * (sx * sx + sy * sy) + s * s * triple.grad_n_sq(x, y)))
-    e_dw = float(w @ weights.dw.f(s))
+    e_dw = float(w @ en.double_well(s))
     e_chdw = float(w @ ((phi * phi - 1.0) ** 2)) / (4.0 * eps)
     e_chgd = 0.5 * eps * float(w @ gphi2)
     e_wan = 0.5 * eps * float(w @ (s * s * (gphi2 - ndotp**2)))
@@ -600,11 +598,10 @@ def flow_trajectory(problem, mutate: str | None = None):
             s_new, s_prev = state.s.values, self.s_prev
             if mutate == "convex-split-sign":
                 wrong_pairing = float(
-                    (en.implicit_dw_load(ops, weights.dw, s_new)
-                     - en.explicit_dw_load(ops, weights.dw, s_new)) @ (s_new - s_prev)
+                    (en.implicit_dw_load(ops, s_new) - en.explicit_dw_load(ops, s_new))
+                    @ (s_new - s_prev)
                 )
-                gap = (en.energy_dw(ops, s_new, weights.dw)
-                       - en.energy_dw(ops, s_prev, weights.dw))
+                gap = en.energy_dw(ops, s_new) - en.energy_dw(ops, s_prev)
                 diss = dict(rep.dissipation)
                 diss["convex_split_slack"] = weights.w_dw * (wrong_pairing - gap)
                 rep = dataclasses.replace(rep, dissipation=diss)

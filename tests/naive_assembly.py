@@ -143,17 +143,16 @@ def director_system(mesh, weights, tau, s, n_prev, phi, tangent):
 
 
 def s_matrix(mesh, weights, tau, n, phi):
-    """Full matrix of the orientation system (quadratic convex part)."""
+    """Full matrix of the orientation system (convex part f_c = 63 s^2)."""
     gphi = grads(mesh, phi)
     G = anchoring_tensors(mesh, gphi)
     gamma = np.einsum("id,idc,ic->i", n, G, n)
-    c2 = weights.dw.fc_coeffs[2]
     M = mass(mesh)
     return (
         M / tau
         + weights.w_erk * (2.0 * weights.kappa * stiffness(mesh)
                            + sp.diags(eform_scalar_diag(mesh, n)))
-        + 2.0 * c2 * weights.w_dw * M
+        + 2.0 * 63.0 * weights.w_dw * M  # f_c = 63 s^2
         + weights.w_was * weights.eps * mass(mesh, np.sum(gphi * gphi, axis=1))
         + sp.diags(0.5 * weights.w_wan * weights.eps * gamma)
     ).tocsr()

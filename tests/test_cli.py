@@ -122,9 +122,9 @@ def test_bad_override_rejected():
 
 @pytest.mark.parametrize(
     "key",
-    ["mesh.nxx", "weights.w_chdww", "weights.dw.fcc", "scheme.tua",
+    ["mesh.nxx", "weights.w_chdww", "weights.dw", "scheme.tua",
      "initial.phii", "bc.nn", "output.snapshot_evry", "output.energy_log",
-     "scheme.cg_maxiter"],
+     "scheme.cg_maxiter", "scheme.cg_tol"],
 )
 def test_unknown_key_rejected(key):
     c = cfg.merge_config(cfg.preset("droplet_corner"), None, [f"{key}=1", "mesh.nx=4"])
@@ -177,8 +177,6 @@ RECT = "mesh.rect must be two points [[x0, y0], [x1, y1]] of finite numbers, got
         ("output.snapshot_every=2.5", "output.snapshot_every must be of type int, got 2.5"),
         ("output.snapshot_every=later",
          "output.snapshot_every must be of type int, got 'later'"),
-        ("weights.dw.fc=3", "weights.dw.fc must be a list of polynomial coefficients, got 3"),
-        ("weights.dw.fe=[0, 0, x]", "weights.dw.fe must be of type float, got 'x'"),
         ("weights.eps=nan", "eps must be finite and positive, got nan"),
         ("weights.w_chdw=inf", "w_chdw must be finite and nonnegative, got inf"),
         ("weights.kappa=nan", "kappa must be finite and positive, got nan"),
@@ -233,26 +231,13 @@ def test_config_value_of_wrong_type_rejected(item, message):
 
 def test_config_values_of_right_type_accepted():
     p = _build_corner("scheme.tau=1e-3", "scheme.t_final=1", "scheme.newton_max_iter=7",
-                      "scheme.cg_tol=1e-10", "scheme.linear_solver=direct")
+                      "scheme.linear_solver=direct")
     assert p.scheme.tau == 0.001 and p.scheme.t_final == 1.0
     assert type(p.scheme.t_final) is float
-    assert p.scheme.newton_max_iter == 7 and p.scheme.cg_tol == 1e-10
+    assert p.scheme.newton_max_iter == 7
     assert p.scheme.linear_solver == "direct"
     p = _build_corner("mesh.nx=3", "output.snapshot_every=5")
     assert p.mesh.n_nodes == 4 * 5 and p.snapshot_every == 5
-
-
-@pytest.mark.parametrize("value", ["3", "[1,2]", "null"])
-def test_double_well_not_a_mapping_rejected(value):
-    with pytest.raises(ValueError) as err:
-        _build_corner(f"weights.dw={value}")
-    assert str(err.value) == "weights.dw must be a mapping with keys ['fc', 'fe']"
-
-
-def test_quartic_convex_part_rejected_from_config():
-    with pytest.raises(ValueError, match="f_c must be at most quadratic"):
-        _build_corner("weights.dw.fc=[0, 0, 63, 0, 4]",
-                      "weights.dw.fe=[0, 0, 57, 21.333333333333332, -12]")
 
 
 @pytest.mark.parametrize(
@@ -265,7 +250,7 @@ def test_quartic_convex_part_rejected_from_config():
     ],
 )
 def test_presets_build_weights_and_scheme(name, w_chgd, w_wan, w_was, t_final):
-    from lcdroplet.energy import ModelWeights, default_double_well
+    from lcdroplet.energy import ModelWeights
     from lcdroplet.solver import SchemeConfig
 
     c = cfg.merge_config(cfg.preset(name), None, ["mesh.nx=4", "mesh.ny=4"])
@@ -273,11 +258,10 @@ def test_presets_build_weights_and_scheme(name, w_chgd, w_wan, w_was, t_final):
     assert prob.weights == ModelWeights(
         w_erk=1.0, w_dw=100.0, w_chdw=1.0, w_chgd=w_chgd, w_wan=w_wan,
         w_was=w_was, kappa=1.0, rho=1.0, eps=3.0 / 64.0, s_star=0.750025,
-        dw=default_double_well(),
     )
     assert prob.scheme == SchemeConfig(
         tau=0.002, t_final=t_final, newton_res_tol=1e-7,
-        newton_max_iter=50, linear_solver="cg", cg_tol=1e-12,
+        newton_max_iter=50, linear_solver="cg",
     )
     assert type(prob.scheme.newton_max_iter) is int
 
@@ -578,4 +562,4 @@ def test_config_yaml_echo_resolves_auto(tmp_path):
     assert resolved["weights"]["eps"] == pytest.approx(3.0 / 4.0)
     assert isinstance(resolved["output"]["snapshot_every"], int)
     assert resolved["scheme"]["linear_solver"] == "cg"
-    assert resolved["scheme"]["cg_tol"] == 1e-12
+    assert "cg_tol" not in resolved["scheme"] and "dw" not in resolved["weights"]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import naive_assembly as naive
 from lcdroplet import build_operators, build_structured_mesh
 from lcdroplet import energy as en
 from lcdroplet import verify as vf
 from lcdroplet.assembly import apply_dirichlet, element_gradients
-from lcdroplet.energy import DoubleWell, ModelWeights, default_double_well
+from lcdroplet.energy import ModelWeights
 from lcdroplet.solver import InterfaceJacobian
 
 
@@ -147,37 +148,38 @@ def test_ericksen_coercivity(ops4, rng):
             assert e >= bound - 1e-11
 
 
+def double_well_derivative(s):
+    return npoly.polyval(s, en.DW_DFC) - npoly.polyval(s, en.DW_DFE)
+
+
 def test_double_well_polynomial_facts():
-    dw = default_double_well()
-    assert abs(dw.df(0.75)) <= 1e-12
-    assert dw.f(0.0) == 0.0
-    assert dw.f(0.75) == pytest.approx(-0.5625, rel=1e-12)
-    assert dw.f(0.0) > dw.f(0.75)
+    assert abs(double_well_derivative(0.75)) <= 1e-12
+    assert en.double_well(0.0) == 0.0
+    assert en.double_well(0.75) == pytest.approx(-0.5625, rel=1e-12)
+    assert en.double_well(0.0) > en.double_well(0.75)
     # critical points of f are exactly {0, 1/4, 3/4}
     for root in (0.0, 0.25, 0.75):
-        assert abs(dw.df(root)) <= 1e-12
+        assert abs(double_well_derivative(root)) <= 1e-12
 
 
 def test_double_well_energy_zero_field(ops4):
     s = np.zeros(ops4.mesh.n_nodes)
-    assert en.energy_dw(ops4, s, default_double_well()) == pytest.approx(0.0, abs=1e-15)
+    assert en.energy_dw(ops4, s) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_double_well_range_warning(ops4):
     s = np.full(ops4.mesh.n_nodes, 1.2)
     with pytest.warns(RuntimeWarning):
-        en.energy_dw(ops4, s, default_double_well())
+        en.energy_dw(ops4, s)
 
 
-def test_nonconvex_split_rejected():
-    with pytest.raises(ValueError, match="convex"):
-        DoubleWell(fc_coeffs=(0, 0, -1.0), fe_coeffs=(0, 0, 1.0))
-
-
-def test_convex_part_above_quadratic_rejected():
-    # the default f, split with a quartic convex part
-    with pytest.raises(ValueError, match="f_c must be at most quadratic"):
-        DoubleWell(fc_coeffs=(0, 0, 63, 0, 4), fe_coeffs=(0, 0, 57, 64 / 3, -12))
+def test_double_well_split_is_quadratic_and_convex():
+    # f_c is at most quadratic, so the orientation stage is one linear
+    # solve, and both parts are convex on the admissible range
+    assert not np.any(en.DW_FC[3:])
+    grid = np.arange(-0.49, 0.99 + 1e-9, 1e-3)
+    for coeffs in (en.DW_FC, en.DW_FE):
+        assert np.all(npoly.polyval(grid, npoly.polyder(coeffs, 2)) >= 0.0)
 
 
 def test_ch_energy_examples(ops4):
@@ -310,7 +312,7 @@ def test_orientation_system_spd(ops2, rng):
     phi = rng.uniform(-1, 1, mesh.n_nodes)
     gphi = element_gradients(mesh, phi)
     A, b = en.residual_s(ops2, weights, 0.002, s, n, gphi, en.coupling_tensors(ops2, gphi, gphi),
-                         en.eform_scalar_diag(ops2, n), en.explicit_dw_load(ops2, weights.dw, s))
+                         en.eform_scalar_diag(ops2, n), en.explicit_dw_load(ops2, s))
     Ad = A.toarray()
     assert np.abs(Ad - Ad.T).max() <= 1e-11 * np.abs(Ad).max()
     assert np.linalg.eigvalsh(Ad).min() > 0
@@ -431,7 +433,7 @@ def test_orientation_system_matches_coo_assembly(step_case):
     gphi = element_gradients(mesh, f["phi"])
     A, b = en.residual_s(ops, weights, 0.002, f["s"], f["n"], gphi,
                          en.coupling_tensors(ops, gphi, gphi), en.eform_scalar_diag(ops, f["n"]),
-                         en.explicit_dw_load(ops, weights.dw, f["s"]))
+                         en.explicit_dw_load(ops, f["s"]))
     A_ref = naive.s_matrix(mesh, weights, 0.002, f["n"], f["phi"])
     assert naive.relative_error(A, A_ref) <= 1e-13
     vals = np.full(len(mesh.boundary_nodes), 0.5)

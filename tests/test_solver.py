@@ -49,7 +49,7 @@ def s_stage(ops, state, n_new, weights, scheme):
     gphi = element_gradients(ops.mesh, state.phi.values)
     return sv.s_step(ops, state, n_new, weights, scheme, gphi,
                      en.coupling_tensors(ops, gphi, gphi), en.eform_scalar_diag(ops, n_new),
-                     en.explicit_dw_load(ops, weights.dw, state.s.values))
+                     en.explicit_dw_load(ops, state.s.values))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +152,7 @@ def test_s_step_quartic_well_dissipates():
     through the one linear solve and dissipates at fixed (n, phi)."""
     mesh = build_structured_mesh(4, 4)
     ops = build_operators(mesh)
-    w = ModelWeights(w_dw=100.0, w_wan=5.0, w_was=5.0, s_star=0.75,
-                     dw=en.default_double_well())
+    w = ModelWeights(w_dw=100.0, w_wan=5.0, w_was=5.0, s_star=0.75)
     rng = np.random.default_rng(5)
     phi = rng.uniform(-1, 1, mesh.n_nodes)
     s0 = np.clip(0.75 + 0.05 * rng.standard_normal(mesh.n_nodes), 0.6, 0.9)
@@ -537,15 +536,16 @@ def test_cg_solver_matches_direct():
     assert np.abs(viacg.n.values - direct.n.values).max() <= 1e-8
 
 
-def test_spd_residuals_close_the_budget():
+def test_spd_residuals_close_the_budget(monkeypatch):
     """With loose conjugate-gradient solves the budget is open by far more
     than roundoff, and charging the director and s residuals (paired with
     tau v and ds) closes it to roundoff.  The Newton tolerance is tight so
     that the open residual is the SPD solves' own."""
     c = cfg.merge_config(cfg.preset("droplet_collide"), None, [
         "mesh.nx=32", "mesh.ny=32", "weights.w_chdw=100", "scheme.t_final=0.02",
-        "scheme.cg_tol=1e-8", "scheme.newton_res_tol=1e-11",
+        "scheme.newton_res_tol=1e-11",
     ])
+    monkeypatch.setattr(sv, "CG_RTOL", 1e-8)
     prob = cfg.build_problem(c)
     reports = []
 

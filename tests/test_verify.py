@@ -206,7 +206,7 @@ def test_refinement_constant_triple_exact():
         nvec = np.tile([0.0, 1.0], (mesh.n_nodes, 1))
         phi = np.full(mesh.n_nodes, 0.4)
         rep = en.total_energy(ops, weights, s, nvec, phi)
-        f_val = float(weights.dw.f(0.6))
+        f_val = float(en.double_well(0.6))
         chdw = (0.4**2 - 1.0) ** 2 / (4 * weights.eps)
         assert rep.total == pytest.approx(
             weights.w_dw * f_val + weights.w_chdw * chdw, rel=1e-12
