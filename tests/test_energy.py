@@ -173,13 +173,30 @@ def test_double_well_range_warning(ops4):
         en.energy_dw(ops4, s)
 
 
-def test_double_well_split_is_quadratic_and_convex():
-    # f_c is at most quadratic, so the orientation stage is one linear
-    # solve, and both parts are convex on the admissible range
-    assert not np.any(en.DW_FC[3:])
+def split_defects(fc_coeffs, fe_coeffs):
+    """What disqualifies a split f = f_c - f_e from the scheme: an f_c past
+    s^2 (the orientation stage would not be one linear solve) or a part
+    that is not convex on the admissible range."""
+    defects = []
+    if np.any(np.asarray(fc_coeffs, dtype=float)[3:]):
+        defects.append("f_c must be at most quadratic")
     grid = np.arange(-0.49, 0.99 + 1e-9, 1e-3)
-    for coeffs in (en.DW_FC, en.DW_FE):
-        assert np.all(npoly.polyval(grid, npoly.polyder(coeffs, 2)) >= 0.0)
+    for name, coeffs in (("f_c", fc_coeffs), ("f_e", fe_coeffs)):
+        if np.any(npoly.polyval(grid, npoly.polyder(coeffs, 2)) < 0.0):
+            defects.append(f"{name} is not convex")
+    return defects
+
+
+def test_nonconvex_split_rejected():
+    assert split_defects((0, 0, -1.0), (0, 0, 1.0)) == ["f_c is not convex"]
+    assert split_defects(en.DW_FC, en.DW_FE) == []
+
+
+def test_convex_part_above_quadratic_rejected():
+    # the default f, split with a quartic convex part
+    defects = split_defects((0, 0, 63, 0, 4), (0, 0, 57, 64 / 3, -12))
+    assert "f_c must be at most quadratic" in defects
+    assert split_defects(en.DW_FC, en.DW_FE) == []
 
 
 def test_ch_energy_examples(ops4):
