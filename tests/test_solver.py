@@ -9,6 +9,7 @@ from lcdroplet import config as cfg
 from lcdroplet import energy as en
 from lcdroplet.assembly import element_gradients
 from lcdroplet import solver as sv
+from lcdroplet import verify
 from lcdroplet.energy import ModelWeights
 from lcdroplet.fields import normalized
 from lcdroplet.solver import (
@@ -257,6 +258,62 @@ def test_ch_step_factors_kept_across_steps_match_fresh_ones():
     assert np.abs(kept.phi.values - fresh.phi.values).max() <= 1e-7
     assert np.abs(kept.mu.values - fresh.mu.values).max() <= 1e-5
     assert 1 <= cache.factorizations < solves
+
+
+def test_newton_solves_stop_at_a_tenth_of_the_newton_tolerance(monkeypatch):
+    """No Newton solve asks for a linear residual below a tenth of the
+    Newton tolerance.  Asking for less runs GMRES past MAX_KRYLOV on the
+    kept factors and refactors: with the floor, the flow that ``verify``
+    audits (16^2, 25 steps) factors S at most twice."""
+    problem = verify._corner_problem()
+    tol = problem.scheme.newton_res_tol
+    asked = []  # (rtol, |R|) of every solve
+    solve = sv.JacobianCache.solve
+
+    def recording(self, J, rhs, rtol):
+        asked.append((rtol, float(np.linalg.norm(rhs))))
+        return solve(self, J, rhs, rtol)
+
+    monkeypatch.setattr(sv.JacobianCache, "solve", recording)
+    _, reports, _ = verify.flow_trajectory(problem)
+    assert len(asked) == sum(rep.newton_iters for rep in reports)
+    assert all(rtol * res >= 0.1 * tol * (1 - 1e-12) for rtol, res in asked)
+    # the floor is what sets the last solves of a step
+    assert any(rtol > sv._NEWTON_FORCING * res for rtol, res in asked)
+    assert sum(rep.factorizations for rep in reports) <= 2
+
+
+def test_step_reports_carry_the_interface_solver_work(monkeypatch):
+    """Each StepReport holds its Newton residual history and its GMRES
+    iterations and factorizations of S, which over a run sum to the
+    counters of the run's one cache."""
+    caches = []
+
+    class Recorded(sv.JacobianCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(sv, "JacobianCache", Recorded)
+    prob = small_problem(nx=8, t_final=0.02)
+    reports = []
+
+    class Collector:
+        def on_step(self, state, report):
+            reports.append(report)
+
+    sv.run(prob.ops, prob.initial, prob.weights, prob.scheme, prob.bc, [Collector()])
+    (cache,) = caches
+    assert len(reports) == 10
+    for rep in reports:
+        assert len(rep.newton_history) == rep.newton_iters + 1
+        assert rep.newton_history[-1] <= prob.scheme.newton_res_tol
+        assert rep.krylov_iterations >= rep.newton_iters
+    assert sum(rep.krylov_iterations for rep in reports) == cache.krylov_iterations
+    assert sum(rep.factorizations for rep in reports) == cache.factorizations >= 1
+    # a step without a cache starts from a fresh factorization
+    _, rep = gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme)
+    assert rep.factorizations == 1
 
 
 def ch_system(nx=16):
