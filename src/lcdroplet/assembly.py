@@ -9,8 +9,9 @@ kernel for gradient terms with a piecewise-constant symmetric tensor
 weight) or use the degree-4 triangle rule (quartic integrands such as
 the double wells), written as products with constant matrices.  Sparse
 operators are plain ``scipy.sparse.csr_matrix`` objects on the mesh's
-fixed pattern (``TriMesh.pattern``, built once per mesh): one
-``np.bincount`` sums the element blocks into its data slots.  Explicit
+fixed pattern (``TriMesh.pattern``, built once per mesh): 0/1 sum operators
+add the element blocks into its data slots and vertex values into the
+nodes, bit for bit as ``np.bincount`` (``mesh._sum_operator``).  Explicit
 stored zeros are kept, so the sparsity pattern always equals the mesh
 adjacency pattern, and operators on one mesh share their index arrays: a
 linear combination of them is one of their ``data`` arrays.
@@ -35,12 +36,7 @@ def _scatter(mesh: TriMesh, ke: np.ndarray) -> SparseOperator:
     """Sum per-element 3x3 blocks, shape (ne, 3, 3) or (ne, 9) row-major,
     into a CSR matrix on the mesh pattern."""
     p = mesh.pattern
-    return p.csr(np.bincount(p.slots.ravel(), ke.ravel(), minlength=p.nnz))
-
-
-def vertex_sum(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
-    """Nodal sums of per-element vertex values, shape (ne, 3)."""
-    return np.bincount(mesh.elements.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
+    return p.csr(p.block_to_slot @ ke.ravel())
 
 
 def assemble_stiffness(mesh: TriMesh) -> SparseOperator:
@@ -49,7 +45,7 @@ def assemble_stiffness(mesh: TriMesh) -> SparseOperator:
     Symmetric PSD with constants in the kernel."""
     g, area, p = mesh.grads.transpose(1, 2, 0), mesh.areas, mesh.pattern  # g[a, i]: rows
     data = np.empty(p.nnz)
-    data[p.diag] = vertex_sum(mesh, ((g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]) * area).T)
+    data[p.diag] = mesh.vertex_to_node @ ((g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]) * area).T.ravel()
     data[p.upper] = data[p.lower] = -mesh.edge_k
     return p.csr(data)
 
@@ -105,7 +101,7 @@ def squared_field_mass(mesh: TriMesh, values: np.ndarray) -> SparseOperator:
 def nodal_load(mesh: TriMesh, values_at_quad: np.ndarray) -> np.ndarray:
     """Load vector L_i = integral of g eta_i with ``g`` given at the
     degree-4 quadrature points, shape (ne, 6)."""
-    return vertex_sum(mesh, (values_at_quad * mesh.areas[:, None]) @ _QUAD_LOAD)
+    return mesh.vertex_to_node @ ((values_at_quad * mesh.areas[:, None]) @ _QUAD_LOAD).ravel()
 
 
 def integrate_p1_function(mesh: TriMesh, f, values: np.ndarray) -> float:

@@ -49,8 +49,8 @@ S_RANGE = (-0.5, 1.0)
 # solve, and f_e = 63 s^2 - f is explicit.  f_e is convex on the
 # admissible range because f''(s) = 192 s^2 - 128 s + 12 stays below
 # 2 * 63 there (its maximum, 120.8, is at s = -0.49).  Ascending
-# coefficients; every value of the well and its parts is ``npoly.polyval``
-# on these arrays.
+# coefficients; every value of the well and its parts is ``_polyval`` on
+# these arrays, bit for bit ``npoly.polyval``.
 DW_FC = np.array([0.0, 0.0, 63.0])
 DW_FE = np.array([0.0, 0.0, 57.0, 64.0 / 3.0, -16.0])
 DW_DFC, DW_DFE = npoly.polyder(DW_FC), npoly.polyder(DW_FE)
@@ -58,9 +58,18 @@ for _coeffs in (DW_FC, DW_FE, DW_DFC, DW_DFE):
     _coeffs.setflags(write=False)
 
 
+def _polyval(x, c):
+    """Bit for bit ``npoly.polyval(x, c)``: its Horner steps, in place and on floats."""
+    y = x * 0 + c[-1]
+    for ci in c.tolist()[-2::-1]:
+        y *= x
+        y += ci
+    return y
+
+
 def double_well(s):
     """f(s) = f_c(s) - f_e(s)."""
-    return npoly.polyval(s, DW_FC) - npoly.polyval(s, DW_FE)
+    return _polyval(s, DW_FC) - _polyval(s, DW_FE)
 
 
 @dataclass(frozen=True)
@@ -163,8 +172,8 @@ def coupling_tensors(ops: Operators, gphi, gpsi) -> np.ndarray:
     gg = px * qx + py * qy
     per_elem = np.column_stack([gg - px * qx, -px * qy, -py * qx, gg - py * qy])
     per_elem *= (ops.mesh.areas / 3.0)[:, None]
-    return np.column_stack([assembly.vertex_sum(ops.mesh, np.repeat(c[:, None], 3, axis=1))
-                            for c in per_elem.T]).reshape(-1, 2, 2)
+    # each element's row once per vertex, as vertex values summed into the nodes
+    return (ops.mesh.vertex_to_node @ np.repeat(per_elem, 3, axis=0)).reshape(-1, 2, 2)
 
 
 def tensor_pairing(G: np.ndarray, v, w) -> np.ndarray:
@@ -277,23 +286,16 @@ def energy_report(ops: Operators, weights: ModelWeights, s, n, phi, gphi: np.nda
 def eform_derivative_n(ops: Operators, s, n) -> np.ndarray:
     """Vector D with sum_i D_i . w_i = eform(s, s, n, w)."""
     ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
-    nn = ops.mesh.n_nodes
     s2 = np.asarray(s) ** 2
     wgt = 2.0 * k * 0.5 * (s2[ei] + s2[ej])
-    both = np.concatenate([ei, ej])
-    return np.column_stack([
-        np.bincount(both, np.concatenate([w, -w]), minlength=nn)
-        for w in (wgt[:, None] * _edge_diff(ops, n)).T
-    ])
+    d = wgt[:, None] * _edge_diff(ops, n)
+    return ops.mesh.edge_to_node @ np.concatenate([d, -d])
 
 
 def eform_scalar_diag(ops: Operators, n) -> np.ndarray:
     """Nodal coefficients D with eform(s, z, n, n) = sum_i s_i z_i D_i."""
-    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
     diff2 = np.sum(_edge_diff(ops, n) ** 2, axis=1)
-    kd = k * diff2
-    return np.bincount(np.concatenate([ei, ej]), np.concatenate([kd, kd]),
-                       minlength=ops.mesh.n_nodes)
+    return ops.mesh.edge_to_node @ np.tile(ops.mesh.edge_k * diff2, 2)
 
 
 def cubic_load(ops: Operators, phi) -> np.ndarray:
@@ -330,8 +332,7 @@ def residual_director(
     w = ops.mesh.edge_k * 0.5 * (s2[ei] + s2[ej])
     L = np.zeros(p.nnz)
     L[p.upper] = L[p.lower] = -w
-    L[p.diag] = np.bincount(np.concatenate([ei, ej]), np.concatenate([w, w]),
-                            minlength=p.n)
+    L[p.diag] = ops.mesh.edge_to_node @ np.tile(w, 2)
     tx, ty = tangent[:, 0], tangent[:, 1]
     tdot = tx[p.rows] * tx[p.indices] + ty[p.rows] * ty[p.indices]
     A = (weights.rho * ops.mass.data + (2.0 * tau * weights.w_erk) * L) * tdot
@@ -393,13 +394,13 @@ def residual_s(
 def explicit_dw_load(ops: Operators, s_prev) -> np.ndarray:
     """Vector with entries integral of f_e'(s_h) eta_i (explicit part)."""
     sq = quad.at_quad_points(np.asarray(s_prev)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, npoly.polyval(sq, DW_DFE))
+    return assembly.nodal_load(ops.mesh, _polyval(sq, DW_DFE))
 
 
 def implicit_dw_load(ops: Operators, s_new) -> np.ndarray:
     """Vector with entries integral of f_c'(s_h) eta_i (implicit part)."""
     sq = quad.at_quad_points(np.asarray(s_new)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, npoly.polyval(sq, DW_DFC))
+    return assembly.nodal_load(ops.mesh, _polyval(sq, DW_DFC))
 
 
 def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new,
@@ -409,13 +410,12 @@ def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new,
     as one stiffness with the tensor weight H_T = eps (w_chgd + w_was a_T) I
     + w_wan eps/3 sum_vertices s^2 (|n|^2 I - n n^T), a the ``was_weights``
     of s_new."""
-    e = ops.mesh.elements
     s = np.asarray(s_new)
-    s2E = (s * s)[e]
-    nx, ny = np.take(n_new, e, axis=0).transpose(2, 0, 1)
-    xx = np.sum(s2E * nx * nx, axis=1)
-    xy = np.sum(s2E * nx * ny, axis=1)
-    yy = np.sum(s2E * ny * ny, axis=1)
+    s2, nx, ny = s * s, n_new[:, 0], n_new[:, 1]
+    # the products at the nodes, then added over each element's vertices in order
+    q0, q1, q2 = np.take(np.column_stack([s2 * nx * nx, s2 * nx * ny, s2 * ny * ny]),
+                         ops.mesh.verts, axis=0)
+    xx, xy, yy = (q0 + q1 + q2).T
     eps = weights.eps
     iso = eps * (weights.w_chgd + weights.w_was * a)
     c = weights.w_wan * eps / 3.0

@@ -5,7 +5,9 @@ A ``TriMesh`` owns every per-mesh structure the assembly reads: the
 element areas and hat-function gradients, computed once by the
 validation that rejects degenerate elements; the edges, with the
 boundary (the nodes on edges of one element) and the stiffness
-couplings ``edge_k``; and the CSR pattern of the P1 operators.
+couplings ``edge_k``; the CSR pattern of the P1 operators; and the 0/1
+sum operators, built on first use, whose products give the per-step
+``np.bincount`` sums bit for bit.
 
 Per-element arrays are built component-major: one contiguous row of
 length n_elements per vertex, coordinate or block entry (``verts`` is
@@ -36,6 +38,15 @@ class MeshError(ValueError):
 # local vertex pairs of a triangle's three edges; column k of
 # ``MeshEdges.of_element`` is the edge between local vertices _EDGE_PAIRS[k]
 _EDGE_PAIRS = ((0, 1), (1, 2), (2, 0))
+
+
+def _sum_operator(index: np.ndarray, n_bins: int) -> sp.csr_matrix:
+    """0/1 CSR matrix S with S @ x = ``np.bincount(index, x, minlength=n_bins)``
+    bit for bit: a CSR product adds row k in its stored order from 0.0 on, and
+    row k lists the positions of k in ``index`` in the order bincount adds them."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=n_bins))])
+    order = np.argsort(index, kind="stable")
+    return sp.csr_matrix((np.ones(index.size), order, indptr), shape=(n_bins, index.size))
 
 
 @dataclass(frozen=True)
@@ -163,6 +174,16 @@ class TriMesh:
                             minlength=self.edges.lo.size)
 
     @cached_property
+    def vertex_to_node(self) -> sp.csr_matrix:
+        """Sums per-element vertex values, (ne, 3) row-major, into the nodes."""
+        return _sum_operator(self.elements.ravel(), self.n_nodes)
+
+    @cached_property
+    def edge_to_node(self) -> sp.csr_matrix:
+        """Sums values at the edges' ends, ``[edges.lo, edges.hi]``, into the nodes."""
+        return _sum_operator(np.concatenate([self.edges.lo, self.edges.hi]), self.n_nodes)
+
+    @cached_property
     def pattern(self) -> "SparsityPattern":
         """CSR pattern shared by every P1 operator on this mesh."""
         return SparsityPattern(self)
@@ -181,11 +202,12 @@ class SparsityPattern:
 
     Row i stores the columns of its neighbours and itself, in increasing
     order; stored zeros stay, so the pattern always equals the mesh
-    adjacency plus the diagonal.  ``slots[e]`` maps element e's 3x3 block,
-    row-major, to data slots; ``diag``, ``upper`` and ``lower`` are the
-    slots of (i, i), (lo, hi) and (hi, lo) for node i and edge (lo, hi)
-    (``mesh.edges``, in the order of their keys); ``interior`` maps the
-    slots to the block off ``mesh.boundary_nodes``.
+    adjacency plus the diagonal.  ``block_to_slot`` sums element blocks,
+    (ne, 9) row-major, into the data slots (``_sum_operator``); ``diag``,
+    ``upper`` and ``lower`` are the slots of (i, i), (lo, hi) and (hi, lo)
+    for node i and edge (lo, hi) (``mesh.edges``, in the order of their
+    keys); ``interior`` maps the slots to the block off
+    ``mesh.boundary_nodes``.
     Every operator built on the pattern shares ``indptr`` and ``indices``,
     so a linear combination of operators is one of their ``data`` arrays.
     """
@@ -227,7 +249,7 @@ class SparsityPattern:
         self.nnz = int(indptr[-1])
         self.indptr, self.indices = indptr, indices
         self.diag, self.upper, self.lower = diag, upper, lower
-        self.slots = np.ascontiguousarray(slots.reshape(9, -1).T)
+        self.block_to_slot = _sum_operator(slots.reshape(9, -1).T.ravel(), self.nnz)
         self._boundary = mesh.boundary_nodes
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:

@@ -155,11 +155,11 @@ class StepReport:
         before.total - after.total - sum(dissipation.values()) ~ 0.
 
     ``drop_eform`` / ``drop_cform`` are the raw (unweighted) decreases of
-    the two lumped forms under director normalization.  The interface
-    solver's work in the step: ``newton_history`` holds the Newton
-    residual norms, ``newton_iters + 1`` of them, and ``krylov_iterations``
-    and ``factorizations`` count the step's GMRES iterations and
-    factorizations of S (see :class:`JacobianCache`).
+    the two lumped forms under director normalization.  The solvers' work
+    in the step: ``newton_history`` holds the ``newton_iters + 1`` Newton
+    residual norms, ``krylov_iterations`` and ``factorizations`` count the
+    GMRES iterations and factorizations of S (:class:`JacobianCache`), and
+    ``cg_iterations`` the CG iterations of the director and ``s`` solves.
     """
 
     before: EnergyReport
@@ -171,6 +171,7 @@ class StepReport:
     newton_history: tuple = ()
     krylov_iterations: int = 0
     factorizations: int = 0
+    cg_iterations: tuple = (0, 0)
     mass_drift: float = 0.0
     min_s: float = 0.0
     max_s: float = 0.0
@@ -197,14 +198,34 @@ def tangent_space(n_values: np.ndarray) -> np.ndarray:
     return np.column_stack([-n_values[:, 1], n_values[:, 0]])
 
 
+def _cg(A, b: np.ndarray, stage: str):
+    """``spla.cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER)`` bit for bit:
+    its operations in its order, without its wrappers (its ``np.linalg.norm(r)``
+    is sqrt(r . r), so the stop test reuses rho); returns (x, iterations)."""
+    bnorm = math.sqrt(np.dot(b, b))
+    if bnorm == 0.0:
+        return b.copy(), 0
+    x, r, atol = np.zeros_like(b), b.copy(), CG_RTOL * bnorm
+    for it in range(CG_MAXITER):
+        rho = np.dot(r, r)
+        if math.sqrt(rho) < atol:
+            return x, it
+        p = p * (rho / rho_prev) + r if it else r.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise StepError(f"{stage} solve: {CG_MAXITER} conjugate-gradient iterations left the "
+                    f"relative residual at {math.sqrt(np.dot(r, r)) / bnorm:.3e}, above "
+                    f"CG_RTOL = {CG_RTOL:g}")
+
+
 def _solve_spd(A, b, config: SchemeConfig, stage: str):
-    """Solve the SPD system of ``stage``; returns (x, b - A x)."""
+    """Solve the SPD system of ``stage``; returns (x, b - A x, CG iterations)."""
+    its = 0
     if config.linear_solver == "cg":
-        x, info = spla.cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER)
-        if info != 0:
-            raise StepError(
-                f"{stage} solve: conjugate gradient failed to converge (info={info})"
-            )
+        x, its = _cg(A, b, stage)
     else:
         # minimum degree on A^T + A: the pattern is symmetric, and this
         # ordering fills less than the default COLAMD
@@ -212,22 +233,22 @@ def _solve_spd(A, b, config: SchemeConfig, stage: str):
             x = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
         except RuntimeError as exc:
             raise StepError(f"{stage} solve: {exc}") from exc
-    return x, b - A @ x
+    return x, b - A @ x, its
 
 
 def _constrained_solve(mesh: TriMesh, A, b, values, config: SchemeConfig, stage: str):
     """Solve the SPD system A x = b of ``stage`` with x = ``values`` at
-    ``mesh.boundary_nodes``; returns (x, b - A x), zeroed at those nodes."""
+    ``mesh.boundary_nodes``; returns (x, b - A x zeroed there, CG iterations)."""
     A_ff, b_f, free = assembly.apply_dirichlet(A, b, values, mesh)
     x, r = np.empty(mesh.n_nodes), np.zeros(mesh.n_nodes)
     x[mesh.boundary_nodes] = values
-    x[free], r[free] = _solve_spd(A_ff, b_f, config, stage)
-    return x, r
+    x[free], r[free], its = _solve_spd(A_ff, b_f, config, stage)
+    return x, r, its
 
 
 def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
                   config: SchemeConfig, coupling: np.ndarray):
-    """Advance the director; returns (n_tilde, n_new, v, r).
+    """Advance the director; returns (n_tilde, n_new, v, r, CG iterations).
 
     ``coupling`` is ``energy.coupling_tensors`` at the gradient of the
     phase field of ``state``.  ``r`` is the residual of the
@@ -240,23 +261,23 @@ def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     A, b = en.residual_director(ops, weights, config.tau, state.s.values, n_prev,
                                 coupling, t)
     # the velocity vanishes where n is prescribed
-    coeff, resid = _constrained_solve(ops.mesh, A, b, 0.0, config, "director")
+    coeff, resid, its = _constrained_solve(ops.mesh, A, b, 0.0, config, "director")
     v = coeff[:, None] * t
     n_tilde = n_prev + config.tau * v
     try:
         n_new = normalized(n_tilde)
     except ValueError as exc:  # the tangent update guarantees |n~| >= 1
         raise StepError(f"degenerate director normalization, a defect: {exc}") from None
-    return n_tilde, n_new, v, resid[:, None] * t
+    return n_tilde, n_new, v, resid[:, None] * t, its
 
 
 def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
            weights: ModelWeights, config: SchemeConfig, gphi_prev: np.ndarray,
            coupling: np.ndarray, elastic_diag: np.ndarray, dw_load: np.ndarray):
     """Advance the orientation parameter, keeping the boundary values of
-    ``state``; returns (s_new, r), the new nodal values and the system's
-    residual (zero at boundary nodes).  The last four arguments are those
-    of ``energy.residual_s``."""
+    ``state``; returns (s_new, r, CG iterations), r the system's residual
+    (zero at boundary nodes).  The last four arguments are those of
+    ``energy.residual_s``."""
     s_prev = state.s.values
     A, b = en.residual_s(ops, weights, config.tau, s_prev, n_new, gphi_prev,
                          coupling, elastic_diag, dw_load)
@@ -500,10 +521,10 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     gphi_prev, coupling, before = state.gphi, state.coupling, state.energy
     dw_load = en.explicit_dw_load(ops, s_prev)
 
-    n_tilde, n_new, v, r_n = director_step(ops, state, weights, config, coupling)
+    n_tilde, n_new, v, r_n, cg_n = director_step(ops, state, weights, config, coupling)
     elastic_diag = en.eform_scalar_diag(ops, n_new)
-    s_new, r_s = s_step(ops, state, n_new, weights, config, gphi_prev, coupling,
-                        elastic_diag, dw_load)
+    s_new, r_s, cg_s = s_step(ops, state, n_new, weights, config, gphi_prev, coupling,
+                              elastic_diag, dw_load)
     a_new = en.was_weights(ops, s_new, weights.s_star)
     cache = JacobianCache() if cache is None else cache
     work0 = (cache.krylov_iterations, cache.factorizations)
@@ -589,6 +610,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         newton_history=tuple(history),
         krylov_iterations=cache.krylov_iterations - work0[0],
         factorizations=cache.factorizations - work0[1],
+        cg_iterations=(cg_n, cg_s),
         mass_drift=float(ops.mass_rows @ phi_new) - phi_mass_ref,
         min_s=float(s_new.min()),
         max_s=float(s_new.max()),

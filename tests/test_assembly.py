@@ -160,6 +160,37 @@ def perturbed_mesh():
     return TriMesh(nodes, m.elements)
 
 
+@pytest.mark.parametrize("kind", ["structured", "shuffled", "perturbed"])
+def test_sum_operators_add_as_the_bincounts_they_replace(kind, rng):
+    """Each 0/1 sum operator gives the np.bincount it replaces bit for bit,
+    for one vector and for columns, on the index arrays the code had."""
+    m = build_structured_mesh(5, 4, ((0.0, 0.0), (1.0, 0.8)))
+    m = {"structured": m, "shuffled": naive.shuffled(m), "perturbed": perturbed_mesh()}[kind]
+    e, n, ne, p = m.elements, m.n_nodes, m.n_elements, m.pattern
+    # the slot of each block entry (e[:, a], e[:, b]), read off the pattern
+    slot_of = p.csr(np.arange(p.nnz, dtype=float))
+    slots = np.asarray(slot_of[np.repeat(e, 3, axis=1).ravel(), np.tile(e, 3).ravel()]).astype(int)
+    blocks = rng.standard_normal((ne, 9))
+    assert np.array_equal(p.block_to_slot @ blocks.ravel(),
+                          np.bincount(slots.ravel(), blocks.ravel(), minlength=p.nnz))
+    vertex, per_element = rng.standard_normal((ne, 3)), rng.standard_normal((ne, 4))
+    assert np.array_equal(m.vertex_to_node @ vertex.ravel(),
+                          np.bincount(e.ravel(), vertex.ravel(), minlength=n))
+    by_element = m.vertex_to_node @ np.repeat(per_element, 3, axis=0)  # coupling_tensors
+    for c in range(4):
+        ref = np.bincount(e.ravel(), np.repeat(per_element[:, c], 3), minlength=n)
+        assert np.array_equal(by_element[:, c], ref)
+    edge = rng.standard_normal((m.edges.lo.size, 2))
+    both = np.concatenate([m.edges.lo, m.edges.hi])
+    assert np.array_equal(m.edge_to_node @ np.tile(edge[:, 0], 2),
+                          np.bincount(both, np.tile(edge[:, 0], 2), minlength=n))
+    signed = m.edge_to_node @ np.concatenate([edge, -edge])  # eform_derivative_n
+    for c in range(2):
+        w = edge[:, c]
+        ref = np.bincount(both, np.concatenate([w, -w]), minlength=n)
+        assert np.array_equal(signed[:, c], ref)
+
+
 def assert_geometry_matches_nodes(m):
     areas, grads = element_geometry(m)
     assert m.grads.shape == (m.n_elements, 3, 2)
@@ -248,5 +279,5 @@ def test_mmd_ordered_spd_solve_matches_spsolve(pattern_mesh, rng):
     A = assemble_stiffness(m) + 3.0 * assemble_mass(m)
     b = rng.standard_normal(m.n_nodes)
     ref = spla.spsolve(A.tocsc(), b)
-    x, _ = _solve_spd(A, b, SchemeConfig(linear_solver="direct"), "s")
+    x, _, _ = _solve_spd(A, b, SchemeConfig(linear_solver="direct"), "s")
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -6,7 +6,7 @@ import naive_assembly as naive
 from lcdroplet import build_operators, build_structured_mesh
 from lcdroplet import energy as en
 from lcdroplet import verify as vf
-from lcdroplet.assembly import apply_dirichlet, element_gradients
+from lcdroplet.assembly import apply_dirichlet, element_gradients, tensor_stiffness
 from lcdroplet.energy import ModelWeights
 from lcdroplet.solver import InterfaceJacobian
 
@@ -150,6 +150,20 @@ def test_ericksen_coercivity(ops4, rng):
 
 def double_well_derivative(s):
     return npoly.polyval(s, en.DW_DFC) - npoly.polyval(s, en.DW_DFE)
+
+
+def test_double_well_is_numpy_polyval_bit_for_bit():
+    """Also at signed zeros and far outside S_RANGE, for a vector, for an
+    (ne, 6) array of quadrature values and for a float."""
+    grid = np.concatenate([[0.0, -0.0, *en.S_RANGE, 1e8, -1e8], np.linspace(-1.0, 2.0, 90)])
+    for x in (grid, grid.reshape(16, 6)):
+        for c in (en.DW_FC, en.DW_FE, en.DW_DFC, en.DW_DFE):
+            assert en._polyval(x, c).tobytes() == npoly.polyval(x, c).tobytes()
+        ref = npoly.polyval(x, en.DW_FC) - npoly.polyval(x, en.DW_FE)
+        assert en.double_well(x).tobytes() == ref.tobytes()
+    for v in (0.0, -0.0, 0.6):
+        ref = npoly.polyval(v, en.DW_FC) - npoly.polyval(v, en.DW_FE)
+        assert np.float64(en.double_well(v)).tobytes() == ref.tobytes()
 
 
 def test_double_well_polynomial_facts():
@@ -407,6 +421,21 @@ def step_case(request):
     )
     weights = ModelWeights(w_chdw=3.0, w_wan=2.0, w_was=5.0, rho=1.3, eps=0.07)
     return build_operators(m), weights, fields
+
+
+def test_ch_step_matrix_adds_vertex_terms_as_np_sum(step_case):
+    """The tensor weight's sums over each element's vertices are those of
+    np.sum(axis=1), bit for bit."""
+    ops, weights, f = step_case
+    m, s, n = ops.mesh, f["s"], f["n"]
+    a = en.was_weights(ops, s, weights.s_star)
+    s2E = (s * s)[m.elements]
+    nx, ny = np.take(n, m.elements, axis=0).transpose(2, 0, 1)
+    xx, xy, yy = (np.sum(s2E * u * v, axis=1) for u, v in ((nx, nx), (nx, ny), (ny, ny)))
+    iso = weights.eps * (weights.w_chgd + weights.w_was * a)
+    c = weights.w_wan * weights.eps / 3.0
+    ref = tensor_stiffness(m, iso + c * yy, -c * xy, iso + c * xx)
+    assert np.array_equal(en.ch_step_matrix(ops, weights, s, n, a).data, ref.data)
 
 
 def test_ch_matrices_match_coo_assembly(step_case):

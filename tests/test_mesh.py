@@ -8,6 +8,7 @@ from lcdroplet import (
     TriMesh,
     assemble_stiffness,
     audit_weak_acuteness,
+    build_operators,
     build_structured_mesh,
     count_components,
     mesh_size,
@@ -149,6 +150,17 @@ def test_stiffness_row_sums_vanish():
     m = build_structured_mesh(5, 7)
     K = assemble_stiffness(m)
     assert np.abs(K @ np.ones(m.n_nodes)).max() <= 1e-12
+
+
+def test_mesh_build_and_audit_build_no_sum_operator():
+    """One iteration of verify's acuteness sweep leaves the lazy sum
+    operators unbuilt; the operators' assembly builds those it uses."""
+    m = build_structured_mesh(6, 5)
+    audit_weak_acuteness(m)
+    lazy = {"vertex_to_node", "edge_to_node", "pattern"}
+    assert not lazy & set(vars(m))
+    build_operators(m)
+    assert {"vertex_to_node", "pattern"} <= set(vars(m)) and "block_to_slot" in vars(m.pattern)
 
 
 def test_structured_mesh_weakly_acute():

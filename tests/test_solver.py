@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from lcdroplet import build_operators, build_structured_mesh
 from lcdroplet import config as cfg
@@ -81,7 +82,7 @@ def test_director_step_zero_weights_identity():
     ops = build_operators(mesh)
     weights = ModelWeights(w_erk=0.0, w_wan=0.0, s_star=0.75)
     state = constant_state(mesh)
-    n_tilde, n_new, v, _ = director_stage(
+    n_tilde, n_new, v, _, _ = director_stage(
         ops, state, weights, SchemeConfig(tau=0.01, t_final=0.01)
     )
     assert np.allclose(n_tilde, state.n.values, atol=1e-14)
@@ -95,7 +96,7 @@ def test_director_step_pythagoras_and_drops():
     c.mesh["nx"] = c.mesh["ny"] = 8
     prob = cfg.build_problem(c)
     state = prob.initial
-    n_tilde, n_new, v, _ = director_stage(prob.ops, state, prob.weights, prob.scheme)
+    n_tilde, n_new, v, _, _ = director_stage(prob.ops, state, prob.weights, prob.scheme)
     free = np.ones(prob.mesh.n_nodes, dtype=bool)
     free[prob.mesh.boundary_nodes] = False
     tau = prob.scheme.tau
@@ -135,7 +136,7 @@ def test_s_step_stationary_pure_state():
     ops = build_operators(mesh)
     weights = ModelWeights(w_dw=100.0, w_wan=20.0, w_was=20.0, s_star=0.75)
     state = constant_state(mesh)
-    s_new, _ = s_stage(ops, state, state.n.values, weights, SchemeConfig())
+    s_new, _, _ = s_stage(ops, state, state.n.values, weights, SchemeConfig())
     assert np.abs(s_new - 0.75).max() <= 1e-12
 
 
@@ -144,7 +145,7 @@ def test_s_step_small_tau_limit():
     state = prob.initial
     scheme = SchemeConfig(tau=1e-9, t_final=1e-9)
     n_new = state.n.values
-    s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, scheme)
+    s_new, _, _ = s_stage(prob.ops, state, n_new, prob.weights, scheme)
     assert np.abs(s_new - state.s.values).max() <= 1e-6
 
 
@@ -161,7 +162,7 @@ def test_s_step_quartic_well_dissipates():
     n = np.tile([1.0, 0.0], (mesh.n_nodes, 1))
     state = make_state(mesh, s0, n, phi)
     scheme = SchemeConfig(tau=0.002, t_final=0.002)
-    s_new, _ = s_stage(ops, state, n, w, scheme)
+    s_new, _, _ = s_stage(ops, state, n, w, scheme)
     assert np.all(np.isfinite(s_new))
     assert np.abs(s_new[mesh.boundary_nodes] - 0.75).max() <= 1e-14
     e_before = en.total_energy(ops, w, s0, n, phi).total
@@ -221,8 +222,8 @@ def test_ch_step_quadratic_newton_convergence():
     c.mesh["nx"] = c.mesh["ny"] = 16
     prob = cfg.build_problem(c)
     state = prob.initial
-    n_tilde, n_new, _, _ = director_stage(prob.ops, state, prob.weights, prob.scheme)
-    s_new, _ = s_stage(prob.ops, state, n_new, prob.weights, prob.scheme)
+    n_tilde, n_new, _, _, _ = director_stage(prob.ops, state, prob.weights, prob.scheme)
+    s_new, _, _ = s_stage(prob.ops, state, n_new, prob.weights, prob.scheme)
     phi, mu, iters, hist, _ = interface_stage(
         prob.ops, state, s_new, n_new, prob.weights, prob.scheme
     )
@@ -628,9 +629,9 @@ def test_perturbed_spd_solutions_are_charged(monkeypatch):
     rng = np.random.default_rng(3)
 
     def perturbed(A, b, config, stage):
-        x, _ = solve(A, b, config, stage)
+        x, _, its = solve(A, b, config, stage)
         x = x + 1e-6 * rng.standard_normal(x.shape)
-        return x, b - A @ x
+        return x, b - A @ x, its
 
     monkeypatch.setattr(sv, "_solve_spd", perturbed)
     prob = small_problem(nx=8, newton_res_tol=1e-11)
@@ -648,6 +649,49 @@ def test_singular_spd_system_is_a_step_error():
     A = sp.csr_matrix((3, 3))
     with pytest.raises(sv.StepError, match="^director solve: Factor is exactly singular"):
         sv._solve_spd(A, np.ones(3), SchemeConfig(linear_solver="direct"), "director")
+
+
+def collide16():
+    return cfg.build_problem(cfg.merge_config(cfg.preset("droplet_collide"), None,
+                                              ["mesh.nx=16", "mesh.ny=16"]))
+
+
+def test_cg_is_scipy_cg_and_counts_its_iterations(monkeypatch):
+    """On the director and s systems of one droplet_collide step, the
+    conjugate-gradient loop returns scipy's cg solution bit for bit, and
+    ``cg_iterations`` counts what a cg callback counts; (0, 0) with the
+    direct solver."""
+    prob, systems = collide16(), []
+    solve = sv._solve_spd
+
+    def recorded(A, b, config, stage):
+        x, r, its = solve(A, b, config, stage)
+        systems.append((stage, A, b, x, its))
+        return x, r, its
+
+    monkeypatch.setattr(sv, "_solve_spd", recorded)
+    _, rep = gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme)
+    assert [stage for stage, *_ in systems] == ["director", "s"]
+    counts = []
+    for _, A, b, x, its in systems:
+        calls = []
+        ref, info = spla.cg(A, b, rtol=sv.CG_RTOL, atol=0.0, maxiter=sv.CG_MAXITER,
+                            callback=lambda xk: calls.append(1))
+        assert info == 0 and np.array_equal(x, ref)
+        assert its == len(calls) > 0
+        counts.append(its)
+    assert rep.cg_iterations == tuple(counts)
+    direct = replace(prob.scheme, linear_solver="direct")
+    _, rep = gradient_flow_step(prob.ops, prob.initial, prob.weights, direct)
+    assert rep.cg_iterations == (0, 0)
+
+
+def test_cg_out_of_iterations_names_stage_iterations_and_residual(monkeypatch):
+    monkeypatch.setattr(sv, "CG_MAXITER", 3)
+    prob = collide16()
+    with pytest.raises(sv.StepError, match=r"^director solve: 3 conjugate-gradient iterations "
+                       r"left the relative residual at \d\.\d{3}e-0\d, above CG_RTOL = 1e-12$"):
+        gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme)
 
 
 def diagonal_jacobian(m, k, b):
@@ -829,7 +873,7 @@ def test_ledger_terms_match_forms_of_returned_fields():
     new, rep = gradient_flow_step(ops, state, w, sc)
     s0, s1, n1 = state.s.values, new.s.values, new.n.values
     # the director stage is solved again, to recover n~ and v
-    n_tilde, n_again, v, _ = director_stage(ops, state, w, sc)
+    n_tilde, n_again, v, _, _ = director_stage(ops, state, w, sc)
     assert np.array_equal(n_again, n1)
     g0 = element_gradients(ops.mesh, state.phi.values)
     gd = (element_gradients(ops.mesh, new.phi.values) - g0) / sc.tau
@@ -865,7 +909,7 @@ def test_drop_eform_is_accurate_to_its_own_size():
     state = problem.initial
     difference_errors = []
     for _ in range(6):
-        n_tilde, n_new, _, _ = director_stage(ops, state, w, sc)
+        n_tilde, n_new, _, _, _ = director_stage(ops, state, w, sc)
         s = state.s.values
         exact = Fraction(0)
         for i, j, k in zip(ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k):
