@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the verification suite")
     ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--report", help="write a JSON-lines check report here")
-    ver.add_argument("--mutate", help=argparse.SUPPRESS)
+    ver.add_argument("--mutate", choices=vf.MUTATIONS, help=argparse.SUPPRESS)
     ver.set_defaults(func=_cmd_verify)
 
     aud = sub.add_parser("mesh-audit", help="weak-acuteness audit of a structured mesh")

@@ -2,12 +2,12 @@
 pattern and the weak-acuteness audit.
 
 A ``TriMesh`` owns every per-mesh structure the assembly reads: the
-element areas and hat-function gradients, computed once by the
-validation that rejects degenerate elements; the edges, with the
-boundary (the nodes on edges of one element) and the stiffness
-couplings ``edge_k``; the CSR pattern of the P1 operators; and the 0/1
-sum operators, built on first use, whose products give the per-step
-``np.bincount`` sums bit for bit.
+element areas and hat-function gradients and the edges, computed once by
+the validation that rejects degenerate elements; and, built on first use,
+the boundary (the nodes on edges of one element), the stiffness couplings
+``edge_k``, the CSR pattern of the P1 operators and the 0/1 sum
+operators, whose products give the per-step ``np.bincount`` sums bit for
+bit.
 
 Per-element arrays are built component-major: one contiguous row of
 length n_elements per vertex, coordinate or block entry (``verts`` is
@@ -74,9 +74,6 @@ class TriMesh:
         Node coordinates.
     elements : ndarray, shape (n_elements, 3)
         Vertex indices of each triangle, positively oriented.
-    boundary_nodes : ndarray
-        Sorted indices of the nodes on edges held by one element, set by
-        validation: the Dirichlet nodes of every solve on the mesh.
     verts : ndarray, shape (3, n_elements)
         ``elements.T``, contiguous.
     areas : ndarray, shape (n_elements,)
@@ -89,7 +86,6 @@ class TriMesh:
 
     nodes: np.ndarray
     elements: np.ndarray
-    boundary_nodes: np.ndarray = field(init=False, repr=False)
     verts: np.ndarray = field(init=False, repr=False)
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
@@ -130,8 +126,6 @@ class TriMesh:
         if edges.counts.size and edges.counts.max() > 2:
             raise MeshError("mesh is not conforming: a facet is shared by "
                             f"{int(edges.counts.max())} elements")
-        once = edges.counts == 1
-        object.__setattr__(self, "boundary_nodes", np.union1d(edges.lo[once], edges.hi[once]))
 
     @cached_property
     def edges(self) -> MeshEdges:
@@ -159,6 +153,12 @@ class TriMesh:
         unique = np.take(ordered, bounds[:-1])
         lo = unique // n
         return MeshEdges(lo, unique - lo * n, inverse.reshape(3, -1).T, counts)
+
+    @cached_property
+    def boundary_nodes(self) -> np.ndarray:
+        """Sorted nodes on edges held by one element: every solve's Dirichlet nodes."""
+        once = self.edges.counts == 1
+        return np.union1d(self.edges.lo[once], self.edges.hi[once])
 
     @cached_property
     def edge_k(self) -> np.ndarray:

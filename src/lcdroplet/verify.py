@@ -68,19 +68,21 @@ def write_report(outcomes, path) -> None:
 # naive form oracles
 # ---------------------------------------------------------------------------
 
-def naive_eform(stiffness_dense: np.ndarray, s, z, n, w) -> float:
-    """Double loop over all ordered node pairs, scalar arithmetic only."""
-    total = 0.0
-    nn = len(s)
+def naive_eform(stiffness_dense: np.ndarray, s, z, n, w) -> np.ndarray:
+    """Double loop over all ordered node pairs, for fields with a leading
+    trial axis (s, z of shape (trials, nn), n, w of shape (trials, nn, d));
+    each trial's value is the scalar loop's, operation for operation."""
+    total = np.zeros(len(s))
+    nn = s.shape[1]
     for i in range(nn):
         for j in range(nn):
             if i == j:
                 continue
             kij = -stiffness_dense[i, j]
-            avg = 0.5 * (s[i] * z[i] + s[j] * z[j])
+            avg = 0.5 * (s[:, i] * z[:, i] + s[:, j] * z[:, j])
             dot = 0.0
-            for d in range(n.shape[1]):
-                dot += (n[i, d] - n[j, d]) * (w[i, d] - w[j, d])
+            for d in range(n.shape[2]):
+                dot += (n[:, i, d] - n[:, j, d]) * (w[:, i, d] - w[:, j, d])
             total += kij * avg * dot
     return total
 
@@ -105,50 +107,58 @@ def naive_stiffness(mesh: TriMesh) -> np.ndarray:
     return K
 
 
-def naive_cform(mesh: TriMesh, v, phi, w, psi, s, z) -> float:
+def naive_cform(mesh: TriMesh, v, phi, w, psi, s, z) -> np.ndarray:
     """Per-element, per-vertex loop mirroring the vertex quadrature rule,
     with the gradients of the nodal fields ``phi`` and ``psi`` from
-    ``element_geometry``."""
+    ``element_geometry``; fields with a leading trial axis, as for
+    ``naive_eform``."""
     areas, grads = element_geometry(mesh)
-    total = 0.0
+    total = np.zeros(len(s))
     d = 2
     for t in range(mesh.n_elements):
-        e = mesh.elements[t]
-        gp, gq = phi[e] @ grads[t], psi[e] @ grads[t]
+        e, g = mesh.elements[t], grads[t]
+        gp = [phi[:, e[0]] * g[0, k] + phi[:, e[1]] * g[1, k] + phi[:, e[2]] * g[2, k]
+              for k in range(d)]
+        gq = [psi[:, e[0]] * g[0, k] + psi[:, e[1]] * g[1, k] + psi[:, e[2]] * g[2, k]
+              for k in range(d)]
         gg = sum(gp[k] * gq[k] for k in range(d))
         for a in range(d + 1):
             i = int(e[a])
-            vw = sum(v[i, k] * w[i, k] for k in range(d))
-            vgp = sum(v[i, k] * gp[k] for k in range(d))
-            wgq = sum(w[i, k] * gq[k] for k in range(d))
-            total += (areas[t] / (d + 1)) * s[i] * z[i] * (gg * vw - vgp * wgq)
+            vw = sum(v[:, i, k] * w[:, i, k] for k in range(d))
+            vgp = sum(v[:, i, k] * gp[k] for k in range(d))
+            wgq = sum(w[:, i, k] * gq[k] for k in range(d))
+            total += (areas[t] / (d + 1)) * s[:, i] * z[:, i] * (gg * vw - vgp * wgq)
     return total
 
 
 def brute_force_form_check(ops: Operators, rng, trials: int = 1000,
                            eform_fn=None, cform_fn=None):
     """Compare the optimized forms against the naive loops on random fields;
-    the naive side takes no geometry from the mesh but its node coordinates."""
+    the naive side takes no geometry from the mesh but its node coordinates.
+
+    The trials are drawn one after the other, as a loop drawing and checking
+    one trial at a time would draw them, and the naive side evaluates them
+    all at once."""
     eform_fn = eform_fn or en.eform
     cform_fn = cform_fn or en.cform
     mesh = ops.mesh
-    Kd = naive_stiffness(mesh)
+    nn = mesh.n_nodes
+    S, Z, PHI, PSI = (np.empty((trials, nn)) for _ in range(4))
+    N, W = np.empty((trials, nn, 2)), np.empty((trials, nn, 2))
+    for t in range(trials):
+        S[t], Z[t] = rng.uniform(-0.4, 0.9, nn), rng.uniform(-1.0, 1.0, nn)
+        N[t], W[t] = rng.standard_normal((nn, 2)), rng.standard_normal((nn, 2))
+        PHI[t], PSI[t] = rng.uniform(-1.0, 1.0, nn), rng.uniform(-1.0, 1.0, nn)
+    e_refs = naive_eform(naive_stiffness(mesh), S, Z, N, W)
+    c_refs = naive_cform(mesh, N, PHI, W, PSI, S, Z)
     worst_e = worst_c = 0.0
     witness = None
-    for t in range(trials):
-        s = rng.uniform(-0.4, 0.9, mesh.n_nodes)
-        z = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-        n = rng.standard_normal((mesh.n_nodes, 2))
-        w = rng.standard_normal((mesh.n_nodes, 2))
-        phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-        psi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+    for t, (s, z, n, w, phi, psi) in enumerate(zip(S, Z, N, W, PHI, PSI)):
+        e_ref, c_ref = e_refs[t], c_refs[t]
         gphi = assembly.element_gradients(mesh, phi)
         gpsi = assembly.element_gradients(mesh, psi)
-
         e_fast = eform_fn(ops, s, z, n, w)
-        e_ref = naive_eform(Kd, s, z, n, w)
         c_fast = cform_fn(ops, n, gphi, w, gpsi, s, z)
-        c_ref = naive_cform(mesh, n, phi, w, psi, s, z)
 
         de = abs(e_fast - e_ref) / max(1.0, abs(e_ref))
         dc = abs(c_fast - c_ref) / max(1.0, abs(c_ref))
@@ -637,8 +647,16 @@ def mass_conservation_check(problem, final_state) -> CheckOutcome:
 # suite driver
 # ---------------------------------------------------------------------------
 
+# the deliberate errors ``flow_trajectory`` can make, to show that the audit catches them
+MUTATIONS = ("convex-split-sign",)
+
+
 def run_suite(seed: int = 0, mutate: str | None = None, acuteness_max: int = 64):
-    """Run every verification check; returns a list of CheckOutcomes."""
+    """Run every verification check; returns a list of CheckOutcomes.
+
+    ``mutate`` names one of ``MUTATIONS`` or is None."""
+    if mutate is not None and mutate not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutate!r}; choose from {', '.join(MUTATIONS)}")
     rng = np.random.default_rng(seed)
     outcomes = [quadrature_exactness_check()]
 

@@ -544,6 +544,15 @@ def test_cli_verify_reports_and_exit_codes(tmp_path, monkeypatch, capsys):
     assert rc == 1
 
 
+def test_cli_verify_rejects_unknown_mutation(capsys, monkeypatch):
+    monkeypatch.setattr(cli.vf, "run_suite", lambda **kw: pytest.fail("suite ran"))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--mutate", "typo"])
+    assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --mutate: invalid choice: 'typo'" in err and "convex-split-sign" in err
+
+
 def test_cli_verify_mutated_run_fails_for_real():
     # end-to-end: the real suite with the mutation enabled must exit nonzero
     from lcdroplet import verify as vf

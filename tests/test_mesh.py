@@ -13,6 +13,7 @@ from lcdroplet import (
     count_components,
     mesh_size,
 )
+from lcdroplet import cli
 from lcdroplet.mesh import MeshError
 from vtk_reader import float_bits, read_vtk
 
@@ -154,13 +155,23 @@ def test_stiffness_row_sums_vanish():
 
 def test_mesh_build_and_audit_build_no_sum_operator():
     """One iteration of verify's acuteness sweep leaves the lazy sum
-    operators unbuilt; the operators' assembly builds those it uses."""
+    operators and the boundary uncomputed; the operators' assembly builds
+    those it uses."""
     m = build_structured_mesh(6, 5)
     audit_weak_acuteness(m)
-    lazy = {"vertex_to_node", "edge_to_node", "pattern"}
+    lazy = {"vertex_to_node", "edge_to_node", "pattern", "boundary_nodes"}
     assert not lazy & set(vars(m))
     build_operators(m)
-    assert {"vertex_to_node", "pattern"} <= set(vars(m)) and "block_to_slot" in vars(m.pattern)
+    assert {"vertex_to_node", "pattern", "boundary_nodes"} <= set(vars(m))
+    assert "block_to_slot" in vars(m.pattern)
+
+
+def test_mesh_audit_output(capsys):
+    assert cli.main(["mesh-audit", "--nx", "5", "--ny", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "mesh 5x3: nodes=24 elements=30 h=0.38873\n"
+        "weakly acute: True (min offdiagonal coupling 0.000e+00)\n"
+    )
 
 
 def test_structured_mesh_weakly_acute():

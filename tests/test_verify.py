@@ -4,9 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lcdroplet import build_operators, build_structured_mesh
+from lcdroplet import TriMesh, build_operators, build_structured_mesh
 from lcdroplet import energy as en
 from lcdroplet import verify as vf
+from lcdroplet.assembly import element_gradients
 from lcdroplet.energy import ModelWeights
 from lcdroplet.solver import make_state
 
@@ -69,6 +70,101 @@ def test_brute_force_check_passes(ops2, rng):
     assert vf.brute_force_form_check(ops2, rng, trials=100).passed
 
 
+def scalar_naive_eform(stiffness_dense, s, z, n, w):
+    """One trial of ``naive_eform``: the loop over node pairs on scalars."""
+    total = 0.0
+    nn = len(s)
+    for i in range(nn):
+        for j in range(nn):
+            if i == j:
+                continue
+            kij = -stiffness_dense[i, j]
+            avg = 0.5 * (s[i] * z[i] + s[j] * z[j])
+            dot = 0.0
+            for d in range(n.shape[1]):
+                dot += (n[i, d] - n[j, d]) * (w[i, d] - w[j, d])
+            total += kij * avg * dot
+    return total
+
+
+def scalar_naive_cform(mesh, v, phi, w, psi, s, z):
+    """One trial of ``naive_cform``: the loop over elements and vertices on
+    scalars."""
+    areas, grads = vf.element_geometry(mesh)
+    total = 0.0
+    d = 2
+    for t in range(mesh.n_elements):
+        e, g = mesh.elements[t], grads[t]
+        gp = [phi[e[0]] * g[0, k] + phi[e[1]] * g[1, k] + phi[e[2]] * g[2, k] for k in range(d)]
+        gq = [psi[e[0]] * g[0, k] + psi[e[1]] * g[1, k] + psi[e[2]] * g[2, k] for k in range(d)]
+        gg = sum(gp[k] * gq[k] for k in range(d))
+        for a in range(d + 1):
+            i = int(e[a])
+            vw = sum(v[i, k] * w[i, k] for k in range(d))
+            vgp = sum(v[i, k] * gp[k] for k in range(d))
+            wgq = sum(w[i, k] * gq[k] for k in range(d))
+            total += (areas[t] / (d + 1)) * s[i] * z[i] * (gg * vw - vgp * wgq)
+    return total
+
+
+@pytest.mark.parametrize("cells,moved", [(2, False), (4, False), (4, True)],
+                         ids=["2x2", "4x4", "4x4-moved"])
+def test_batched_naive_forms_are_the_scalar_loops_bit_for_bit(cells, moved, rng):
+    # on a structured mesh many products are by 0, 1/2 or 1 and hide the
+    # order of the operations; moved interior nodes show it
+    mesh = build_structured_mesh(cells, cells)
+    if moved:
+        inner = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
+        nodes = mesh.nodes.copy()
+        nodes[inner] += rng.uniform(-0.15, 0.15, (inner.size, 2)) / cells
+        mesh = TriMesh(nodes, mesh.elements)
+    Kd = vf.naive_stiffness(mesh)
+    trials, nn = 50, mesh.n_nodes
+    s, z, phi, psi = (rng.uniform(-1.0, 1.0, (trials, nn)) for _ in range(4))
+    n, w = (rng.standard_normal((trials, nn, 2)) for _ in range(2))
+    e_ref = [scalar_naive_eform(Kd, *f) for f in zip(s, z, n, w)]
+    c_ref = [scalar_naive_cform(mesh, *f) for f in zip(n, phi, w, psi, s, z)]
+    assert vf.naive_eform(Kd, s, z, n, w).tobytes() == np.array(e_ref).tobytes()
+    assert vf.naive_cform(mesh, n, phi, w, psi, s, z).tobytes() == np.array(c_ref).tobytes()
+
+
+def per_trial_brute_force(ops, rng, trials):
+    """The form check one trial at a time: draw a trial, check it."""
+    mesh = ops.mesh
+    Kd = vf.naive_stiffness(mesh)
+    worst_e = worst_c = 0.0
+    witness = None
+    for t in range(trials):
+        s = rng.uniform(-0.4, 0.9, mesh.n_nodes)
+        z = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        n = rng.standard_normal((mesh.n_nodes, 2))
+        w = rng.standard_normal((mesh.n_nodes, 2))
+        phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        psi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        gphi = element_gradients(mesh, phi)
+        gpsi = element_gradients(mesh, psi)
+        e_ref = scalar_naive_eform(Kd, s, z, n, w)
+        c_ref = scalar_naive_cform(mesh, n, phi, w, psi, s, z)
+        de = abs(en.eform(ops, s, z, n, w) - e_ref) / max(1.0, abs(e_ref))
+        dc = abs(en.cform(ops, n, gphi, w, gpsi, s, z) - c_ref) / max(1.0, abs(c_ref))
+        if max(de, dc) > max(worst_e, worst_c):
+            witness = {"trial": t, "eform_rel": de, "cform_rel": dc}
+        worst_e = max(worst_e, de)
+        worst_c = max(worst_c, dc)
+    return max(worst_e, worst_c), witness
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_brute_force_check_is_the_per_trial_check(ops2, seed):
+    # the same measured value and witness, and the generator left in the
+    # same state for the checks that draw after it
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    outcome = vf.brute_force_form_check(ops2, rng, trials=200)
+    measured, witness = per_trial_brute_force(ops2, ref_rng, trials=200)
+    assert outcome.measured == measured and outcome.witness == witness
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_brute_force_check_catches_broken_eform(ops2, rng):
     def broken_eform(ops, s, z, n, w):
         return 0.5 * en.eform(ops, s, z, n, w)  # dropped double counting
@@ -126,15 +222,16 @@ def test_mass_conservation_integrates_from_node_coordinates(rng):
 def test_naive_eform_symmetry(ops2, rng):
     mesh = ops2.mesh
     Kd = ops2.stiffness.toarray()
-    s = rng.uniform(0.1, 0.9, mesh.n_nodes)
-    z = rng.uniform(0.1, 0.9, mesh.n_nodes)
-    n = rng.standard_normal((mesh.n_nodes, 2))
-    w = rng.standard_normal((mesh.n_nodes, 2))
+    trials = 5
+    s = rng.uniform(0.1, 0.9, (trials, mesh.n_nodes))
+    z = rng.uniform(0.1, 0.9, (trials, mesh.n_nodes))
+    n = rng.standard_normal((trials, mesh.n_nodes, 2))
+    w = rng.standard_normal((trials, mesh.n_nodes, 2))
     assert vf.naive_eform(Kd, s, z, n, w) == pytest.approx(
         vf.naive_eform(Kd, s, z, w, n), rel=1e-12
     )
-    nc = np.tile([0.3, 0.9], (mesh.n_nodes, 1))
-    assert vf.naive_eform(Kd, s, z, nc, nc) == 0.0
+    nc = np.tile([0.3, 0.9], (trials, mesh.n_nodes, 1))
+    assert np.all(vf.naive_eform(Kd, s, z, nc, nc) == 0.0)
 
 
 def test_energy_law_audit_passes_on_coarse_run():
@@ -256,3 +353,8 @@ def test_suite_mutation_fails(tmp_path):
     outcomes = vf.run_suite(seed=0, mutate="convex-split-sign", acuteness_max=2)
     failed = [oc.name for oc in outcomes if not oc.passed]
     assert "energy_law_audit" in failed
+
+
+def test_suite_rejects_an_unknown_mutation():
+    with pytest.raises(ValueError, match="unknown mutation 'typo'; choose from convex-split-sign"):
+        vf.run_suite(seed=0, mutate="typo", acuteness_max=2)
