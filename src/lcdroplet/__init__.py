@@ -23,7 +23,6 @@ from .energy import (
     eform,
     total_energy,
 )
-from .fields import DirectorField, NodalScalarField
 from .mesh import (
     AcutenessReport,
     TriMesh,
@@ -44,8 +43,8 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcutenessReport", "DirectorField", "EnergyReport", "ModelWeights",
-    "NodalScalarField", "Operators", "PhaseState", "SchemeConfig", "StepReport",
+    "AcutenessReport", "EnergyReport", "ModelWeights", "Operators",
+    "PhaseState", "SchemeConfig", "StepReport",
     "TriMesh", "assemble_mass", "assemble_stiffness", "audit_weak_acuteness",
     "build_operators", "build_structured_mesh", "cform", "count_components",
     "eform", "element_gradients", "gradient_flow_step", "make_state",

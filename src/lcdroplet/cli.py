@@ -49,29 +49,22 @@ class EnergyCSVSink:
         os.makedirs(os.path.dirname(os.path.abspath(self.path)), exist_ok=True)
         self._fh = open(self.path, "w", encoding="utf-8")
         self._fh.write(",".join(CSV_COLUMNS) + "\n")
-        r = energy_report
-        self._write_row(
-            state.step_index, state.time, r, mass_drift=0.0, newton_iters=0,
-            min_s=float(state.s.values.min()), max_s=float(state.s.values.max()),
-        )
+        self._write_row(state, energy_report, mass_drift=0.0, newton_iters=0)
 
     def on_step(self, state, report):
-        r = report.after
-        self._write_row(
-            state.step_index, state.time, r, mass_drift=report.mass_drift,
-            newton_iters=report.newton_iters, min_s=report.min_s,
-            max_s=report.max_s,
-        )
+        self._write_row(state, report.after, mass_drift=report.mass_drift,
+                        newton_iters=report.newton_iters)
 
     def on_finish(self, state):
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
-    def _write_row(self, step, time, r, *, mass_drift, newton_iters, min_s, max_s):
+    def _write_row(self, state, r, *, mass_drift, newton_iters):
+        s = state.s.values
         row = [
-            step, time, r.e_erk, r.e_dw, r.e_chdw, r.e_chgd, r.e_wan, r.e_was,
-            r.total, mass_drift, newton_iters, min_s, max_s,
+            state.step_index, state.time, r.e_erk, r.e_dw, r.e_chdw, r.e_chgd, r.e_wan,
+            r.e_was, r.total, mass_drift, newton_iters, s.min(), s.max(),
         ]
         self._fh.write(",".join(_fmt(v) for v in row) + "\n")
         self._fh.flush()
@@ -130,11 +123,10 @@ class FinalStateSink:
 
 def run_scenario(problem: cfgmod.Problem, out_dir: str | None = None):
     """Run a scenario built by ``config.build_problem``; returns
-    (final_state, exit_code)."""
+    (final_state, exit_code): 0, 1 after a failed step, or 2 when the
+    output directory cannot be written."""
     cfg = problem.config
     out = out_dir or cfg.output.get("dir", "out/run")
-    os.makedirs(out, exist_ok=True)
-
     resolved = cfg.to_dict()
     resolved["weights"]["eps"] = problem.weights.eps
     resolved["output"]["dir"] = out
@@ -142,10 +134,15 @@ def run_scenario(problem: cfgmod.Problem, out_dir: str | None = None):
     # every scheme field, so the run records the SPD solver and tolerances
     # that the preset leaves at their defaults
     resolved["scheme"] = asdict(problem.scheme)
-    with open(os.path.join(out, "config.yaml"), "w", encoding="utf-8") as fh:
-        # a comment, so that the file stays a scenario document
-        fh.write(f"# dissolution_ratio: {cfgmod.dissolution_ratio(problem)!r}\n")
-        yaml.safe_dump(resolved, fh, sort_keys=False)
+    try:  # an unusable output path fails before the first step
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "config.yaml"), "w", encoding="utf-8") as fh:
+            # a comment, so that the file stays a scenario document
+            fh.write(f"# dissolution_ratio: {cfgmod.dissolution_ratio(problem)!r}\n")
+            yaml.safe_dump(resolved, fh, sort_keys=False)
+    except OSError as exc:
+        print(f"cannot write output directory {out}: {exc.strerror or exc}", file=sys.stderr)
+        return None, 2
 
     sinks = [
         EnergyCSVSink(os.path.join(out, ENERGY_LOG)),

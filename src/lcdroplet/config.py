@@ -27,7 +27,6 @@ from . import solver as sv
 from .assembly import Operators, build_operators
 from .energy import S_RANGE, ModelWeights
 from .expressions import ExpressionError, compile_expression
-from .fields import normalized
 from .mesh import TriMesh, build_structured_mesh, count_components, mesh_size
 
 PRESET_NAMES = ("droplet_move", "droplet_corner", "droplet_collide", "droplet_split")
@@ -265,7 +264,7 @@ def _eval_director(key: str, exprs, nodes, x, y, constants) -> np.ndarray:
     vectors = np.column_stack([_evaluate(f"{key}[{k}]", src, x, y, constants)
                                for k, src in enumerate(exprs)])
     try:
-        return normalized(vectors)
+        return sv.normalized(vectors)
     except ValueError:
         k = int(np.argmin(np.linalg.norm(vectors, axis=1)))  # the row normalized rejects
         raise ValueError(f"{key} is not a director field: cannot normalize zero vector "

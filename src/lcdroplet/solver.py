@@ -42,7 +42,6 @@ import scipy.sparse.linalg as spla
 from . import assembly, energy as en, quadrature as quad
 from .assembly import Operators
 from .energy import EnergyReport, ModelWeights
-from .fields import DirectorField, NodalScalarField, normalized
 from .mesh import TriMesh
 
 S_RANGE = en.S_RANGE
@@ -93,44 +92,54 @@ class SchemeConfig:
         return int(round(self.t_final / self.tau))
 
 
+UNIT_TOL = 1e-12  # how far the director of a state may be from unit length at a node
+
+
+@dataclass(frozen=True, eq=False)
+class Nodal:
+    """The nodal values of one P1 field of a :class:`PhaseState`."""
+
+    values: np.ndarray
+
+
 @dataclass(frozen=True)
 class PhaseState:
-    """One time slab of the coupled system.  A state from :func:`with_energy`
-    and every state a step returns also carry what the next step reuses: the
-    gradient of phi, the coupling tensors there and the energy (under the
-    weights that step used)."""
+    """One time slab of the coupled system: the nodal values of s, n, phi
+    and mu on ``mesh``, built and checked by :func:`make_state`.  A state
+    from :func:`with_energy` and every state a step returns also carry
+    what the next step reuses: the gradient of phi, the coupling tensors
+    there and the energy (under the weights that step used)."""
 
-    s: NodalScalarField
-    n: DirectorField
-    phi: NodalScalarField
-    mu: NodalScalarField
+    mesh: TriMesh
+    s: Nodal
+    n: Nodal
+    phi: Nodal
+    mu: Nodal
     time: float = 0.0
     step_index: int = 0
     gphi: np.ndarray | None = None
     coupling: np.ndarray | None = None
     energy: EnergyReport | None = None
 
-    def __post_init__(self):
-        mesh = self.s.mesh
-        for f in (self.n, self.phi, self.mu):
-            if f.mesh is not mesh:
-                raise ValueError("state fields must share one mesh")
-
-    @property
-    def mesh(self) -> TriMesh:
-        return self.s.mesh
-
 
 def make_state(mesh: TriMesh, s, n, phi, mu=None, time=0.0, step_index=0) -> PhaseState:
-    mu = np.zeros(mesh.n_nodes) if mu is None else mu
-    return PhaseState(
-        NodalScalarField(mesh, s),
-        DirectorField(mesh, n),
-        NodalScalarField(mesh, phi),
-        NodalScalarField(mesh, mu),
-        time,
-        step_index,
-    )
+    """The state of the nodal arrays s, n (one unit vector a node), phi and
+    mu (zero when absent) on ``mesh``; an array of the wrong shape is a
+    ValueError naming it and the shape it needs, as is a director off unit
+    length by more than ``UNIT_TOL`` at some node."""
+    nn = mesh.n_nodes
+    mu = np.zeros(nn) if mu is None else mu
+    fields = {}
+    for name, given, shape in (("s", s, (nn,)), ("n", n, (nn, 2)),
+                               ("phi", phi, (nn,)), ("mu", mu, (nn,))):
+        values = np.ascontiguousarray(np.asarray(given, dtype=float))
+        if values.shape != shape:
+            raise ValueError(f"{name} needs shape {shape}, got {values.shape}")
+        fields[name] = Nodal(values)
+    err = float(np.abs(np.linalg.norm(fields["n"].values, axis=1) - 1.0).max(initial=0.0))
+    if err > UNIT_TOL:
+        raise ValueError(f"n violates nodal unit length by {err:.3e}")
+    return PhaseState(mesh, **fields, time=time, step_index=step_index)
 
 
 def with_energy(ops: Operators, weights: ModelWeights, state: PhaseState,
@@ -167,15 +176,17 @@ class StepReport:
     drop_eform: float
     drop_cform: float
     dissipation: dict = field(default_factory=dict)
-    newton_iters: int = 0
     newton_history: tuple = ()
     krylov_iterations: int = 0
     factorizations: int = 0
     cg_iterations: tuple = (0, 0)
     mass_drift: float = 0.0
-    min_s: float = 0.0
-    max_s: float = 0.0
     solver_defect: float = 0.0
+
+    @property
+    def newton_iters(self) -> int:
+        """The Newton iterations of the interface stage."""
+        return len(self.newton_history) - 1
 
     @property
     def budget_residual(self) -> float:
@@ -244,6 +255,15 @@ def _constrained_solve(mesh: TriMesh, A, b, values, config: SchemeConfig, stage:
     x[mesh.boundary_nodes] = values
     x[free], r[free], its = _solve_spd(A_ff, b_f, config, stage)
     return x, r, its
+
+
+def normalized(values: np.ndarray) -> np.ndarray:
+    """Normalize vectors row-wise; raises on (near-)zero rows."""
+    norms = np.linalg.norm(values, axis=1)
+    if np.any(norms < 1e-14):
+        bad = int(np.argmin(norms))
+        raise ValueError(f"cannot normalize zero vector at node {bad}")
+    return values / norms[:, None]
 
 
 def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
@@ -528,8 +548,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     a_new = en.was_weights(ops, s_new, weights.s_star)
     cache = JacobianCache() if cache is None else cache
     work0 = (cache.krylov_iterations, cache.factorizations)
-    phi_new, mu_new, iters, history, R_acc = ch_step(ops, state, s_new, n_new, a_new,
-                                                     weights, config, cache)
+    phi_new, mu_new, _, history, R_acc = ch_step(ops, state, s_new, n_new, a_new,
+                                                 weights, config, cache)
     new_state = with_energy(ops, weights, make_state(
         mesh, s_new, n_new, phi_new, mu_new, state.time + tau, state.step_index + 1), a_new)
     gphi_new, after = new_state.gphi, new_state.energy
@@ -606,14 +626,11 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
         drop_eform=drop_eform,
         drop_cform=drop_cform,
         dissipation=diss,
-        newton_iters=iters,
         newton_history=tuple(history),
         krylov_iterations=cache.krylov_iterations - work0[0],
         factorizations=cache.factorizations - work0[1],
         cg_iterations=(cg_n, cg_s),
         mass_drift=float(ops.mass_rows @ phi_new) - phi_mass_ref,
-        min_s=float(s_new.min()),
-        max_s=float(s_new.max()),
         solver_defect=defect,
     )
     return new_state, report

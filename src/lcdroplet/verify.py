@@ -25,7 +25,6 @@ import numpy as np
 from . import assembly, config as cfgmod, energy as en, quadrature as quad, solver as sv
 from .assembly import Operators, build_operators
 from .energy import ModelWeights
-from .fields import normalized
 from .mesh import TriMesh, audit_weak_acuteness, build_structured_mesh
 
 
@@ -281,7 +280,7 @@ def projection_monotonicity_check(ops: Operators, rng, trials: int = 1000,
         r = rng.uniform(1.0, 2.0, mesh.n_nodes)
         theta = rng.uniform(0.0, 2 * np.pi, mesh.n_nodes)
         n = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
-        n_hat = normalized(n)
+        n_hat = sv.normalized(n)
         phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
         gphi = assembly.element_gradients(mesh, phi)
 
@@ -322,7 +321,7 @@ def lumped_monotonicity_check(ops: Operators, rng, trials: int = 1000,
         r = rng.uniform(1.0, 2.0, mesh.n_nodes)
         theta = rng.uniform(0.0, 2 * np.pi, mesh.n_nodes)
         n = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
-        n_hat = normalized(n)
+        n_hat = sv.normalized(n)
         margin = vertex_form(ops, n, H, n) - vertex_form(ops, n_hat, H, n_hat)
         worst = min(worst, margin)
         if margin < -tol:
@@ -590,6 +589,16 @@ def _corner_problem(nx: int = 16, steps: int = 25, tau: float = 0.002):
     return cfgmod.build_problem(cfg)
 
 
+# the deliberate errors ``flow_trajectory`` can make, to show that the audit catches them
+MUTATIONS = ("convex-split-sign",)
+
+
+def _check_mutation(mutate: str | None) -> None:
+    """Raise a ValueError naming ``MUTATIONS`` unless ``mutate`` is one of them or None."""
+    if mutate is not None and mutate not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutate!r}; choose from {', '.join(MUTATIONS)}")
+
+
 def flow_trajectory(problem, mutate: str | None = None):
     """Run a short flow, returning (e0_total, reports, final_state).
 
@@ -598,6 +607,7 @@ def flow_trajectory(problem, mutate: str | None = None):
     with the explicit part evaluated at the new field (a deliberately
     wrong formula) so that the audit's sensitivity can be demonstrated.
     """
+    _check_mutation(mutate)
     ops, weights = problem.ops, problem.weights
 
     class Ledger:
@@ -647,16 +657,11 @@ def mass_conservation_check(problem, final_state) -> CheckOutcome:
 # suite driver
 # ---------------------------------------------------------------------------
 
-# the deliberate errors ``flow_trajectory`` can make, to show that the audit catches them
-MUTATIONS = ("convex-split-sign",)
-
-
 def run_suite(seed: int = 0, mutate: str | None = None, acuteness_max: int = 64):
     """Run every verification check; returns a list of CheckOutcomes.
 
     ``mutate`` names one of ``MUTATIONS`` or is None."""
-    if mutate is not None and mutate not in MUTATIONS:
-        raise ValueError(f"unknown mutation {mutate!r}; choose from {', '.join(MUTATIONS)}")
+    _check_mutation(mutate)
     rng = np.random.default_rng(seed)
     outcomes = [quadrature_exactness_check()]
 

@@ -511,6 +511,20 @@ def test_cli_verify_unwritable_report_fails_before_the_suite(tmp_path, capsys, m
     assert captured.out == ""
 
 
+def test_cli_simulate_unusable_out_dir_fails_before_a_step(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.sv, "run", lambda *args: pytest.fail("a step ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out, reason in ((blocker, "File exists"), (blocker / "run", "Not a directory")):
+        rc = cli.main(["simulate", "--preset", "droplet_corner", "--set", "mesh.nx=4",
+                       "--set", "mesh.ny=4", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == f"cannot write output directory {out}: {reason}"
+        assert captured.out == ""
+    assert blocker.read_text() == "kept"
+
+
 def test_cli_simulate_requires_source(capsys):
     rc = cli.main(["simulate"])
     assert rc == 2

@@ -1,3 +1,5 @@
+import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,19 +7,19 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from lcdroplet import build_operators, build_structured_mesh
+from lcdroplet import build_operators, build_structured_mesh, cli
 from lcdroplet import config as cfg
 from lcdroplet import energy as en
 from lcdroplet.assembly import element_gradients
 from lcdroplet import solver as sv
 from lcdroplet import verify
 from lcdroplet.energy import ModelWeights
-from lcdroplet.fields import normalized
 from lcdroplet.solver import (
     NewtonError,
     SchemeConfig,
     gradient_flow_step,
     make_state,
+    normalized,
     tangent_space,
 )
 
@@ -791,19 +793,58 @@ def test_n_steps_forgives_roundoff():
     assert SchemeConfig(tau=0.002, t_final=0.0).n_steps == 0
 
 
-def test_state_requires_shared_mesh():
+def test_make_state_rejects_phi_of_another_mesh():
     m1 = build_structured_mesh(2, 2)
     m2 = build_structured_mesh(3, 3)
     s = np.full(m1.n_nodes, 0.75)
     n = np.tile([1.0, 0.0], (m1.n_nodes, 1))
-    phi2 = np.zeros(m2.n_nodes)
-    with pytest.raises(ValueError):
-        sv.PhaseState(
-            sv.NodalScalarField(m1, s),
-            sv.DirectorField(m1, n),
-            sv.NodalScalarField(m2, phi2),
-            sv.NodalScalarField(m1, s),
-        )
+    with pytest.raises(ValueError, match=r"^phi needs shape \(9,\), got \(16,\)$"):
+        make_state(m1, s, n, np.zeros(m2.n_nodes))
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 3), (2, 9), (8, 2)])
+def test_make_state_rejects_misshapen_director(shape):
+    mesh = build_structured_mesh(2, 2)
+    n = np.zeros(shape)
+    n[..., 0] = 1.0
+    with pytest.raises(ValueError, match=rf"^n needs shape \(9, 2\), got {re.escape(str(shape))}$"):
+        make_state(mesh, np.full(9, 0.75), n, np.zeros(9))
+
+
+def test_make_state_checks_unit_director_to_1e_12():
+    mesh = build_structured_mesh(2, 2)
+    s, phi = np.full(9, 0.75), np.zeros(9)
+    n = np.tile([1.0, 0.0], (9, 1))
+    n[4, 0] += 1e-9
+    with pytest.raises(ValueError, match=r"^n violates nodal unit length by 1\.000e-09$"):
+        make_state(mesh, s, n, phi)
+    n[4, 0] = 1.0 + 1e-13
+    state = make_state(mesh, s, n, phi)
+    assert state.mesh is mesh and np.array_equal(state.n.values, n)
+
+
+def test_energy_csv_s_columns_are_the_state_range(tmp_path):
+    """The min_s and max_s columns of energy.csv are the range of the s of
+    the state each row records, the initial row included."""
+    c = cfg.merge_config(cfg.preset("droplet_corner"), None,
+                         ["mesh.nx=8", "mesh.ny=8", "scheme.t_final=0.01"])
+    problem = cfg.build_problem(c)
+
+    class States:
+        def on_start(self, state, energy):
+            self.s = [state.s.values]
+
+        def on_step(self, state, report):
+            self.s.append(state.s.values)
+
+    states, path = States(), tmp_path / "energy.csv"
+    sv.run(problem.ops, problem.initial, problem.weights, problem.scheme, problem.bc,
+           [cli.EnergyCSVSink(str(path)), states])
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(states.s) == 6
+    for row, s in zip(rows, states.s):
+        assert float(row["min_s"]) == s.min() and float(row["max_s"]) == s.max()
 
 
 def test_step_from_carried_state_is_bit_identical():

@@ -355,6 +355,15 @@ def test_suite_mutation_fails(tmp_path):
     assert "energy_law_audit" in failed
 
 
-def test_suite_rejects_an_unknown_mutation():
+def test_suite_rejects_an_unknown_mutation(monkeypatch):
+    # before its first check
+    monkeypatch.setattr(vf, "quadrature_exactness_check", lambda: pytest.fail("a check ran"))
     with pytest.raises(ValueError, match="unknown mutation 'typo'; choose from convex-split-sign"):
         vf.run_suite(seed=0, mutate="typo", acuteness_max=2)
+
+
+def test_flow_trajectory_rejects_an_unknown_mutation(monkeypatch):
+    problem = vf._corner_problem(nx=4, steps=2)
+    monkeypatch.setattr(vf.sv, "run", lambda *args: pytest.fail("the flow ran"))
+    with pytest.raises(ValueError, match="unknown mutation 'typo'; choose from convex-split-sign"):
+        vf.flow_trajectory(problem, mutate="typo")
