@@ -33,8 +33,8 @@ _MASS_REF = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
 def _scatter(mesh: TriMesh, ke: np.ndarray) -> SparseOperator:
-    """Sum per-element 3x3 blocks, shape (ne, 3, 3) or (ne, 9) row-major,
-    into a CSR matrix on the mesh pattern."""
+    """Sum per-element 3x3 blocks, shape (9, ne) with row 3a + b for entry
+    (a, b), into a CSR matrix on the mesh pattern."""
     p = mesh.pattern
     return p.csr(p.block_to_slot @ ke.ravel())
 
@@ -70,45 +70,59 @@ def element_gradients(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
 def weighted_mass(mesh: TriMesh, elem_weights) -> SparseOperator:
     """Mass matrix with a piecewise-constant weight: integral of
     w_T eta_i eta_j."""
-    return _scatter(mesh, (mesh.areas * elem_weights)[:, None] * _MASS_REF.ravel())
+    return _scatter(mesh, _MASS_REF.reshape(9, 1) * (mesh.areas * elem_weights))
 
 
 def tensor_stiffness(mesh: TriMesh, hxx, hxy, hyy) -> SparseOperator:
     """Stiffness matrix with a piecewise-constant symmetric tensor weight
     H_T = [[hxx, hxy], [hxy, hyy]], each component a scalar or an (ne,)
     array: entry (i,j) = sum_T |T| grad(eta_i) . H_T grad(eta_j)."""
-    gx, gy = mesh.grads[:, :, 0], mesh.grads[:, :, 1]
+    gx, gy = mesh.grads.transpose(2, 1, 0)  # (3, ne) each
     a = mesh.areas
-    # |T| H_T grad(eta_b) per element and vertex, then its product with grad(eta_a)
-    hx = (a * hxx)[:, None] * gx + (a * hxy)[:, None] * gy
-    hy = (a * hxy)[:, None] * gx + (a * hyy)[:, None] * gy
-    return _scatter(mesh, gx[:, :, None] * hx[:, None, :] + gy[:, :, None] * hy[:, None, :])
+    # |T| H_T grad(eta_b) per vertex b, then its product with grad(eta_a)
+    hx = (a * hxx) * gx + (a * hxy) * gy
+    hy = (a * hxy) * gx + (a * hyy) * gy
+    return _scatter(mesh, (gx[:, None] * hx + gy[:, None] * hy).reshape(9, -1))
 
 
-# degree-4 rule as constant matrices: _QUAD_LOAD[q, a] = w_q bary[q, a]
-# and _QUAD_MASS[q, 3a + b] = w_q bary[q, a] bary[q, b]
+# degree-4 rule as constant matrices: _QUAD_LOAD[q, a] = w_q bary[q, a], and
+# _SQUARE_MASS[k, 3a + b] = m_k sum_q w_q bary[q, c] bary[q, d] bary[q, a] bary[q, b]
+# for the k-th vertex product v_c v_d of _SQUARES, m_k = 2 when c != d (exact)
 _QUAD_LOAD = quad.TRI4_WEIGHTS[:, None] * quad.TRI4_BARY
-_QUAD_MASS = (_QUAD_LOAD[:, :, None] * quad.TRI4_BARY[:, None, :]).reshape(6, 9)
+_SQUARES = ((0, 1, 2, 0, 1, 2), (0, 1, 2, 1, 2, 0))
+_SQUARE_MASS = ((quad.TRI4_BARY[:, _SQUARES[0]] * quad.TRI4_BARY[:, _SQUARES[1]]
+                 * [1, 1, 1, 2, 2, 2]).T
+                @ (_QUAD_LOAD[:, :, None] * quad.TRI4_BARY[:, None, :]).reshape(6, 9))
 
 
 def squared_field_mass(mesh: TriMesh, values: np.ndarray) -> SparseOperator:
     """Matrix with entries integral of (v_h)^2 eta_i eta_j for P1 ``v_h``
-    (degree-4 rule, exact)."""
-    vq = quad.at_quad_points(values[mesh.elements])  # (ne, 6)
-    return _scatter(mesh, (vq * vq * mesh.areas[:, None]) @ _QUAD_MASS)
+    (exact): the six products of its vertex values times ``_SQUARE_MASS``."""
+    q = np.take(values, mesh.verts)  # (3, ne)
+    products = np.take(q, _SQUARES[0], axis=0) * np.take(q, _SQUARES[1], axis=0) * mesh.areas
+    return _scatter(mesh, _SQUARE_MASS.T @ products)
+
+
+def quad_values(mesh: TriMesh, values) -> np.ndarray:
+    """The P1 field of nodal ``values`` at the degree-4 quadrature points, (6, ne)."""
+    return quad.TRI4_BARY @ np.take(values, mesh.verts)
 
 
 def nodal_load(mesh: TriMesh, values_at_quad: np.ndarray) -> np.ndarray:
     """Load vector L_i = integral of g eta_i with ``g`` given at the
-    degree-4 quadrature points, shape (ne, 6)."""
-    return mesh.vertex_to_node @ ((values_at_quad * mesh.areas[:, None]) @ _QUAD_LOAD).ravel()
+    degree-4 quadrature points, shape (6, ne)."""
+    return mesh.vertex_to_node @ ((values_at_quad * mesh.areas).T @ _QUAD_LOAD).ravel()
+
+
+def integrate(mesh: TriMesh, values_at_quad: np.ndarray) -> float:
+    """Integral of g given at the degree-4 quadrature points, shape (6, ne)."""
+    return float(quad.TRI4_WEIGHTS @ values_at_quad @ mesh.areas)
 
 
 def integrate_p1_function(mesh: TriMesh, f, values: np.ndarray) -> float:
     """Integral of f(v_h) for a pointwise map ``f`` of a P1 field
     (degree-4 rule; exact when f(v_h) has degree <= 4 per element)."""
-    vq = quad.at_quad_points(values[mesh.elements])
-    return quad.integrate_elementwise(f(vq), mesh.areas)
+    return integrate(mesh, f(quad_values(mesh, values)))
 
 
 @dataclass(frozen=True)
@@ -162,4 +176,5 @@ def apply_dirichlet(A: SparseOperator, b: np.ndarray, values, mesh: TriMesh):
     g = np.zeros(mesh.n_nodes)
     g[mesh.boundary_nodes] = values
     A_ff = SparseOperator((A.data[keep], indices, indptr), shape=(len(indptr) - 1,) * 2)
-    return A_ff, (b - A @ g)[free], free
+    # zero values lift nothing (the director's velocity)
+    return A_ff, (b - A @ g if g.any() else b)[free], free

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import assembly, quadrature as quad
+from . import assembly
 from .assembly import Operators, SparseOperator
 
 S_RANGE = (-0.5, 1.0)
@@ -130,19 +130,21 @@ def eform(ops: Operators, s, z, n, w) -> float:
         raise ValueError(f"eform fields must have {nn} nodal values")
     ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
     sz = np.asarray(s) * np.asarray(z)
-    dn, dw_ = _edge_diff(ops, n), _edge_diff(ops, w)
-    pair = dn[:, 0] * dw_[:, 0] + dn[:, 1] * dw_[:, 1]
+    dn = edge_diff(ops, n)
+    dw_ = dn if w is n else edge_diff(ops, w)
+    pair = dn[0] * dw_[0] + dn[1] * dw_[1]
     # ordered double sum = 2x the edge sum, cancelling the 1/2 average
     return float(np.sum(k * (sz[ei] + sz[ej]) * pair))
 
 
-def _edge_diff(ops: Operators, x) -> np.ndarray:
-    """x_i - x_j over the edges (i, j); ``np.take`` gathers the rows of an
-    (n, 2) array an order of magnitude faster than ``x[i]`` does."""
-    return np.take(x, ops.mesh.edges.lo, axis=0) - np.take(x, ops.mesh.edges.hi, axis=0)
+def edge_diff(ops: Operators, x) -> np.ndarray:
+    """x_i - x_j over the edges (i, j) of an (n, 2) array, as its two
+    component rows, shape (2, n_edges); ``np.take`` gathers the rows an
+    order of magnitude faster than ``x[i]`` does."""
+    return (np.take(x, ops.mesh.edges.lo, axis=0) - np.take(x, ops.mesh.edges.hi, axis=0)).T
 
 
-def eform_drop(ops: Operators, s, n_tilde, n) -> float:
+def eform_drop(ops: Operators, s, n_tilde, n, dn=None) -> float:
     """eform(s, s, n_tilde, n_tilde) - eform(s, s, n, n) as one edge sum,
 
         sum_edges k_ij (s_i^2 + s_j^2) (a - b) . (a + b),
@@ -151,11 +153,13 @@ def eform_drop(ops: Operators, s, n_tilde, n) -> float:
     the difference of the two forms is accurate only to theirs.  a - b is
     formed as d_i - d_j with d = n~ - n, which is exact at a node where
     the two directors' components are within a factor of two (Sterbenz).
+    ``dn`` is ``edge_diff`` of n, evaluated when absent.
     """
     ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
     s2 = np.asarray(s) ** 2
-    d = n_tilde - n
-    pair = np.sum(_edge_diff(ops, d) * (_edge_diff(ops, n_tilde) + _edge_diff(ops, n)), axis=1)
+    dd, a = edge_diff(ops, n_tilde - n), edge_diff(ops, n_tilde)
+    b = edge_diff(ops, n) if dn is None else dn
+    pair = dd[0] * (a[0] + b[0]) + dd[1] * (a[1] + b[1])
     return float(np.sum(k * (s2[ei] + s2[ej]) * pair))
 
 
@@ -197,6 +201,15 @@ def cform(ops: Operators, v, gphi, w, gpsi, s, z) -> float:
     return float(np.sum(np.asarray(s) * np.asarray(z) * gamma))
 
 
+def cform_square(ops: Operators, n, g, s) -> float:
+    """cform(n, g, n, g, s, s) without the coupling tensors: the sum over
+    the elements T of |T|/3 sum_a (s_a g_T x n_a)^2, by Lagrange's identity
+    |g|^2 |n|^2 - (g . n)^2 = (g x n)^2; nonnegative by construction."""
+    v, s = ops.mesh.verts, np.asarray(s)
+    cross = g[:, 0] * np.take(s * n[:, 1], v) - g[:, 1] * np.take(s * n[:, 0], v)
+    return float(np.sum(cross * cross, axis=0) @ ops.mesh.areas) / 3.0
+
+
 def was_weights(ops: Operators, s, s_star: float) -> np.ndarray:
     """Per-element mean of (s_h - s_star)^2, the weight of the axial
     anchoring term: integral over T of (s_h - s_star)^2 divided by |T|,
@@ -211,8 +224,10 @@ def was_weights(ops: Operators, s, s_star: float) -> np.ndarray:
 # energies
 # ---------------------------------------------------------------------------
 
-def energy_ericksen(ops: Operators, s, n, kappa: float) -> float:
-    return kappa * ops.grad_form(s, s) + 0.5 * eform(ops, s, s, n, n)
+def energy_ericksen(ops: Operators, s, n, kappa: float, elastic_diag=None) -> float:
+    """``elastic_diag`` is ``eform_scalar_diag`` of n, evaluated when absent."""
+    d = eform_scalar_diag(ops, n) if elastic_diag is None else elastic_diag
+    return kappa * ops.grad_form(s, s) + 0.5 * float(np.sum(s * s * d))  # eform(s, s, n, n)
 
 
 def energy_dw(ops: Operators, s) -> float:
@@ -227,11 +242,10 @@ def energy_dw(ops: Operators, s) -> float:
     return assembly.integrate_p1_function(ops.mesh, double_well, np.asarray(s))
 
 
-def energy_ch_dw(ops: Operators, phi, eps: float) -> float:
-    val = assembly.integrate_p1_function(
-        ops.mesh, lambda p: (p * p - 1.0) ** 2, np.asarray(phi)
-    )
-    return val / (4.0 * eps)
+def energy_ch_dw(ops: Operators, phi, eps: float, phi_quad=None) -> float:
+    """``phi_quad`` is phi at the quadrature points, evaluated when absent."""
+    pq = assembly.quad_values(ops.mesh, phi) if phi_quad is None else phi_quad
+    return assembly.integrate(ops.mesh, (pq * pq - 1.0) ** 2) / (4.0 * eps)
 
 
 def energy_ch_grad(ops: Operators, phi, eps: float) -> float:
@@ -250,20 +264,18 @@ def energy_was(ops: Operators, a: np.ndarray, gphi, eps: float) -> float:
     return 0.5 * eps * float(gg @ per_elem)
 
 
-def total_energy(ops: Operators, weights: ModelWeights, s, n, phi) -> EnergyReport:
-    """Evaluate all six components for nodal arrays (s, n, phi)."""
-    gphi = assembly.element_gradients(ops.mesh, np.asarray(phi))
-    return energy_report(ops, weights, s, n, phi, gphi, coupling_tensors(ops, gphi, gphi),
-                         was_weights(ops, s, weights.s_star))
-
-
-def energy_report(ops: Operators, weights: ModelWeights, s, n, phi, gphi: np.ndarray,
-                  coupling: np.ndarray, a: np.ndarray) -> EnergyReport:
-    """``total_energy`` given the per-element gradient of phi, the
-    ``coupling_tensors`` there and the ``was_weights`` of s."""
-    e_erk = energy_ericksen(ops, s, n, weights.kappa)
+def total_energy(ops: Operators, weights: ModelWeights, s, n, phi, gphi=None, coupling=None,
+                 a=None, elastic_diag=None, phi_quad=None) -> EnergyReport:
+    """Evaluate all six components for nodal arrays (s, n, phi); a caller
+    may pass what it has evaluated: the per-element gradient of phi, the
+    ``coupling_tensors`` there, the ``was_weights`` of s, the
+    ``eform_scalar_diag`` of n and phi at the quadrature points."""
+    gphi = assembly.element_gradients(ops.mesh, np.asarray(phi)) if gphi is None else gphi
+    coupling = coupling_tensors(ops, gphi, gphi) if coupling is None else coupling
+    a = was_weights(ops, s, weights.s_star) if a is None else a
+    e_erk = energy_ericksen(ops, s, n, weights.kappa, elastic_diag)
     e_dw = energy_dw(ops, s)
-    e_chdw = energy_ch_dw(ops, phi, weights.eps)
+    e_chdw = energy_ch_dw(ops, phi, weights.eps, phi_quad)
     e_chgd = energy_ch_grad(ops, phi, weights.eps)
     e_wan = energy_wan(s, n, coupling, weights.eps)
     e_was = energy_was(ops, a, gphi, weights.eps)
@@ -283,24 +295,17 @@ def energy_report(ops: Operators, weights: ModelWeights, s, n, phi, gphi: np.nda
 # test field gives the directional derivative)
 # ---------------------------------------------------------------------------
 
-def eform_derivative_n(ops: Operators, s, n) -> np.ndarray:
-    """Vector D with sum_i D_i . w_i = eform(s, s, n, w)."""
-    ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
-    s2 = np.asarray(s) ** 2
-    wgt = 2.0 * k * 0.5 * (s2[ei] + s2[ej])
-    d = wgt[:, None] * _edge_diff(ops, n)
-    return ops.mesh.edge_to_node @ np.concatenate([d, -d])
-
-
-def eform_scalar_diag(ops: Operators, n) -> np.ndarray:
-    """Nodal coefficients D with eform(s, z, n, n) = sum_i s_i z_i D_i."""
-    diff2 = np.sum(_edge_diff(ops, n) ** 2, axis=1)
-    return ops.mesh.edge_to_node @ np.tile(ops.mesh.edge_k * diff2, 2)
+def eform_scalar_diag(ops: Operators, n, dn=None) -> np.ndarray:
+    """Nodal coefficients D with eform(s, z, n, n) = sum_i s_i z_i D_i;
+    ``dn`` is ``edge_diff`` of n, evaluated when absent."""
+    dx, dy = edge_diff(ops, n) if dn is None else dn
+    w = ops.mesh.edge_k * (dx * dx + dy * dy)
+    return ops.mesh.edge_to_node @ np.concatenate([w, w])
 
 
 def cubic_load(ops: Operators, phi) -> np.ndarray:
     """Vector with entries integral of (phi_h)^3 eta_i (degree-4 rule)."""
-    pq = quad.at_quad_points(np.asarray(phi)[ops.mesh.elements])
+    pq = assembly.quad_values(ops.mesh, phi)
     return assembly.nodal_load(ops.mesh, pq * pq * pq)
 
 
@@ -334,16 +339,16 @@ def residual_director(
     L[p.upper] = L[p.lower] = -w
     L[p.diag] = ops.mesh.edge_to_node @ np.tile(w, 2)
     tx, ty = tangent[:, 0], tangent[:, 1]
-    tdot = tx[p.rows] * tx[p.indices] + ty[p.rows] * ty[p.indices]
+    tdot = (np.take(tx, p.rows) * np.take(tx, p.indices)
+            + np.take(ty, p.rows) * np.take(ty, p.indices))
     A = (weights.rho * ops.mass.data + (2.0 * tau * weights.w_erk) * L) * tdot
 
-    G = coupling * s2[:, None, None]
-    Gt = np.einsum("idc,ic->id", G, tangent)
-    A[p.diag] += tau * weights.w_wan * weights.eps * np.sum(tangent * Gt, axis=1)
-
-    Dn = weights.w_erk * eform_derivative_n(ops, s_prev, n_prev)
-    Dn += weights.w_wan * weights.eps * np.einsum("idc,ic->id", G, n_prev)
-    b = -np.sum(Dn * tangent, axis=1)
+    c = weights.w_wan * weights.eps * s2
+    A[p.diag] += tau * c * tensor_pairing(coupling, tangent, tangent)
+    # the components of D with sum_i D_i . u_i = eform(s_prev, s_prev, n_prev, u)
+    Dx, Dy = (ops.mesh.edge_to_node @ np.concatenate([d, -d])
+              for d in (2.0 * w) * edge_diff(ops, n_prev))
+    b = -(weights.w_erk * (Dx * tx + Dy * ty) + c * tensor_pairing(coupling, tangent, n_prev))
     return p.csr(A), b
 
 
@@ -379,7 +384,7 @@ def residual_s(
     )
     data[p.diag] += (weights.w_erk * elastic_diag
                      + 0.5 * weights.w_wan * weights.eps * gamma)
-    data += (2.0 * DW_FC[2] * weights.w_dw) * ops.mass.data
+    data += (DW_DFC[1] * weights.w_dw) * ops.mass.data  # f_c'(s) = DW_DFC[1] s
     A = p.csr(data)
 
     b = (
@@ -393,14 +398,12 @@ def residual_s(
 
 def explicit_dw_load(ops: Operators, s_prev) -> np.ndarray:
     """Vector with entries integral of f_e'(s_h) eta_i (explicit part)."""
-    sq = quad.at_quad_points(np.asarray(s_prev)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, _polyval(sq, DW_DFE))
+    return assembly.nodal_load(ops.mesh, _polyval(assembly.quad_values(ops.mesh, s_prev), DW_DFE))
 
 
 def implicit_dw_load(ops: Operators, s_new) -> np.ndarray:
     """Vector with entries integral of f_c'(s_h) eta_i (implicit part)."""
-    sq = quad.at_quad_points(np.asarray(s_new)[ops.mesh.elements])
-    return assembly.nodal_load(ops.mesh, _polyval(sq, DW_DFC))
+    return assembly.nodal_load(ops.mesh, _polyval(assembly.quad_values(ops.mesh, s_new), DW_DFC))
 
 
 def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new,

@@ -203,11 +203,11 @@ class SparsityPattern:
     Row i stores the columns of its neighbours and itself, in increasing
     order; stored zeros stay, so the pattern always equals the mesh
     adjacency plus the diagonal.  ``block_to_slot`` sums element blocks,
-    (ne, 9) row-major, into the data slots (``_sum_operator``); ``diag``,
-    ``upper`` and ``lower`` are the slots of (i, i), (lo, hi) and (hi, lo)
-    for node i and edge (lo, hi) (``mesh.edges``, in the order of their
-    keys); ``interior`` maps the slots to the block off
-    ``mesh.boundary_nodes``.
+    (9, ne) with row 3a + b for entry (a, b), into the data slots
+    (``_sum_operator``); ``diag``, ``upper`` and ``lower`` are the slots of
+    (i, i), (lo, hi) and (hi, lo) for node i and edge (lo, hi) (``mesh.edges``,
+    in the order of their keys); ``interior`` maps the slots to the block
+    off ``mesh.boundary_nodes``.
     Every operator built on the pattern shares ``indptr`` and ``indices``,
     so a linear combination of operators is one of their ``data`` arrays.
     """
@@ -249,7 +249,7 @@ class SparsityPattern:
         self.nnz = int(indptr[-1])
         self.indptr, self.indices = indptr, indices
         self.diag, self.upper, self.lower = diag, upper, lower
-        self.block_to_slot = _sum_operator(slots.reshape(9, -1).T.ravel(), self.nnz)
+        self.block_to_slot = _sum_operator(slots.ravel(), self.nnz)
         self._boundary = mesh.boundary_nodes
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:

@@ -39,7 +39,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import assembly, energy as en, quadrature as quad
+from . import assembly, energy as en
 from .assembly import Operators
 from .energy import EnergyReport, ModelWeights
 from .mesh import TriMesh
@@ -106,9 +106,9 @@ class Nodal:
 class PhaseState:
     """One time slab of the coupled system: the nodal values of s, n, phi
     and mu on ``mesh``, built and checked by :func:`make_state`.  A state
-    from :func:`with_energy` and every state a step returns also carry
-    what the next step reuses: the gradient of phi, the coupling tensors
-    there and the energy (under the weights that step used)."""
+    from :func:`with_energy` and every state a step returns also carry what
+    the next step reuses: grad phi, phi at the quadrature points, the
+    coupling tensors and the energy (under the weights that step used)."""
 
     mesh: TriMesh
     s: Nodal
@@ -118,6 +118,7 @@ class PhaseState:
     time: float = 0.0
     step_index: int = 0
     gphi: np.ndarray | None = None
+    phi_quad: np.ndarray | None = None
     coupling: np.ndarray | None = None
     energy: EnergyReport | None = None
 
@@ -125,8 +126,9 @@ class PhaseState:
 def make_state(mesh: TriMesh, s, n, phi, mu=None, time=0.0, step_index=0) -> PhaseState:
     """The state of the nodal arrays s, n (one unit vector a node), phi and
     mu (zero when absent) on ``mesh``; an array of the wrong shape is a
-    ValueError naming it and the shape it needs, as is a director off unit
-    length by more than ``UNIT_TOL`` at some node."""
+    ValueError naming it and the shape it needs, as are one not finite at
+    a node, naming the first, and a director off unit length by more than
+    ``UNIT_TOL`` at some node."""
     nn = mesh.n_nodes
     mu = np.zeros(nn) if mu is None else mu
     fields = {}
@@ -135,23 +137,27 @@ def make_state(mesh: TriMesh, s, n, phi, mu=None, time=0.0, step_index=0) -> Pha
         values = np.ascontiguousarray(np.asarray(given, dtype=float))
         if values.shape != shape:
             raise ValueError(f"{name} needs shape {shape}, got {values.shape}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"{name} is not finite at node {np.argmin(finite) // values[0].size}")
         fields[name] = Nodal(values)
     err = float(np.abs(np.linalg.norm(fields["n"].values, axis=1) - 1.0).max(initial=0.0))
-    if err > UNIT_TOL:
+    if not err <= UNIT_TOL:
         raise ValueError(f"n violates nodal unit length by {err:.3e}")
     return PhaseState(mesh, **fields, time=time, step_index=step_index)
 
 
-def with_energy(ops: Operators, weights: ModelWeights, state: PhaseState,
-                a: np.ndarray | None = None) -> PhaseState:
-    """``state`` carrying the gradient of its phi, the coupling tensors there
-    and its energy; ``a`` is the ``was_weights`` of s, evaluated when absent."""
+def with_energy(ops: Operators, weights: ModelWeights, state: PhaseState, a=None,
+                elastic_diag=None) -> PhaseState:
+    """``state`` carrying the gradient of its phi, phi at the quadrature
+    points, the coupling tensors and its energy; ``a`` (the ``was_weights``
+    of s) and ``elastic_diag`` are those of ``energy.total_energy``."""
     s, n, phi = state.s.values, state.n.values, state.phi.values
     gphi = assembly.element_gradients(ops.mesh, phi)
+    phi_quad = assembly.quad_values(ops.mesh, phi)
     coupling = en.coupling_tensors(ops, gphi, gphi)
-    a = en.was_weights(ops, s, weights.s_star) if a is None else a
-    energy = en.energy_report(ops, weights, s, n, phi, gphi, coupling, a)
-    return replace(state, gphi=gphi, coupling=coupling, energy=energy)
+    energy = en.total_energy(ops, weights, s, n, phi, gphi, coupling, a, elastic_diag, phi_quad)
+    return replace(state, gphi=gphi, phi_quad=phi_quad, coupling=coupling, energy=energy)
 
 
 @dataclass(frozen=True)
@@ -211,21 +217,23 @@ def tangent_space(n_values: np.ndarray) -> np.ndarray:
 
 def _cg(A, b: np.ndarray, stage: str):
     """``spla.cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER)`` bit for bit:
-    its operations in its order, without its wrappers (its ``np.linalg.norm(r)``
-    is sqrt(r . r), so the stop test reuses rho); returns (x, iterations)."""
+    its operations in its order, in place, without its wrappers (its
+    ``np.linalg.norm(r)`` is sqrt(r . r): the stop test reuses rho); returns (x, iterations)."""
     bnorm = math.sqrt(np.dot(b, b))
     if bnorm == 0.0:
         return b.copy(), 0
-    x, r, atol = np.zeros_like(b), b.copy(), CG_RTOL * bnorm
+    x, r, p, ap, atol = np.zeros_like(b), b.copy(), b.copy(), np.empty_like(b), CG_RTOL * bnorm
     for it in range(CG_MAXITER):
         rho = np.dot(r, r)
         if math.sqrt(rho) < atol:
             return x, it
-        p = p * (rho / rho_prev) + r if it else r.copy()
+        if it:
+            p *= rho / rho_prev
+            p += r
         q = A @ p
         alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=ap)
+        r -= np.multiply(alpha, q, out=q)
         rho_prev = rho
     raise StepError(f"{stage} solve: {CG_MAXITER} conjugate-gradient iterations left the "
                     f"relative residual at {math.sqrt(np.dot(r, r)) / bnorm:.3e}, above "
@@ -523,26 +531,27 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     ``cache`` carries the interface preconditioner's factors between the
     steps of a run (see :func:`ch_step`).
 
-    What the stages and the ledger share is evaluated once: the gradient
-    of phi_prev, the coupling tensors there and the energy come with
-    ``state`` (see :class:`PhaseState`; evaluated here for a state that
-    does not carry them), and then the explicit double-well load at
-    s_prev, the nodal coefficients of the elastic form at n_new, the
-    ``was_weights`` of s_new, and the gradient of phi_new, the coupling
-    tensors there and the energy, which the new state carries.  The
-    state returned keeps the boundary values of ``state``: s exactly, and
-    n up to its renormalization, as the velocity vanishes there."""
+    What the stages and the ledger share is evaluated once: what
+    :class:`PhaseState` carries comes with ``state`` (evaluated here for a
+    state that does not carry it), and then the explicit double-well load
+    at s_prev, the edge differences of n_new and the elastic form's nodal
+    coefficients there, the ``was_weights`` of s_new, and what the new
+    state carries.  The ledger charges the implicit double well as the
+    ``s`` stage solved it, ``DW_DFC[1] M s_new``.  The state returned
+    keeps the boundary values of ``state``: s exactly, and n up to its
+    renormalization, as the velocity vanishes there."""
     mesh = ops.mesh
     tau = config.tau
     eps = weights.eps
     if state.energy is None:
         state = with_energy(ops, weights, state)
     s_prev, phi_prev = state.s.values, state.phi.values
-    gphi_prev, coupling, before = state.gphi, state.coupling, state.energy
+    gphi_prev, pq_prev, coupling, before = state.gphi, state.phi_quad, state.coupling, state.energy
     dw_load = en.explicit_dw_load(ops, s_prev)
 
     n_tilde, n_new, v, r_n, cg_n = director_step(ops, state, weights, config, coupling)
-    elastic_diag = en.eform_scalar_diag(ops, n_new)
+    dn_new = en.edge_diff(ops, n_new)
+    elastic_diag = en.eform_scalar_diag(ops, n_new, dn_new)
     s_new, r_s, cg_s = s_step(ops, state, n_new, weights, config, gphi_prev, coupling,
                               elastic_diag, dw_load)
     a_new = en.was_weights(ops, s_new, weights.s_star)
@@ -551,8 +560,9 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     phi_new, mu_new, _, history, R_acc = ch_step(ops, state, s_new, n_new, a_new,
                                                  weights, config, cache)
     new_state = with_energy(ops, weights, make_state(
-        mesh, s_new, n_new, phi_new, mu_new, state.time + tau, state.step_index + 1), a_new)
-    gphi_new, after = new_state.gphi, new_state.energy
+        mesh, s_new, n_new, phi_new, mu_new, state.time + tau, state.step_index + 1),
+        a_new, elastic_diag)
+    gphi_new, pq_new, after = new_state.gphi, new_state.phi_quad, new_state.energy
 
     # --- dissipation budget (every term of the discrete energy law) ---
     s2_prev = s_prev * s_prev
@@ -560,20 +570,17 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     def cform_prev(u):  # cform(u, gphi_prev, u, gphi_prev, s_prev, s_prev)
         return float(np.sum(s2_prev * en.tensor_pairing(coupling, u, u)))
 
-    drop_eform = en.eform_drop(ops, s_prev, n_tilde, n_new)
+    drop_eform = en.eform_drop(ops, s_prev, n_tilde, n_new, dn_new)
     drop_cform = cform_prev(n_tilde) - cform_prev(n_new)
 
     ds = s_new - s_prev
     dphi = phi_new - phi_prev
     gdphi = (gphi_new - gphi_prev) / tau
 
-    pq_new = quad.at_quad_points(phi_new[mesh.elements])
-    pq_prev = quad.at_quad_points(phi_prev[mesh.elements])
     dphi_q = (pq_new - pq_prev) / tau
-    areas = mesh.areas
-    norm_dtau_phisq = quad.integrate_elementwise(((pq_new**2 - pq_prev**2) / tau) ** 2, areas)
-    norm_phidphi = quad.integrate_elementwise((pq_new * dphi_q) ** 2, areas)
-    norm_dphi = quad.integrate_elementwise(dphi_q**2, areas)
+    norm_dtau_phisq = assembly.integrate(mesh, ((pq_new**2 - pq_prev**2) / tau) ** 2)
+    norm_phidphi = assembly.integrate(mesh, (pq_new * dphi_q) ** 2)
+    norm_dphi = assembly.integrate(mesh, dphi_q**2)
 
     diss = {
         "normalization_eform": 0.5 * weights.w_erk * drop_eform,
@@ -592,21 +599,15 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
             + tau**2 * en.eform(ops, s_prev, s_prev, v, v)
             + float(np.sum(ds * ds * elastic_diag))
         ),
-        "tau2_wan": 0.5
-        * weights.w_wan
-        * eps
-        * tau**2
-        * (
-            en.cform(ops, n_new, gdphi, n_new, gdphi, s_new, s_new)
-            + cform_prev(v)
-        ),
+        "tau2_wan": 0.5 * weights.w_wan * eps * tau**2
+        * (en.cform_square(ops, n_new, gdphi, s_new) + cform_prev(v)),
         "tau2_was": weights.w_was
         * (
             en.energy_was(ops, a_new, gphi_new - gphi_prev, eps)
             + en.energy_was(ops, en.was_weights(ops, ds, 0.0), gphi_prev, eps)
         ),
     }
-    split_term = float((en.implicit_dw_load(ops, s_new) - dw_load) @ ds)
+    split_term = float((en.DW_DFC[1] * (ops.mass @ s_new) - dw_load) @ ds)
     diss["convex_split_slack"] = weights.w_dw * (split_term - (after.e_dw - before.e_dw))
 
     # stopping errors of the three solves, each paired with the test

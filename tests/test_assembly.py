@@ -170,9 +170,10 @@ def test_sum_operators_add_as_the_bincounts_they_replace(kind, rng):
     # the slot of each block entry (e[:, a], e[:, b]), read off the pattern
     slot_of = p.csr(np.arange(p.nnz, dtype=float))
     slots = np.asarray(slot_of[np.repeat(e, 3, axis=1).ravel(), np.tile(e, 3).ravel()]).astype(int)
-    blocks = rng.standard_normal((ne, 9))
+    blocks = rng.standard_normal((9, ne))  # component-major: row 3a + b for entry (a, b)
     assert np.array_equal(p.block_to_slot @ blocks.ravel(),
-                          np.bincount(slots.ravel(), blocks.ravel(), minlength=p.nnz))
+                          np.bincount(slots.reshape(ne, 9).T.ravel(), blocks.ravel(),
+                                      minlength=p.nnz))
     vertex, per_element = rng.standard_normal((ne, 3)), rng.standard_normal((ne, 4))
     assert np.array_equal(m.vertex_to_node @ vertex.ravel(),
                           np.bincount(e.ravel(), vertex.ravel(), minlength=n))
@@ -184,7 +185,7 @@ def test_sum_operators_add_as_the_bincounts_they_replace(kind, rng):
     both = np.concatenate([m.edges.lo, m.edges.hi])
     assert np.array_equal(m.edge_to_node @ np.tile(edge[:, 0], 2),
                           np.bincount(both, np.tile(edge[:, 0], 2), minlength=n))
-    signed = m.edge_to_node @ np.concatenate([edge, -edge])  # eform_derivative_n
+    signed = m.edge_to_node @ np.concatenate([edge, -edge])  # residual_director
     for c in range(2):
         w = edge[:, c]
         ref = np.bincount(both, np.concatenate([w, -w]), minlength=n)
@@ -243,6 +244,33 @@ def test_fixed_pattern_operators_match_coo_assembly(pattern_mesh, rng):
     for A, R in pairs:
         assert np.array_equal(A.indptr, R.indptr) and np.array_equal(A.indices, R.indices)
         assert naive.relative_error(A, R) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["structured", "shuffled", "perturbed"])
+def test_basis_and_vertex_product_kernels_match_coo_assembly(kind, rng):
+    """tensor_stiffness, on component-major element blocks, and
+    squared_field_mass, six vertex products times a constant matrix, equal
+    the naive einsum assembly, also on a mesh without right angles."""
+    m = build_structured_mesh(5, 4, ((0.0, 0.0), (1.0, 0.8)))
+    m = {"structured": m, "shuffled": naive.shuffled(m), "perturbed": perturbed_mesh()}[kind]
+    H = rng.standard_normal((m.n_elements, 2, 2))
+    H = H + H.transpose(0, 2, 1)
+    w, v = rng.uniform(0.5, 2.0, m.n_elements), rng.standard_normal(m.n_nodes)
+    for A, R in ((tensor_stiffness(m, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]),
+                  naive.tensor_stiffness(m, H)),
+                 (tensor_stiffness(m, w, 0.0, w), naive.stiffness(m, w)),
+                 (squared_field_mass(m, v), naive.squared_field_mass(m, v)),
+                 (squared_field_mass(m, np.ones(m.n_nodes)), naive.mass(m))):
+        assert naive.relative_error(A, R) <= 1e-13
+
+
+def test_squared_field_mass_exact_on_one_element():
+    """With v_h the first hat function, the entries are the integrals of
+    bary_0^2 bary_a bary_b, 2|T| alpha! / (|alpha| + 2)! for the exponents
+    alpha, over the unit triangle (|T| = 1/2)."""
+    M = squared_field_mass(unit_triangle(), np.eye(3)[0]).toarray()
+    exact = np.array([[24, 6, 6], [6, 4, 2], [6, 2, 4]]) / 720.0
+    assert np.abs(M - exact).max() <= 1e-14 * exact.max()
 
 
 def test_operators_edges_match_stiffness(pattern_mesh):

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from lcdroplet import build_operators, build_structured_mesh, cli
 from lcdroplet import config as cfg
 from lcdroplet import energy as en
+from lcdroplet import quadrature as quad
 from lcdroplet.assembly import element_gradients
 from lcdroplet import solver as sv
 from lcdroplet import verify
@@ -823,6 +824,35 @@ def test_make_state_checks_unit_director_to_1e_12():
     assert state.mesh is mesh and np.array_equal(state.n.values, n)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["s", "n", "phi", "mu"])
+def test_make_state_rejects_non_finite_fields(field, bad):
+    """A NaN or an infinity anywhere, also in one component of a director
+    whose other component is 1, is a ValueError naming the field and the
+    first node that holds one."""
+    mesh = build_structured_mesh(2, 2)
+    fields = {"s": np.full(9, 0.75), "n": np.tile([1.0, 0.0], (9, 1)),
+              "phi": np.zeros(9), "mu": np.zeros(9)}
+    for node in (7, 5):
+        if field == "n":
+            fields["n"][node, 1] = bad
+        else:
+            fields[field][node] = bad
+    with pytest.raises(ValueError, match=rf"^{field} is not finite at node 5$"):
+        make_state(mesh, **fields)
+
+
+def test_load_state_rejects_a_nan_director(tmp_path):
+    """``cli.load_state`` reaches ``make_state`` with no check of its own."""
+    mesh = build_structured_mesh(2, 2)
+    n = np.tile([1.0, 0.0], (9, 1))
+    n[3] = np.nan
+    np.savez(tmp_path / "state.npz", s=np.full(9, 0.75), n=n, phi=np.zeros(9),
+             mu=np.zeros(9), time=0.0, step_index=0)
+    with pytest.raises(ValueError, match=r"^n is not finite at node 3$"):
+        cli.load_state(tmp_path / "state.npz", mesh)
+
+
 def test_energy_csv_s_columns_are_the_state_range(tmp_path):
     """The min_s and max_s columns of energy.csv are the range of the s of
     the state each row records, the initial row included."""
@@ -884,23 +914,114 @@ def _count_calls(monkeypatch, targets):
 
 
 def test_step_evaluates_shared_inputs_once(monkeypatch):
-    """A step from a state that carries its grad phi, coupling tensors and
-    energy evaluates grad phi once (at phi_new), the coupling tensors at
-    most twice (at phi_new, for the new state, and at the phase increment,
-    for the ledger), the elastic form twice and the explicit double-well
-    load once: the stages and the ledger share what they need of the old
-    state, and the new state and the ledger share grad phi_new."""
+    """A step from a state that carries its grad phi, phi at the quadrature
+    points, coupling tensors and energy evaluates grad phi once (at
+    phi_new), the coupling tensors once (at phi_new, for the new state; the
+    ledger pairs the phase increment by its cross-product form), the
+    elastic form once (the ledger's velocity term; the new energy reuses the
+    s stage's nodal coefficients), those nodal coefficients and the
+    explicit double-well load once, and no implicit
+    double-well load (the ledger reuses the term the s stage solved with):
+    the stages and the ledger share what they need of the old state, and
+    the new state and the ledger share grad phi_new and phi_new at the
+    quadrature points."""
     problem = small_problem(nx=8)
     ops, w, sc = problem.ops, problem.weights, problem.scheme
     state, _ = gradient_flow_step(ops, problem.initial, w, sc)
     calls = _count_calls(monkeypatch, ((sv.assembly, "element_gradients"),
                                        (en, "coupling_tensors"), (en, "eform"),
-                                       (en, "explicit_dw_load")))
+                                       (en, "explicit_dw_load"), (en, "implicit_dw_load"),
+                                       (en, "eform_scalar_diag"), (en, "residual_ch"),
+                                       (sv.assembly, "quad_values")))
     gradient_flow_step(ops, state, w, sc)
     assert calls["element_gradients"] == 1
-    assert calls["coupling_tensors"] <= 2
-    assert calls["eform"] <= 2
+    assert calls["coupling_tensors"] == 1
+    assert calls["eform"] <= 1
     assert calls["explicit_dw_load"] == 1
+    assert calls["implicit_dw_load"] == 0
+    assert calls["eform_scalar_diag"] == 1
+    # phi_new once, s_prev for the explicit load, s_new for its energy and
+    # the Newton iterate for each interface residual
+    assert calls["quad_values"] == 3 + calls["residual_ch"]
+
+
+@pytest.mark.parametrize("linear_solver", ["cg", "direct"])
+def test_ledger_and_energy_equal_the_forms_evaluated_afresh(linear_solver):
+    """Over three steps of an 8^2 run, each a step from the state the step
+    before returned, every dissipation term and every component of the new
+    energy equal the forms evaluated afresh on the fields: the implicit
+    double-well load by quadrature (``implicit_dw_load``), the elastic
+    form by its edge sum (``eform``), the lumped coupling form through the
+    coupling tensors (``cform``) and the phase-field norms by the degree-4
+    rule at the quadrature points.  Each term is compared relative to the
+    sum of the magnitudes of the signed parts it is made of."""
+    problem = small_problem(nx=8, linear_solver=linear_solver)
+    ops, w, sc = problem.ops, problem.weights, problem.scheme
+    tau, eps, mesh = sc.tau, w.eps, ops.mesh
+    state = problem.initial
+    for _ in range(3):
+        new, rep = gradient_flow_step(ops, state, w, sc)
+        s0, phi0 = state.s.values, state.phi.values
+        s1, n1, phi1, mu1 = new.s.values, new.n.values, new.phi.values, new.mu.values
+        n_tilde, n_again, v, _, _ = director_stage(ops, state, w, sc)
+        assert np.array_equal(n_again, n1)
+        g0, g1 = (element_gradients(mesh, phi) for phi in (phi0, phi1))
+        ds, dphi = s1 - s0, phi1 - phi0
+        q0, q1 = (phi[mesh.elements] @ quad.TRI4_BARY.T for phi in (phi0, phi1))
+        dq = (q1 - q0) / tau
+
+        def integral(values_at_quad):
+            return float(mesh.areas @ (values_at_quad @ quad.TRI4_WEIGHTS))
+
+        def quadratic(A, u):
+            return float(np.sum(u * (A @ u)))
+
+        K, M = ops.stiffness, ops.mass
+        parts = {
+            "normalization_eform": [0.5 * w.w_erk * f for f in (
+                en.eform(ops, s0, s0, n_tilde, n_tilde), -en.eform(ops, s0, s0, n1, n1))],
+            "normalization_cform": [0.5 * w.w_wan * eps * f for f in (
+                en.cform(ops, n_tilde, g0, n_tilde, g0, s0, s0),
+                -en.cform(ops, n1, g0, n1, g0, s0, s0))],
+            "velocity_n": [tau * w.rho * quadratic(M, v)],
+            "velocity_s": [quadratic(M, ds) / tau],
+            "mu_gradient": [tau * eps * quadratic(K, mu1)],
+            "tau2_ch_grad": [0.5 * w.w_chgd * eps * quadratic(K, dphi)],
+            "tau2_ch_dw": [w.w_chdw * tau**2 / (4.0 * eps) * f for f in (
+                integral(((q1**2 - q0**2) / tau) ** 2), 2.0 * integral((q1 * dq) ** 2),
+                2.0 * integral(dq**2))],
+            "tau2_erk": [0.5 * w.w_erk * f for f in (
+                2.0 * w.kappa * quadratic(K, ds), tau**2 * en.eform(ops, s0, s0, v, v),
+                en.eform(ops, ds, ds, n1, n1))],
+            "tau2_wan": [0.5 * w.w_wan * eps * tau**2 * f for f in (
+                en.cform(ops, n1, (g1 - g0) / tau, n1, (g1 - g0) / tau, s1, s1),
+                en.cform(ops, v, g0, v, g0, s0, s0))],
+            "tau2_was": [w.w_was * f for f in (
+                en.energy_was(ops, en.was_weights(ops, s1, w.s_star), g1 - g0, eps),
+                en.energy_was(ops, en.was_weights(ops, ds, 0.0), g0, eps))],
+            "convex_split_slack": [w.w_dw * f for f in (
+                float(en.implicit_dw_load(ops, s1) @ ds),
+                -float(en.explicit_dw_load(ops, s0) @ ds),
+                -en.energy_dw(ops, s1), en.energy_dw(ops, s0))],
+        }
+        assert set(parts) == set(rep.dissipation)
+        for key, terms in parts.items():
+            got = rep.dissipation[key]
+            assert abs(got - sum(terms)) <= 1e-12 * sum(abs(f) for f in terms), key
+        fresh = {
+            "e_erk": [w.kappa * quadratic(K, s1), 0.5 * en.eform(ops, s1, s1, n1, n1)],
+            "e_dw": [en.energy_dw(ops, s1)],
+            "e_chdw": [integral((q1 * q1 - 1.0) ** 2) / (4.0 * eps)],
+            "e_chgd": [0.5 * eps * quadratic(K, phi1)],
+            "e_wan": [0.5 * eps * en.cform(ops, n1, g1, n1, g1, s1, s1)],
+            "e_was": [en.energy_was(ops, en.was_weights(ops, s1, w.s_star), g1, eps)],
+        }
+        total = [getattr(w, "w_" + key[2:]) * sum(f) for key, f in fresh.items()]
+        for key, terms in (*fresh.items(), ("total", total)):
+            got = getattr(rep.after, key)
+            assert abs(got - sum(terms)) <= 1e-12 * sum(abs(f) for f in terms), key
+        assert new.energy is rep.after
+        state = new
 
 
 def test_ledger_terms_match_forms_of_returned_fields():
