@@ -99,7 +99,9 @@ class TriMesh:
             raise MeshError("nodes must have shape (n, 2)")
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise MeshError("elements must have shape (n, 3)")
-        if elements.size and (elements.min() < 0 or elements.max() >= len(nodes)):
+        if not len(elements):
+            raise MeshError("mesh has no elements")
+        if elements.min() < 0 or elements.max() >= len(nodes):
             raise MeshError("element vertex index out of range")
         v0, v1, v2 = verts = np.ascontiguousarray(elements.T)
         object.__setattr__(self, "verts", verts)
@@ -123,7 +125,7 @@ class TriMesh:
         # An edge may be shared by at most two triangles; hanging nodes are
         # outside the supported mesh family.
         edges = self.edges
-        if edges.counts.size and edges.counts.max() > 2:
+        if edges.counts.max() > 2:
             raise MeshError("mesh is not conforming: a facet is shared by "
                             f"{int(edges.counts.max())} elements")
 
@@ -324,8 +326,6 @@ def build_structured_mesh(nx: int, ny: int, rect=((0.0, 0.0), (1.0, 1.0))) -> Tr
 
 def mesh_size(mesh: TriMesh) -> float:
     """Maximum edge length over all elements."""
-    if mesh.n_elements == 0:
-        raise MeshError("empty mesh")
     nodes, edges = mesh.nodes, mesh.edges
     d = np.take(nodes, edges.lo, axis=0) - np.take(nodes, edges.hi, axis=0)
     return float(np.linalg.norm(d, axis=1).max())
@@ -339,8 +339,6 @@ def audit_weak_acuteness(mesh: TriMesh, tol: float = 1e-12) -> AcutenessReport:
     pairs (i, j, k_ij) come in edge order, i < j.
     """
     k, edges = mesh.edge_k, mesh.edges
-    if k.size == 0:
-        return AcutenessReport(True, 0.0, [])
     violating = [(int(edges.lo[e]), int(edges.hi[e]), float(k[e]))
                  for e in np.flatnonzero(k < -tol)]
     return AcutenessReport(not violating, float(k.min()) + 0.0, violating)  # no -0.0

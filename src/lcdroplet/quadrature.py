@@ -33,30 +33,6 @@ TRI4_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 TRI4_WEIGHTS = TRI4_WEIGHTS / TRI4_WEIGHTS.sum()
 
 
-def at_quad_points(nodal_on_elements: np.ndarray) -> np.ndarray:
-    """Evaluate piecewise-affine data at the degree-4 quadrature points.
-
-    Parameters
-    ----------
-    nodal_on_elements : ndarray, shape (ne, 3)
-        Vertex values of the affine function on each element.
-
-    Returns
-    -------
-    ndarray, shape (ne, 6)
-        Values at the six quadrature points of each element.
-    """
-    return nodal_on_elements @ TRI4_BARY.T
-
-
-def integrate_elementwise(values_at_quad: np.ndarray, areas: np.ndarray) -> float:
-    """Sum the quadrature rule over all elements.
-
-    ``values_at_quad`` has shape (ne, 6); ``areas`` has shape (ne,).
-    """
-    return float(areas @ (values_at_quad @ TRI4_WEIGHTS))
-
-
 def gauss_legendre_grid(n: int):
     """Tensor Gauss-Legendre rule with ``n`` points per axis on the unit square.
 

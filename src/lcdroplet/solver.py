@@ -44,7 +44,6 @@ from .assembly import Operators
 from .energy import EnergyReport, ModelWeights
 from .mesh import TriMesh
 
-S_RANGE = en.S_RANGE
 CG_RTOL = 1e-12  # relative residual at which a conjugate-gradient solve stops
 CG_MAXITER = 20000  # iterations of one conjugate-gradient solve
 
@@ -275,19 +274,18 @@ def normalized(values: np.ndarray) -> np.ndarray:
 
 
 def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
-                  config: SchemeConfig, coupling: np.ndarray):
+                  config: SchemeConfig):
     """Advance the director; returns (n_tilde, n_new, v, r, CG iterations).
 
-    ``coupling`` is ``energy.coupling_tensors`` at the gradient of the
-    phase field of ``state``.  ``r`` is the residual of the
-    tangent-coefficient system as a nodal tangent field (zero at boundary
-    nodes), so that pairing it with a velocity w gives the residual of
-    the stage equation tested with w."""
+    ``state`` carries its coupling tensors (:func:`with_energy`).  ``r`` is
+    the residual of the tangent-coefficient system as a nodal tangent
+    field (zero at boundary nodes), so that pairing it with a velocity w
+    gives the residual of the stage equation tested with w."""
     n_prev = state.n.values
     t = tangent_space(n_prev)
 
     A, b = en.residual_director(ops, weights, config.tau, state.s.values, n_prev,
-                                coupling, t)
+                                state.coupling, t)
     # the velocity vanishes where n is prescribed
     coeff, resid, its = _constrained_solve(ops.mesh, A, b, 0.0, config, "director")
     v = coeff[:, None] * t
@@ -300,15 +298,16 @@ def director_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
 
 def s_step(ops: Operators, state: PhaseState, n_new: np.ndarray,
-           weights: ModelWeights, config: SchemeConfig, gphi_prev: np.ndarray,
-           coupling: np.ndarray, elastic_diag: np.ndarray, dw_load: np.ndarray):
+           weights: ModelWeights, config: SchemeConfig, elastic_diag: np.ndarray,
+           dw_load: np.ndarray):
     """Advance the orientation parameter, keeping the boundary values of
     ``state``; returns (s_new, r, CG iterations), r the system's residual
-    (zero at boundary nodes).  The last four arguments are those of
+    (zero at boundary nodes).  ``state`` carries grad phi and the coupling
+    tensors (:func:`with_energy`); the last two arguments are those of
     ``energy.residual_s``."""
     s_prev = state.s.values
-    A, b = en.residual_s(ops, weights, config.tau, s_prev, n_new, gphi_prev,
-                         coupling, elastic_diag, dw_load)
+    A, b = en.residual_s(ops, weights, config.tau, s_prev, n_new, state.gphi,
+                         state.coupling, elastic_diag, dw_load)
     return _constrained_solve(ops.mesh, A, b, s_prev[ops.mesh.boundary_nodes], config, "s")
 
 
@@ -454,21 +453,20 @@ _NEWTON_FLOOR = 0.1
 
 def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndarray,
             a_new: np.ndarray, weights: ModelWeights, config: SchemeConfig,
-            cache: JacobianCache | None = None):
+            cache: JacobianCache):
     """Advance (phi, mu) by Newton; ``a_new`` is ``energy.was_weights``
     of s_new.
 
     The Newton systems are solved on the factors held by ``cache`` (see
-    :class:`JacobianCache`); without one, the step starts from a fresh
-    factorization.  Newton starts at phi_prev, with the mu that solves the
-    mu-row there with lumped mass: M_L mu = R_mu(phi_prev, 0).  It stops
-    only on its residual; not reaching it is a :class:`NewtonError`.
+    :class:`JacobianCache`).  Newton starts at phi_prev, with the mu that
+    solves the mu-row there with lumped mass: M_L mu = R_mu(phi_prev, 0).
+    It stops only on its residual; not reaching it is a
+    :class:`NewtonError`.
 
-    Returns (phi, mu, iterations, residual_history, accepted_residual);
-    the last entry is the residual vector at the accepted iterate, used to
-    charge the solver's stopping error to the energy budget exactly.
+    Returns (phi, mu, residual_history, accepted_residual); the last entry
+    is the residual vector at the accepted iterate, used to charge the
+    solver's stopping error to the energy budget exactly.
     """
-    cache = JacobianCache() if cache is None else cache
     phi_prev = state.phi.values
     m_prev = ops.mass @ phi_prev
     A0 = en.ch_step_matrix(ops, weights, s_new, n_new, a_new)
@@ -482,7 +480,7 @@ def ch_step(ops: Operators, state: PhaseState, s_new: np.ndarray, n_new: np.ndar
         res = float(np.linalg.norm(R))
         history.append(res)
         if res <= config.newton_res_tol:
-            return phi, mu, it, history, R
+            return phi, mu, history, R
         if it == config.newton_max_iter:
             break
         J = InterfaceJacobian(M, K, en.jacobian_ch(ops, weights, phi, A0), ML, eps, config.tau)
@@ -523,6 +521,16 @@ def check_boundary_data(state: PhaseState, bc: tuple[np.ndarray, np.ndarray]) ->
                              f"{b[k]} is {given[k]} where bc gives {want[k]}")
 
 
+def _check_mesh(ops: Operators, state: PhaseState) -> None:
+    """Raise a ValueError naming what differs unless ``state`` is on
+    ``ops.mesh``: the same mesh, or one with equal nodes and elements."""
+    for name in ("nodes", "elements"):
+        mine, theirs = getattr(state.mesh, name), getattr(ops.mesh, name)
+        if mine is not theirs and not np.array_equal(mine, theirs):
+            raise ValueError(f"state is not on ops.mesh: its {name}, of shape {mine.shape}, "
+                             f"differ from those of ops.mesh, of shape {theirs.shape}")
+
+
 def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
                        config: SchemeConfig, phi_mass_ref: float | None = None,
                        cache: JacobianCache | None = None):
@@ -540,7 +548,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     ``s`` stage solved it, ``DW_DFC[1] M s_new``.  The state returned
     keeps the boundary values of ``state``: s exactly, and n up to its
     renormalization, as the velocity vanishes there."""
-    mesh = ops.mesh
+    _check_mesh(ops, state)
+    mesh = state.mesh
     tau = config.tau
     eps = weights.eps
     if state.energy is None:
@@ -549,16 +558,15 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     gphi_prev, pq_prev, coupling, before = state.gphi, state.phi_quad, state.coupling, state.energy
     dw_load = en.explicit_dw_load(ops, s_prev)
 
-    n_tilde, n_new, v, r_n, cg_n = director_step(ops, state, weights, config, coupling)
+    n_tilde, n_new, v, r_n, cg_n = director_step(ops, state, weights, config)
     dn_new = en.edge_diff(ops, n_new)
     elastic_diag = en.eform_scalar_diag(ops, n_new, dn_new)
-    s_new, r_s, cg_s = s_step(ops, state, n_new, weights, config, gphi_prev, coupling,
-                              elastic_diag, dw_load)
+    s_new, r_s, cg_s = s_step(ops, state, n_new, weights, config, elastic_diag, dw_load)
     a_new = en.was_weights(ops, s_new, weights.s_star)
     cache = JacobianCache() if cache is None else cache
     work0 = (cache.krylov_iterations, cache.factorizations)
-    phi_new, mu_new, _, history, R_acc = ch_step(ops, state, s_new, n_new, a_new,
-                                                 weights, config, cache)
+    phi_new, mu_new, history, R_acc = ch_step(ops, state, s_new, n_new, a_new,
+                                              weights, config, cache)
     new_state = with_energy(ops, weights, make_state(
         mesh, s_new, n_new, phi_new, mu_new, state.time + tau, state.step_index + 1),
         a_new, elastic_diag)
@@ -641,12 +649,14 @@ def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
         config: SchemeConfig, bc: tuple[np.ndarray, np.ndarray], sinks=()) -> PhaseState:
     """Iterate the gradient flow to t_final, streaming reports to sinks.
 
-    ``initial`` must take the boundary data ``bc`` (see
+    ``initial`` must lie on ``ops.mesh`` (the same mesh, or equal nodes
+    and elements) and take the boundary data ``bc`` (see
     :func:`check_boundary_data`), which every step then keeps.  Sinks may
     define any of ``on_start(state, energy_report)``, ``on_step(state,
     step_report)``, ``on_finish(state)``.  A failing step aborts the run
     after the sinks have seen the last good state.
     """
+    _check_mesh(ops, initial)
     check_boundary_data(initial, bc)
     state = initial  # returned as it is when there is no step
     carried = with_energy(ops, weights, initial)

@@ -115,6 +115,13 @@ def test_element_gradients_affine(fn, expected):
     assert np.allclose(g, np.tile(expected, (m.n_elements, 1)), atol=1e-13)
 
 
+def test_element_gradients_rejects_values_of_another_mesh():
+    m = build_structured_mesh(3, 3)
+    with pytest.raises(ValueError) as err:
+        element_gradients(m, np.zeros(m.n_nodes + 1))
+    assert str(err.value) == "expected 16 nodal values, got (17,)"
+
+
 def test_stiffness_edge_identity_random(rng):
     m = build_structured_mesh(4, 4)
     ops = build_operators(m)

@@ -171,6 +171,11 @@ RECT = "mesh.rect must be two points [[x0, y0], [x1, y1]] of finite numbers, got
         ("scheme.t_final=0.007",
          "t_final = 0.007 is not a whole number of steps of tau = 0.002 (3.5 steps)"),
         ("scheme.newton_max_iter=-1", "newton_max_iter must be nonnegative, got -1"),
+        ("scheme.newton_res_tol=0", "newton_res_tol must be positive, got 0.0"),
+        ("scheme.newton_res_tol=-1e-7", "newton_res_tol must be positive, got -1e-07"),
+        ("mesh.nx.cells=4", "cannot descend into 'mesh.nx.cells'"),
+        ("scheme=0.002", "scheme must be a mapping with keys ['linear_solver', "
+         "'newton_max_iter', 'newton_res_tol', 't_final', 'tau']"),
         ("mesh.nx=2.7", "mesh.nx must be of type int, got 2.7"),
         ("mesh.nx=true", "mesh.nx must be of type int, got True"),
         ("mesh.ny='4'", "mesh.ny must be of type int, got '4'"),
@@ -227,6 +232,20 @@ def test_config_value_of_wrong_type_rejected(item, message):
     with pytest.raises(ValueError) as err:
         _build_corner(item)
     assert str(err.value) == message
+
+
+def test_config_file_not_a_mapping_rejected(tmp_path):
+    path = tmp_path / "list.yaml"
+    path.write_text("- mesh\n- scheme\n")
+    with pytest.raises(ValueError) as err:
+        cfg.load_config_file(path)
+    assert str(err.value) == f"config file {path} must contain a mapping"
+
+
+def test_dissolution_ratio_is_zero_without_a_droplet():
+    """No node with phi > 0: no droplet, whose interfacial energy the
+    ratio would need."""
+    assert cfg.dissolution_ratio(_build_corner("initial.phi=-0.5")) == 0.0
 
 
 def test_config_values_of_right_type_accepted():

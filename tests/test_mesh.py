@@ -139,6 +139,24 @@ def test_validation_names_the_corrupt_element(corruption, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "nodes,elements,message",
+    [
+        (np.zeros((3, 3)), [[0, 1, 2]], "nodes must have shape (n, 2)"),
+        (np.zeros(6), [[0, 1, 2]], "nodes must have shape (n, 2)"),
+        (np.eye(3, 2), [[0, 1, 2, 0]], "elements must have shape (n, 3)"),
+        (np.eye(3, 2), [0, 1, 2], "elements must have shape (n, 3)"),
+        (np.eye(3, 2), np.zeros((0, 3)), "mesh has no elements"),
+    ],
+    ids=["nodes 3 columns", "nodes flat", "elements 4 columns", "elements flat",
+         "no elements"],
+)
+def test_misshapen_or_empty_mesh_rejected(nodes, elements, message):
+    with pytest.raises(MeshError) as err:
+        TriMesh(nodes, np.asarray(elements))
+    assert str(err.value) == message
+
+
 def test_refinement_nesting():
     coarse = build_structured_mesh(3, 2)
     fine = build_structured_mesh(6, 4)

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from lcdroplet import build_operators, build_structured_mesh, cli
+from lcdroplet import TriMesh, build_operators, build_structured_mesh, cli
 from lcdroplet import config as cfg
 from lcdroplet import energy as en
 from lcdroplet import quadrature as quad
@@ -41,20 +41,17 @@ def constant_state(mesh, s_val=0.75, phi_val=1.0, n_dir=(1.0, 0.0)):
 
 
 def director_stage(ops, state, weights, scheme):
-    gphi = element_gradients(ops.mesh, state.phi.values)
-    return sv.director_step(ops, state, weights, scheme, en.coupling_tensors(ops, gphi, gphi))
+    return sv.director_step(ops, sv.with_energy(ops, weights, state), weights, scheme)
 
 
 def interface_stage(ops, state, s_new, n_new, weights, scheme):
     return sv.ch_step(ops, state, s_new, n_new, en.was_weights(ops, s_new, weights.s_star),
-                      weights, scheme)
+                      weights, scheme, sv.JacobianCache())
 
 
 def s_stage(ops, state, n_new, weights, scheme):
-    gphi = element_gradients(ops.mesh, state.phi.values)
-    return sv.s_step(ops, state, n_new, weights, scheme, gphi,
-                     en.coupling_tensors(ops, gphi, gphi), en.eform_scalar_diag(ops, n_new),
-                     en.explicit_dw_load(ops, state.s.values))
+    return sv.s_step(ops, sv.with_energy(ops, weights, state), n_new, weights, scheme,
+                     en.eform_scalar_diag(ops, n_new), en.explicit_dw_load(ops, state.s.values))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +179,10 @@ def test_ch_step_pure_phase_immediate():
     ops = build_operators(mesh)
     weights = ModelWeights(w_wan=0.0, w_was=0.0, s_star=0.75)
     state = constant_state(mesh, phi_val=1.0)
-    phi, mu, iters, hist, _ = interface_stage(
+    phi, mu, hist, _ = interface_stage(
         ops, state, state.s.values, state.n.values, weights, SchemeConfig()
     )
-    assert iters <= 1
+    assert len(hist) - 1 <= 1
     assert np.allclose(phi, 1.0, atol=1e-12)
     assert np.abs(mu).max() <= 1e-12
 
@@ -194,7 +191,7 @@ def test_ch_step_mass_conservation(rng):
     prob = small_problem(nx=8)
     state = prob.initial
     rows = prob.ops.mass @ np.ones(prob.mesh.n_nodes)
-    phi, mu, iters, hist, _ = interface_stage(
+    phi, mu, hist, _ = interface_stage(
         prob.ops, state, state.s.values, state.n.values, prob.weights, prob.scheme
     )
     assert abs(rows @ (phi - state.phi.values)) <= 1e-10
@@ -227,7 +224,7 @@ def test_ch_step_quadratic_newton_convergence():
     state = prob.initial
     n_tilde, n_new, _, _, _ = director_stage(prob.ops, state, prob.weights, prob.scheme)
     s_new, _, _ = s_stage(prob.ops, state, n_new, prob.weights, prob.scheme)
-    phi, mu, iters, hist, _ = interface_stage(
+    phi, mu, hist, _ = interface_stage(
         prob.ops, state, s_new, n_new, prob.weights, prob.scheme
     )
     assert hist[-1] <= prob.scheme.newton_res_tol
@@ -338,7 +335,7 @@ def ch_system(nx=16):
                                     ops.mass_rows, weights.eps, tau)
 
     *_, R = sv.ch_step(ops, state, state.s.values, state.n.values, a, weights,
-                       replace(prob.scheme, newton_res_tol=np.inf))
+                       replace(prob.scheme, newton_res_tol=np.inf), sv.JacobianCache())
     return jacobian, phi, -R
 
 
@@ -801,6 +798,61 @@ def test_make_state_rejects_phi_of_another_mesh():
     n = np.tile([1.0, 0.0], (m1.n_nodes, 1))
     with pytest.raises(ValueError, match=r"^phi needs shape \(9,\), got \(16,\)$"):
         make_state(m1, s, n, np.zeros(m2.n_nodes))
+
+
+def _corner_8(*sets):
+    """droplet_corner on 8 x 8 cells, two steps."""
+    return cfg.build_problem(cfg.merge_config(cfg.preset("droplet_corner"), None, [
+        "mesh.nx=8", "mesh.ny=8", "scheme.t_final=0.004", *sets]))
+
+
+@pytest.mark.parametrize("other,message", [
+    # 8 x 8 cells on [0, 2]^2: the shapes agree, so nothing else would
+    # stop a run from taking these nodes for those of ops.mesh
+    (lambda m: build_structured_mesh(8, 8, ((0.0, 0.0), (2.0, 2.0))),
+     "state is not on ops.mesh: its nodes, of shape (81, 2), differ from those of ops.mesh, "
+     "of shape (81, 2)"),
+    (lambda m: build_structured_mesh(2, 2),
+     "state is not on ops.mesh: its nodes, of shape (9, 2), differ from those of ops.mesh, "
+     "of shape (81, 2)"),
+    (lambda m: TriMesh(m.nodes, m.elements[::-1]),
+     "state is not on ops.mesh: its elements, of shape (128, 3), differ from those of "
+     "ops.mesh, of shape (128, 3)"),
+], ids=["domain [0, 2]^2", "2 x 2 cells", "elements reordered"])
+def test_run_and_step_reject_a_state_of_another_mesh(other, message):
+    prob = _corner_8()
+    mesh = other(prob.mesh)
+    s = np.full(mesh.n_nodes, 0.75)
+    n = np.tile([1.0, 0.0], (mesh.n_nodes, 1))
+    alien = make_state(mesh, s, n, np.zeros(mesh.n_nodes))
+    for call in (lambda: sv.run(prob.ops, alien, prob.weights, prob.scheme, prob.bc),
+                 lambda: gradient_flow_step(prob.ops, alien, prob.weights, prob.scheme)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_run_keeps_a_state_on_an_equal_mesh():
+    """A state on a mesh equal to ops.mesh, not the same object, runs as
+    one on ops.mesh does, and every state the sinks see is on its mesh."""
+    prob = _corner_8()
+    twin = TriMesh(prob.mesh.nodes, prob.mesh.elements)
+    meshes = []
+
+    class Meshes:
+        def on_start(self, state, energy_report):
+            meshes.append(state.mesh)
+
+        def on_step(self, state, report):
+            meshes.append(state.mesh)
+
+    i = prob.initial
+    initial = make_state(twin, i.s.values, i.n.values, i.phi.values)
+    final = sv.run(prob.ops, initial, prob.weights, prob.scheme, prob.bc, [Meshes()])
+    assert len(meshes) == 3 and all(m is twin for m in meshes)
+    reference = sv.run(prob.ops, prob.initial, prob.weights, prob.scheme, prob.bc)
+    for name in ("s", "n", "phi", "mu"):
+        assert np.array_equal(getattr(final, name).values, getattr(reference, name).values)
 
 
 @pytest.mark.parametrize("shape", [(9,), (9, 3), (2, 9), (8, 2)])

@@ -44,6 +44,14 @@ def test_all_fd_checks_pass(ops4, rng, weights):
         assert outcome.passed, outcome
 
 
+def test_fd_check_rejects_unknown_energy_id(ops4, rng):
+    base = vf.random_admissible_fields(ops4.mesh, rng)
+    direction = vf.random_directions(ops4.mesh, base, rng)
+    with pytest.raises(ValueError) as err:
+        vf.fd_derivative_check(ops4, ModelWeights(), "erk_q", base, direction)
+    assert str(err.value) == "unknown energy id 'erk_q'"
+
+
 @pytest.mark.parametrize("stage,matching", [
     pytest.param("residual_director", {"erk_n", "wan_n"}, id="residual_director"),
     pytest.param("residual_s", {"erk_s", "dw_s", "wan_s", "was_s"}, id="residual_s"),
