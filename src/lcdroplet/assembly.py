@@ -119,12 +119,6 @@ def integrate(mesh: TriMesh, values_at_quad: np.ndarray) -> float:
     return float(quad.TRI4_WEIGHTS @ values_at_quad @ mesh.areas)
 
 
-def integrate_p1_function(mesh: TriMesh, f, values: np.ndarray) -> float:
-    """Integral of f(v_h) for a pointwise map ``f`` of a P1 field
-    (degree-4 rule; exact when f(v_h) has degree <= 4 per element)."""
-    return integrate(mesh, f(quad_values(mesh, values)))
-
-
 @dataclass(frozen=True)
 class Operators:
     """The operators assembled once per mesh and reused across time steps.

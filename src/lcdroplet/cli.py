@@ -124,7 +124,11 @@ class FinalStateSink:
 def run_scenario(problem: cfgmod.Problem, out_dir: str | None = None):
     """Run a scenario built by ``config.build_problem``; returns
     (final_state, exit_code): 0, 1 after a failed step, or 2 when the
-    output directory cannot be written."""
+    output directory cannot be written; warns of a dissolution ratio >= 1."""
+    ratio = cfgmod.dissolution_ratio(problem)
+    if ratio >= 1.0:
+        print(f"warning: dissolution ratio {ratio:.3g} >= 1: dissolving "
+              "the initial droplets lowers the energy", file=sys.stderr)
     cfg = problem.config
     out = out_dir or cfg.output.get("dir", "out/run")
     resolved = cfg.to_dict()
@@ -138,7 +142,7 @@ def run_scenario(problem: cfgmod.Problem, out_dir: str | None = None):
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "config.yaml"), "w", encoding="utf-8") as fh:
             # a comment, so that the file stays a scenario document
-            fh.write(f"# dissolution_ratio: {cfgmod.dissolution_ratio(problem)!r}\n")
+            fh.write(f"# dissolution_ratio: {ratio!r}\n")
             yaml.safe_dump(resolved, fh, sort_keys=False)
     except OSError as exc:
         print(f"cannot write output directory {out}: {exc.strerror or exc}", file=sys.stderr)
@@ -180,10 +184,6 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    ratio = cfgmod.dissolution_ratio(problem)
-    if ratio >= 1.0:
-        print(f"warning: dissolution ratio {ratio:.3g} >= 1: dissolving "
-              "the initial droplets lowers the energy", file=sys.stderr)
     return run_scenario(problem, args.out)[1]
 
 

@@ -263,12 +263,12 @@ def _eval_director(key: str, exprs, nodes, x, y, constants) -> np.ndarray:
         raise ValueError(f"{key} must be a list of two expressions, got {exprs!r}")
     vectors = np.column_stack([_evaluate(f"{key}[{k}]", src, x, y, constants)
                                for k, src in enumerate(exprs)])
-    try:
-        return sv.normalized(vectors)
-    except ValueError:
-        k = int(np.argmin(np.linalg.norm(vectors, axis=1)))  # the row normalized rejects
+    norms = np.linalg.norm(vectors, axis=1)
+    k = int(np.argmin(norms))
+    if norms[k] < 1e-14:  # the bound of ``solver.normalized``, whose quotient follows
         raise ValueError(f"{key} is not a director field: cannot normalize zero vector "
-                         f"at node {nodes[k]} at ({x[k]:g}, {y[k]:g})") from None
+                         f"at node {nodes[k]} at ({x[k]:g}, {y[k]:g})")
+    return vectors / norms[:, None]
 
 
 # keys of each section; those of weights and scheme are the fields of

@@ -144,22 +144,21 @@ def edge_diff(ops: Operators, x) -> np.ndarray:
     return (np.take(x, ops.mesh.edges.lo, axis=0) - np.take(x, ops.mesh.edges.hi, axis=0)).T
 
 
-def eform_drop(ops: Operators, s, n_tilde, n, dn=None) -> float:
+def eform_drop(ops: Operators, s, n_tilde, n, dn) -> float:
     """eform(s, s, n_tilde, n_tilde) - eform(s, s, n, n) as one edge sum,
 
         sum_edges k_ij (s_i^2 + s_j^2) (a - b) . (a + b),
 
-    with a = n~_i - n~_j and b = n_i - n_j, accurate to its own size where
-    the difference of the two forms is accurate only to theirs.  a - b is
-    formed as d_i - d_j with d = n~ - n, which is exact at a node where
-    the two directors' components are within a factor of two (Sterbenz).
-    ``dn`` is ``edge_diff`` of n, evaluated when absent.
+    with a = n~_i - n~_j and b = n_i - n_j (``dn``, the ``edge_diff`` of n),
+    accurate to its own size where the difference of the two forms is
+    accurate only to theirs.  a - b is formed as d_i - d_j with d = n~ - n,
+    which is exact at a node where the two directors' components are
+    within a factor of two (Sterbenz).
     """
     ei, ej, k = ops.mesh.edges.lo, ops.mesh.edges.hi, ops.mesh.edge_k
     s2 = np.asarray(s) ** 2
     dd, a = edge_diff(ops, n_tilde - n), edge_diff(ops, n_tilde)
-    b = edge_diff(ops, n) if dn is None else dn
-    pair = dd[0] * (a[0] + b[0]) + dd[1] * (a[1] + b[1])
+    pair = dd[0] * (a[0] + dn[0]) + dd[1] * (a[1] + dn[1])
     return float(np.sum(k * (s2[ei] + s2[ej]) * pair))
 
 
@@ -239,7 +238,7 @@ def energy_dw(ops: Operators, s) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    return assembly.integrate_p1_function(ops.mesh, double_well, np.asarray(s))
+    return assembly.integrate(ops.mesh, double_well(assembly.quad_values(ops.mesh, np.asarray(s))))
 
 
 def energy_ch_dw(ops: Operators, phi, eps: float, phi_quad=None) -> float:
@@ -301,12 +300,6 @@ def eform_scalar_diag(ops: Operators, n, dn=None) -> np.ndarray:
     dx, dy = edge_diff(ops, n) if dn is None else dn
     w = ops.mesh.edge_k * (dx * dx + dy * dy)
     return ops.mesh.edge_to_node @ np.concatenate([w, w])
-
-
-def cubic_load(ops: Operators, phi) -> np.ndarray:
-    """Vector with entries integral of (phi_h)^3 eta_i (degree-4 rule)."""
-    pq = assembly.quad_values(ops.mesh, phi)
-    return assembly.nodal_load(ops.mesh, pq * pq * pq)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +394,6 @@ def explicit_dw_load(ops: Operators, s_prev) -> np.ndarray:
     return assembly.nodal_load(ops.mesh, _polyval(assembly.quad_values(ops.mesh, s_prev), DW_DFE))
 
 
-def implicit_dw_load(ops: Operators, s_new) -> np.ndarray:
-    """Vector with entries integral of f_c'(s_h) eta_i (implicit part)."""
-    return assembly.nodal_load(ops.mesh, _polyval(assembly.quad_values(ops.mesh, s_new), DW_DFC))
-
-
 def ch_step_matrix(ops: Operators, weights: ModelWeights, s_new, n_new,
                    a: np.ndarray) -> SparseOperator:
     """phi-coefficient matrix of the chemical-potential equation that stays
@@ -437,8 +425,9 @@ def residual_ch(ops: Operators, weights: ModelWeights, tau: float, phi, mu, phi_
     phi, mu, phi_prev = np.asarray(phi), np.asarray(mu), np.asarray(phi_prev)
     M = ops.mass
     r_phi = M @ (phi - phi_prev) / tau + weights.eps * (ops.stiffness @ mu)
+    pq = assembly.quad_values(ops.mesh, phi)  # phi^3 by the degree-4 rule
     r_mu = (
-        (weights.w_chdw / weights.eps) * (cubic_load(ops, phi) - m_prev)
+        (weights.w_chdw / weights.eps) * (assembly.nodal_load(ops.mesh, pq * pq * pq) - m_prev)
         + A0 @ phi
         - M @ mu
     )

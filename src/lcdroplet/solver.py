@@ -650,14 +650,19 @@ def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
     """Iterate the gradient flow to t_final, streaming reports to sinks.
 
     ``initial`` must lie on ``ops.mesh`` (the same mesh, or equal nodes
-    and elements) and take the boundary data ``bc`` (see
-    :func:`check_boundary_data`), which every step then keeps.  Sinks may
+    and elements), a whole number of steps of tau before t_final (to the
+    1e-9 rule of :class:`SchemeConfig`), and take the boundary data ``bc``
+    (see :func:`check_boundary_data`), which every step keeps.  Sinks may
     define any of ``on_start(state, energy_report)``, ``on_step(state,
     step_report)``, ``on_finish(state)``.  A failing step aborts the run
     after the sinks have seen the last good state.
     """
     _check_mesh(ops, initial)
     check_boundary_data(initial, bc)
+    steps = (config.t_final - initial.time) / config.tau
+    if round(steps) < 0 or abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+        raise ValueError(f"cannot step from t = {initial.time!r} to t_final = "
+                         f"{config.t_final!r} in whole steps of tau = {config.tau!r}")
     state = initial  # returned as it is when there is no step
     carried = with_energy(ops, weights, initial)
     mass0 = float(ops.mass_rows @ initial.phi.values)
@@ -667,7 +672,7 @@ def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
         if hasattr(sink, "on_start"):
             sink.on_start(state, carried.energy)
     try:
-        for _ in range(config.n_steps):
+        for _ in range(round(steps)):
             state, report = gradient_flow_step(
                 ops, carried, weights, config, phi_mass_ref=mass0, cache=cache,
             )

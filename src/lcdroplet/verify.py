@@ -332,7 +332,8 @@ def lumped_monotonicity_check(ops: Operators, rng, trials: int = 1000,
 def convex_split_check(ops: Operators, rng, trials: int = 1000,
                        tol: float = 1e-11):
     """The implicit/explicit double-well pairing dominates the energy
-    difference for arbitrary in-range field pairs."""
+    difference for arbitrary in-range field pairs; the implicit load is
+    ``DW_DFC[1] M s_new``, as the ``s`` stage solves and the ledger charges it."""
     mesh = ops.mesh
     worst = -np.inf
     violations = 0
@@ -340,9 +341,8 @@ def convex_split_check(ops: Operators, rng, trials: int = 1000,
         s_old = rng.uniform(-0.49, 0.99, mesh.n_nodes)
         s_new = rng.uniform(-0.49, 0.99, mesh.n_nodes)
         ds = s_new - s_old
-        pairing = float(
-            (en.implicit_dw_load(ops, s_new) - en.explicit_dw_load(ops, s_old)) @ ds
-        )
+        pairing = float((en.DW_DFC[1] * (ops.mass @ s_new)
+                         - en.explicit_dw_load(ops, s_old)) @ ds)
         gap = (en.energy_dw(ops, s_new) - en.energy_dw(ops, s_old)) - pairing
         worst = max(worst, gap)
         if gap > tol:
@@ -437,8 +437,8 @@ class SmoothTriple:
 
 
 def continuous_total_energy(triple: SmoothTriple, weights: ModelWeights,
-                            n_gauss: int = 200) -> dict:
-    """Dense Gauss-Legendre evaluation of all six continuous energies."""
+                            n_gauss: int = 200) -> float:
+    """Dense Gauss-Legendre evaluation of the continuous total energy."""
     pts, w = quad.gauss_legendre_grid(n_gauss)
     x, y = pts[:, 0], pts[:, 1]
     s = triple.s(x, y)
@@ -456,14 +456,8 @@ def continuous_total_energy(triple: SmoothTriple, weights: ModelWeights,
     e_chgd = 0.5 * eps * float(w @ gphi2)
     e_wan = 0.5 * eps * float(w @ (s * s * (gphi2 - ndotp**2)))
     e_was = 0.5 * eps * float(w @ (gphi2 * (s - s_star) ** 2))
-    total = (
-        weights.w_erk * e_erk + weights.w_dw * e_dw + weights.w_chdw * e_chdw
-        + weights.w_chgd * e_chgd + weights.w_wan * e_wan + weights.w_was * e_was
-    )
-    return {
-        "e_erk": e_erk, "e_dw": e_dw, "e_chdw": e_chdw, "e_chgd": e_chgd,
-        "e_wan": e_wan, "e_was": e_was, "total": total,
-    }
+    return (weights.w_erk * e_erk + weights.w_dw * e_dw + weights.w_chdw * e_chdw
+            + weights.w_chgd * e_chgd + weights.w_wan * e_wan + weights.w_was * e_was)
 
 
 def anisotropic_identity_check(ops: Operators,
@@ -488,50 +482,31 @@ def anisotropic_identity_check(ops: Operators,
 
 
 def refinement_energy_consistency(weights: ModelWeights | None = None,
-                                  cell_counts=(8, 16, 32, 64)):
+                                  cell_counts=(8, 16, 32, 64)) -> CheckOutcome:
     """Interpolate the smooth triple on a mesh family and compare the
     discrete total energy against the dense continuous reference.
 
-    Returns (CheckOutcome, table); the table rows are (h, error, order).
+    The witness holds the reference and one row (cells, h, error, order) per mesh.
     """
     weights = weights or ModelWeights()
     triple = SmoothTriple()
-    ref = continuous_total_energy(triple, weights)["total"]
+    ref = continuous_total_energy(triple, weights)
 
     rows = []
-    errors = []
-    hs = []
     for n in cell_counts:
-        mesh = build_structured_mesh(n, n)
-        ops = build_operators(mesh)
-        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        s = triple.s(x, y)
-        nvec = np.column_stack(triple.n(x, y))
-        phi = triple.phi(x, y)
-        report = en.total_energy(ops, weights, s, nvec, phi)
+        ops = build_operators(build_structured_mesh(n, n))
+        x, y = ops.mesh.nodes[:, 0], ops.mesh.nodes[:, 1]
+        s, nvec, phi = triple.s(x, y), np.column_stack(triple.n(x, y)), triple.phi(x, y)
         h = math.sqrt(2.0) / n
-        err = abs(report.total - ref)
-        hs.append(h)
-        errors.append(err)
-    orders = [
-        math.log(errors[k] / errors[k + 1]) / math.log(hs[k] / hs[k + 1])
-        for k in range(len(errors) - 1)
-    ]
-    slope = float(
-        np.polyfit(np.log(hs), np.log(errors), 1)[0]
-    )
-    for k, n in enumerate(cell_counts):
-        rows.append({
-            "cells": n, "h": hs[k], "error": errors[k],
-            "order": orders[k - 1] if k else None,
-        })
+        err = abs(en.total_energy(ops, weights, s, nvec, phi).total - ref)
+        order = (math.log(rows[-1]["error"] / err) / math.log(rows[-1]["h"] / h)
+                 if rows else None)
+        rows.append({"cells": n, "h": h, "error": err, "order": order})
+    hs, errors = [r["h"] for r in rows], [r["error"] for r in rows]
+    slope = float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
     decreasing = all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
-    passed = decreasing and slope >= 1.0
-    outcome = CheckOutcome(
-        "refinement_energy_consistency", passed, slope, 1.0,
-        {"reference": ref, "rows": rows},
-    )
-    return outcome, rows
+    return CheckOutcome("refinement_energy_consistency", decreasing and slope >= 1.0, slope,
+                        1.0, {"reference": ref, "rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +592,8 @@ def flow_trajectory(problem, mutate: str | None = None):
         def on_step(self, state, rep):
             s_new, s_prev = state.s.values, self.s_prev
             if mutate == "convex-split-sign":
-                wrong_pairing = float(
-                    (en.implicit_dw_load(ops, s_new) - en.explicit_dw_load(ops, s_new))
-                    @ (s_new - s_prev)
-                )
+                wrong_pairing = float((en.DW_DFC[1] * (ops.mass @ s_new)
+                                       - en.explicit_dw_load(ops, s_new)) @ (s_new - s_prev))
                 gap = en.energy_dw(ops, s_new) - en.energy_dw(ops, s_prev)
                 diss = dict(rep.dissipation)
                 diss["convex_split_slack"] = weights.w_dw * (wrong_pairing - gap)
@@ -682,8 +655,7 @@ def run_suite(seed: int = 0, mutate: str | None = None, acuteness_max: int = 64)
     outcomes.append(lumped_monotonicity_check(ops4, rng))
     outcomes.append(convex_split_check(ops4, rng))
     outcomes.append(anisotropic_identity_check(ops8))
-    refinement, _ = refinement_energy_consistency()
-    outcomes.append(refinement)
+    outcomes.append(refinement_energy_consistency())
 
     problem = _corner_problem()
     e0, reports, final_state = flow_trajectory(problem, mutate=mutate)

@@ -159,9 +159,9 @@ def test_criterion_7_convex_splitting():
 
 def test_criterion_8_refinement_energy_consistency():
     t0 = time.time()
-    outcome, rows = vf.refinement_energy_consistency(cell_counts=(8, 16, 32, 64))
+    outcome = vf.refinement_energy_consistency(cell_counts=(8, 16, 32, 64))
     elapsed = time.time() - t0
-    errs = [r["error"] for r in rows]
+    errs = [r["error"] for r in outcome.witness["rows"]]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     ok = outcome.passed and elapsed <= 60.0
     _report(

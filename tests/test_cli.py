@@ -314,6 +314,25 @@ def test_expression_nested_too_deeply(depth):
         compile_expression("-" * depth + "x")(np.zeros(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("src, message", [
+    ("where(0 < x < 1, 1, 0)", "unsupported comparison in 'where(0 < x < 1, 1, 0)'"),
+    ("where(x is y, 1, 0)", "unsupported comparison in 'where(x is y, 1, 0)'"),
+    ("np.tanh(x)", "unsupported call in 'np.tanh(x)'"),
+    ("tanh(x=1)", "unsupported call in 'tanh(x=1)'"),
+])
+def test_expression_rejects_with_its_message(src, message):
+    with pytest.raises(ExpressionError) as err:
+        compile_expression(src)(np.zeros(2), np.zeros(2))
+    assert str(err.value) == message
+
+
+def test_expression_parse_error_names_the_source():
+    with pytest.raises(ExpressionError) as err:
+        compile_expression("1 +")
+    assert str(err.value).startswith("cannot parse expression '1 +': ")
+    assert isinstance(err.value.__cause__, SyntaxError)
+
+
 def test_expression_unknown_name():
     with pytest.raises(ExpressionError, match="unknown name"):
         compile_expression("x + q")(np.zeros(2), np.zeros(2))
@@ -444,8 +463,10 @@ def test_solver_failure_reported_as_step_error(tmp_path, capsys, monkeypatch):
                          ["mesh.nx=4", "mesh.ny=4", "scheme.t_final=0.004"])
     final, code = cli.run_scenario(cfg.build_problem(c), str(tmp_path / "run"))
     assert final is None and code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("simulation aborted: interface solve: ")
+    # the scenario's dissolution-ratio warning comes before the run
+    warning, aborted = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: dissolution ratio ")
+    assert aborted.startswith("simulation aborted: interface solve: ")
     assert (tmp_path / "run" / "final_state.npz").exists()
     # the frame of the last good state is indexed all the same
     index = json.loads((tmp_path / "run" / cli.SERIES_INDEX).read_text())

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -11,7 +12,7 @@ from lcdroplet import TriMesh, build_operators, build_structured_mesh, cli
 from lcdroplet import config as cfg
 from lcdroplet import energy as en
 from lcdroplet import quadrature as quad
-from lcdroplet.assembly import element_gradients
+from lcdroplet.assembly import element_gradients, nodal_load, quad_values
 from lcdroplet import solver as sv
 from lcdroplet import verify
 from lcdroplet.energy import ModelWeights
@@ -76,6 +77,14 @@ def test_tangent_orthogonality(rng):
 # ---------------------------------------------------------------------------
 # director step
 # ---------------------------------------------------------------------------
+
+def test_normalized_names_the_first_zero_row():
+    with pytest.raises(ValueError) as err:
+        normalized(np.array([[3.0, 4.0], [0.0, 0.0], [1e-15, 0.0], [0.0, 0.0]]))
+    assert str(err.value) == "cannot normalize zero vector at node 1"
+    assert np.array_equal(normalized(np.array([[3.0, 4.0], [0.0, -2.0]])),
+                          [[0.6, 0.8], [0.0, -1.0]])
+
 
 def test_director_step_zero_weights_identity():
     mesh = build_structured_mesh(4, 4)
@@ -972,9 +981,8 @@ def test_step_evaluates_shared_inputs_once(monkeypatch):
     ledger pairs the phase increment by its cross-product form), the
     elastic form once (the ledger's velocity term; the new energy reuses the
     s stage's nodal coefficients), those nodal coefficients and the
-    explicit double-well load once, and no implicit
-    double-well load (the ledger reuses the term the s stage solved with):
-    the stages and the ledger share what they need of the old state, and
+    explicit double-well load once (the ledger reuses the implicit term the
+    s stage solved with): the stages and the ledger share what they need of the old state, and
     the new state and the ledger share grad phi_new and phi_new at the
     quadrature points."""
     problem = small_problem(nx=8)
@@ -982,7 +990,7 @@ def test_step_evaluates_shared_inputs_once(monkeypatch):
     state, _ = gradient_flow_step(ops, problem.initial, w, sc)
     calls = _count_calls(monkeypatch, ((sv.assembly, "element_gradients"),
                                        (en, "coupling_tensors"), (en, "eform"),
-                                       (en, "explicit_dw_load"), (en, "implicit_dw_load"),
+                                       (en, "explicit_dw_load"),
                                        (en, "eform_scalar_diag"), (en, "residual_ch"),
                                        (sv.assembly, "quad_values")))
     gradient_flow_step(ops, state, w, sc)
@@ -990,7 +998,6 @@ def test_step_evaluates_shared_inputs_once(monkeypatch):
     assert calls["coupling_tensors"] == 1
     assert calls["eform"] <= 1
     assert calls["explicit_dw_load"] == 1
-    assert calls["implicit_dw_load"] == 0
     assert calls["eform_scalar_diag"] == 1
     # phi_new once, s_prev for the explicit load, s_new for its energy and
     # the Newton iterate for each interface residual
@@ -1002,7 +1009,7 @@ def test_ledger_and_energy_equal_the_forms_evaluated_afresh(linear_solver):
     """Over three steps of an 8^2 run, each a step from the state the step
     before returned, every dissipation term and every component of the new
     energy equal the forms evaluated afresh on the fields: the implicit
-    double-well load by quadrature (``implicit_dw_load``), the elastic
+    double-well load by the degree-4 rule at the quadrature points, the elastic
     form by its edge sum (``eform``), the lumped coupling form through the
     coupling tensors (``cform``) and the phase-field norms by the degree-4
     rule at the quadrature points.  Each term is compared relative to the
@@ -1052,7 +1059,7 @@ def test_ledger_and_energy_equal_the_forms_evaluated_afresh(linear_solver):
                 en.energy_was(ops, en.was_weights(ops, s1, w.s_star), g1 - g0, eps),
                 en.energy_was(ops, en.was_weights(ops, ds, 0.0), g0, eps))],
             "convex_split_slack": [w.w_dw * f for f in (
-                float(en.implicit_dw_load(ops, s1) @ ds),
+                float(nodal_load(mesh, npoly.polyval(quad_values(mesh, s1), en.DW_DFC)) @ ds),
                 -float(en.explicit_dw_load(ops, s0) @ ds),
                 -en.energy_dw(ops, s1), en.energy_dw(ops, s0))],
         }
@@ -1137,8 +1144,40 @@ def test_drop_eform_is_accurate_to_its_own_size():
             return float(abs(Fraction(value) - exact) / exact)
 
         state, rep = gradient_flow_step(ops, state, w, sc)
-        assert rep.drop_eform == en.eform_drop(ops, s, n_tilde, n_new)
+        assert rep.drop_eform == en.eform_drop(ops, s, n_tilde, n_new, en.edge_diff(ops, n_new))
         assert rel_error(rep.drop_eform) <= 1e-12
         difference_errors.append(rel_error(en.eform(ops, s, s, n_tilde, n_tilde)
                                            - en.eform(ops, s, s, n_new, n_new)))
     assert max(difference_errors) > 1e-12
+
+
+def test_a_resumed_run_stops_at_t_final(tmp_path):
+    """``run`` from a 4-step run's final state takes the 6 steps to
+    t_final = 10 tau, not 10 more; a start past t_final or off the step
+    grid is a ValueError naming both times and tau."""
+    problem = cfg.build_problem(cfg.merge_config(
+        cfg.preset("droplet_corner"), None, ["mesh.nx=4", "mesh.ny=4", "scheme.t_final=0.008"]))
+    assert cli.run_scenario(problem, str(tmp_path))[1] == 0
+    start = cli.load_state(tmp_path / "final_state.npz", problem.mesh)
+    tau = problem.scheme.tau
+    assert start.step_index == 4 and start.time == pytest.approx(4 * tau, rel=1e-12)
+
+    class Steps:
+        def __init__(self):
+            self.seen = []
+
+        def on_step(self, state, report):
+            self.seen.append(state.step_index)
+
+    steps = Steps()
+    final = sv.run(problem.ops, start, problem.weights,
+                   replace(problem.scheme, t_final=10 * tau), problem.bc, [steps])
+    assert steps.seen == [5, 6, 7, 8, 9, 10]
+    assert final.step_index == 10 and final.time == pytest.approx(10 * tau, rel=1e-12)
+    for time, t_final in ((start.time, 2 * tau), (4.5 * tau, 10 * tau)):
+        message = (f"cannot step from t = {time!r} to t_final = {t_final!r} "
+                   f"in whole steps of tau = {tau!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sv.run(problem.ops, replace(start, time=time), problem.weights,
+                   replace(problem.scheme, t_final=t_final), problem.bc, [steps])
+    assert len(steps.seen) == 6

@@ -319,9 +319,9 @@ def test_refinement_constant_triple_exact():
 
 
 def test_refinement_energy_consistency_order():
-    outcome, rows = vf.refinement_energy_consistency(cell_counts=(8, 16, 32, 64))
+    outcome = vf.refinement_energy_consistency(cell_counts=(8, 16, 32, 64))
     assert outcome.passed
-    errs = [r["error"] for r in rows]
+    errs = [r["error"] for r in outcome.witness["rows"]]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert outcome.measured >= 1.0  # observed order
 
@@ -375,3 +375,63 @@ def test_flow_trajectory_rejects_an_unknown_mutation(monkeypatch):
     monkeypatch.setattr(vf.sv, "run", lambda *args: pytest.fail("the flow ran"))
     with pytest.raises(ValueError, match="unknown mutation 'typo'; choose from convex-split-sign"):
         vf.flow_trajectory(problem, mutate="typo")
+
+
+# each randomized lemma and the sweep on a patched program: a wrong
+# normalization, a wrong sign of the implicit double-well load and a moved
+# mesh node each make the check fail with its counterexample
+
+def _long_normalized(n):
+    """Unit vectors scaled to length 3: a normalization that lengthens."""
+    return 3.0 * n / np.linalg.norm(n, axis=1)[:, None]
+
+
+def test_projection_check_counts_a_violation(ops4, rng, monkeypatch):
+    monkeypatch.setattr(vf.sv, "normalized", _long_normalized)
+    outcome = vf.projection_monotonicity_check(ops4, rng, trials=5)
+    assert not outcome.passed and outcome.measured < outcome.tolerance
+    assert set(outcome.witness) == {"trial", "eform_margin", "cform_margin"}
+    assert min(outcome.witness["eform_margin"], outcome.witness["cform_margin"]) \
+        == outcome.measured
+
+
+def test_lumped_check_counts_a_violation(ops4, rng, monkeypatch):
+    monkeypatch.setattr(vf.sv, "normalized", _long_normalized)
+    outcome = vf.lumped_monotonicity_check(ops4, rng, trials=5)
+    assert outcome.name == "lumped_mass_monotonicity"
+    assert not outcome.passed and outcome.measured < outcome.tolerance
+
+
+def test_convex_split_check_counts_a_violation(ops4, rng, monkeypatch):
+    monkeypatch.setattr(vf.en, "DW_DFC", -en.DW_DFC)
+    outcome = vf.convex_split_check(ops4, rng, trials=20)
+    assert outcome.name == "convex_split_inequality"
+    assert not outcome.passed and outcome.measured > outcome.tolerance
+
+
+def test_convex_split_check_pairs_the_load_the_s_stage_solves(ops4, rng):
+    """The oracle's implicit load DW_DFC[1] M s equals the integral of
+    f_c'(s_h) against each hat function by the degree-4 rule, as f_c' is
+    linear."""
+    from numpy.polynomial import polynomial as npoly
+
+    from lcdroplet.assembly import nodal_load, quad_values
+
+    s = rng.uniform(-0.49, 0.99, ops4.mesh.n_nodes)
+    by_quadrature = nodal_load(ops4.mesh, npoly.polyval(quad_values(ops4.mesh, s), en.DW_DFC))
+    assert np.allclose(en.DW_DFC[1] * (ops4.mass @ s), by_quadrature, rtol=0, atol=1e-14)
+
+
+def test_acuteness_sweep_reports_the_first_failing_mesh(monkeypatch):
+    def moved_center(nx, ny):
+        mesh = build_structured_mesh(nx, ny)
+        if (nx, ny) != (2, 2):
+            return mesh
+        nodes = mesh.nodes.copy()
+        nodes[4] = (0.6, 0.4)  # the center node, moved off the grid
+        return TriMesh(nodes, mesh.elements)
+
+    monkeypatch.setattr(vf, "build_structured_mesh", moved_center)
+    outcome = vf.acuteness_sweep_check(max_n=3)
+    assert outcome == vf.CheckOutcome("structured_mesh_acuteness", False,
+                                      pytest.approx(-4.0 / 15.0), -1e-12, {"nx": 2, "ny": 2})
