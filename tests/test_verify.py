@@ -409,19 +409,6 @@ def test_convex_split_check_counts_a_violation(ops4, rng, monkeypatch):
     assert not outcome.passed and outcome.measured > outcome.tolerance
 
 
-def test_convex_split_check_pairs_the_load_the_s_stage_solves(ops4, rng):
-    """The oracle's implicit load DW_DFC[1] M s equals the integral of
-    f_c'(s_h) against each hat function by the degree-4 rule, as f_c' is
-    linear."""
-    from numpy.polynomial import polynomial as npoly
-
-    from lcdroplet.assembly import nodal_load, quad_values
-
-    s = rng.uniform(-0.49, 0.99, ops4.mesh.n_nodes)
-    by_quadrature = nodal_load(ops4.mesh, npoly.polyval(quad_values(ops4.mesh, s), en.DW_DFC))
-    assert np.allclose(en.DW_DFC[1] * (ops4.mass @ s), by_quadrature, rtol=0, atol=1e-14)
-
-
 def test_acuteness_sweep_reports_the_first_failing_mesh(monkeypatch):
     def moved_center(nx, ny):
         mesh = build_structured_mesh(nx, ny)
