@@ -97,6 +97,11 @@ class TriMesh:
         object.__setattr__(self, "elements", elements)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise MeshError("nodes must have shape (n, 2)")
+        # one reduction over all coordinates: .all(axis=1) would run numpy's
+        # inner loop two elements long, once per node
+        if not np.isfinite(nodes).all():
+            bad = int(np.flatnonzero(~np.isfinite(nodes))[0]) // 2
+            raise MeshError(f"node {bad} has a non-finite coordinate")
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise MeshError("elements must have shape (n, 3)")
         if not len(elements):

@@ -349,7 +349,10 @@ class JacobianCache:
     accepted when |b - J x| is within the relative tolerance; otherwise,
     or after ``MAX_KRYLOV`` iterations, P is refactored and the cycle's
     solution on the fresh factors is returned unchecked: Newton checks
-    it.  :func:`ch_step` floors the relative tolerance so that no solve
+    it.  A refactorization releases the old factors, and with them the J
+    they were factored from, before S is formed, so only one set of
+    factors is alive at a time; one that fails leaves the cache empty.
+    :func:`ch_step` floors the relative tolerance so that no solve
     asks for a residual below a tenth of the Newton tolerance; a tighter
     one runs past ``MAX_KRYLOV`` on kept factors and refactors for a
     Newton iterate no better.
@@ -372,9 +375,13 @@ class JacobianCache:
             x = self._gmres(J, rhs, rtol)
             if x is not None:
                 return x
-        S = J.M / J.tau + J.eps * (J.K @ (sp.diags(1.0 / J.lumped) @ J.B))
+        # the stale factors go before S is formed, and the double S before
+        # SuperLU runs: one factorization is alive at a time
+        self.lu = self.factored = None
         try:
-            self.lu = spla.splu(S.astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self.lu = spla.splu(
+                (J.M / J.tau + J.eps * (J.K @ (sp.diags(1.0 / J.lumped) @ J.B)))
+                .astype(np.float32).tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise StepError(f"interface solve: {exc}") from exc
         self.factored = J

@@ -103,6 +103,17 @@ def test_degenerate_element_rejected():
         TriMesh(nodes, np.array([[0, 1, 2]]))
 
 
+def test_non_finite_node_rejected():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(MeshError, match="^node 2 has a non-finite coordinate$"):
+        TriMesh(nodes, np.array([[0, 1, 2]]))
+    # an infinite rectangle spaces its x coordinates as (0 * inf, inf, inf);
+    # numpy's warning about 0 * inf is not the error under test
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(MeshError, match="^node 0 has a non-finite coordinate$"):
+        build_structured_mesh(2, 2, ((0.0, 0.0), (np.inf, 1.0)))
+
+
 def test_unit_triangle_areas_and_gradients():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = TriMesh(nodes, np.array([[0, 1, 2]]))

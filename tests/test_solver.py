@@ -1,5 +1,6 @@
 import csv
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -409,6 +410,29 @@ def test_jacobian_cache_one_lu_solve_per_krylov_iteration():
     assert np.linalg.norm(near @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
+def test_jacobian_cache_releases_stale_factors_before_refactoring(monkeypatch):
+    """A refactorization drops the kept factors before SuperLU builds their
+    replacement, and hands it S already in single precision: one set of
+    factors and no double S are alive while it works."""
+    jacobian, phi, _ = ch_system()
+    base, _, b = nearby_systems()
+    cache = cache_on(base)
+    stale = weakref.ref(cache.lu)
+    splu, calls = spla.splu, []
+
+    def splu_after_release(A, **kwargs):
+        assert stale() is None and cache.factored is None
+        assert (A.format, A.dtype) == ("csc", np.float32)
+        calls.append(A.shape)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(sv.spla, "splu", splu_after_release)
+    far = jacobian(np.zeros_like(phi))  # refactored, as when GMRES stalls
+    x = cache.solve(far, b, 1e-10)
+    assert calls == [base.B.shape] and cache.factorizations == 1
+    assert np.linalg.norm(far @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
 def test_jacobian_cache_happy_breakdown():
     """When J is its own preconditioner (a diagonal mass, so M = M_L) and
     the factors are exact (diagonal blocks of powers of two), the first
@@ -723,6 +747,20 @@ def test_singular_jacobian_on_kept_factors_is_a_step_error():
     J = diagonal_jacobian([1.0, 0.0, 2.0], np.zeros(3), np.zeros(3))
     with pytest.raises(sv.StepError, match="^interface solve: .*singular"):
         cache.solve(J, np.eye(6)[1], 1e-8)
+
+
+def test_failed_refactorization_leaves_the_cache_empty():
+    # kept factors of another size go straight to the refactorization
+    cache = cache_on(diagonal_jacobian(np.ones(3), np.zeros(3), np.zeros(3)))
+    singular = diagonal_jacobian(np.zeros(4), np.zeros(4), np.zeros(4))  # S = 0
+    with pytest.raises(sv.StepError, match="^interface solve: Factor is exactly singular"):
+        cache.solve(singular, np.ones(8), 1e-8)
+    assert cache.lu is None and cache.factored is None
+    good = diagonal_jacobian(np.full(4, 2.0), np.ones(4), np.ones(4))  # S = 3 I
+    b = np.arange(1.0, 9.0)
+    x = cache.solve(good, b, 1e-8)
+    assert cache.factorizations == 1 and cache.factored is good
+    assert np.linalg.norm(good @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_state_off_the_boundary_data_is_rejected():
