@@ -165,12 +165,14 @@ def run_scenario(problem: cfgmod.Problem, out_dir: str | None = None):
 
 
 def load_state(path, mesh):
-    """Load a final-state archive back into a PhaseState."""
-    data = np.load(path)
-    return sv.make_state(
-        mesh, data["s"], data["n"], data["phi"], data["mu"],
-        time=float(data["time"]), step_index=int(data["step_index"]),
-    )
+    """Load a final-state archive back into a PhaseState; an archive that
+    lacks one of its fields is a ValueError naming the path and the field."""
+    with np.load(path) as data:
+        for key in ("s", "n", "phi", "mu", "time", "step_index"):
+            if key not in data.files:
+                raise ValueError(f"final-state archive {path} has no field {key!r}")
+        return sv.make_state(mesh, data["s"], data["n"], data["phi"], data["mu"],
+                             time=float(data["time"]), step_index=int(data["step_index"]))
 
 
 def _cmd_simulate(args) -> int:

@@ -265,7 +265,7 @@ def _eval_director(key: str, exprs, nodes, x, y, constants) -> np.ndarray:
                                for k, src in enumerate(exprs)])
     norms = np.linalg.norm(vectors, axis=1)
     k = int(np.argmin(norms))
-    if norms[k] < 1e-14:  # the bound of ``solver.normalized``, whose quotient follows
+    if norms[k] < sv.ZERO_NORM:  # as in ``solver.normalized``, whose quotient follows
         raise ValueError(f"{key} is not a director field: cannot normalize zero vector "
                          f"at node {nodes[k]} at ({x[k]:g}, {y[k]:g})")
     return vectors / norms[:, None]
@@ -375,7 +375,7 @@ def build_problem(cfg: ScenarioConfig) -> Problem:
 
     snap = cfg.output.get("snapshot_every", "auto")
     if snap == "auto":
-        snap = max(1, scheme.n_steps // 12)
+        snap = max(1, round(scheme.t_final / scheme.tau) // 12)
     snap = _typed("output.snapshot_every", snap, int)
     if snap < 1:
         raise ValueError(f"output.snapshot_every must be at least 1, got {snap}")

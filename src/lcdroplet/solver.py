@@ -73,10 +73,8 @@ class SchemeConfig:
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError(f"t_final must be finite and nonnegative, got {self.t_final!r}")
-        steps = self.t_final / self.tau
-        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
-            raise ValueError(f"t_final = {self.t_final!r} is not a whole number of "
-                             f"steps of tau = {self.tau!r} ({steps:.6g} steps)")
+        if not math.isfinite(self.t_final / self.tau):
+            raise ValueError(f"t_final = {self.t_final!r} is too many steps of tau = {self.tau!r}")
         if not self.newton_res_tol > 0.0:
             raise ValueError(f"newton_res_tol must be positive, got {self.newton_res_tol!r}")
         if self.newton_max_iter < 0:
@@ -84,14 +82,9 @@ class SchemeConfig:
         if self.linear_solver not in ("direct", "cg"):
             raise ValueError("linear_solver must be 'direct' or 'cg'")
 
-    @property
-    def n_steps(self) -> int:
-        """The number of steps of ``tau`` to ``t_final``, which validation
-        requires to be whole within 1e-9 relative."""
-        return int(round(self.t_final / self.tau))
-
 
 UNIT_TOL = 1e-12  # how far the director of a state may be from unit length at a node
+ZERO_NORM = 1e-14  # the length below which a vector has no direction to normalize
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +260,7 @@ def _constrained_solve(mesh: TriMesh, A, b, values, config: SchemeConfig, stage:
 def normalized(values: np.ndarray) -> np.ndarray:
     """Normalize vectors row-wise; raises on (near-)zero rows."""
     norms = np.linalg.norm(values, axis=1)
-    if np.any(norms < 1e-14):
+    if np.any(norms < ZERO_NORM):
         bad = int(np.argmin(norms))
         raise ValueError(f"cannot normalize zero vector at node {bad}")
     return values / norms[:, None]
@@ -514,10 +507,10 @@ def check_boundary_data(state: PhaseState, bc: tuple[np.ndarray, np.ndarray]) ->
     """Raise a ValueError, naming the field and the first node that
     differs, unless ``state`` takes the boundary data ``bc``, the pair
     (s, n) of values at the mesh's boundary nodes: s exactly, and n within
-    1e-12, as it is normalized."""
+    ``UNIT_TOL``, as it is normalized."""
     b = state.mesh.boundary_nodes
     for name, given, want, tol in (("s", state.s.values[b], bc[0], 0.0),
-                                   ("n", state.n.values[b], bc[1], 1e-12)):
+                                   ("n", state.n.values[b], bc[1], UNIT_TOL)):
         if len(want) != b.size:
             raise ValueError(f"bc gives {len(want)} values of {name} for the "
                              f"{b.size} boundary nodes of the mesh")
@@ -654,12 +647,15 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
 def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
         config: SchemeConfig, bc: tuple[np.ndarray, np.ndarray], sinks=()) -> PhaseState:
-    """Iterate the gradient flow to t_final, streaming reports to sinks.
+    """Iterate the gradient flow from the time of ``initial`` to t_final,
+    streaming reports to sinks: as many whole steps of ``config`` as the
+    span holds (to 1e-9 relative), then a last step of tau = t_final -
+    time for any remainder, which ends at t_final (exactly after a whole
+    step, by Sterbenz's lemma).  A start past t_final is a ValueError.
 
     ``initial`` must lie on ``ops.mesh`` (the same mesh, or equal nodes
-    and elements), a whole number of steps of tau before t_final (to the
-    1e-9 rule of :class:`SchemeConfig`), and take the boundary data ``bc``
-    (see :func:`check_boundary_data`), which every step keeps.  Sinks may
+    and elements) and take the boundary data ``bc`` (see
+    :func:`check_boundary_data`), which every step keeps.  Sinks may
     define any of ``on_start(state, energy_report)``, ``on_step(state,
     step_report)``, ``on_finish(state)``.  A failing step aborts the run
     after the sinks have seen the last good state.
@@ -667,9 +663,10 @@ def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
     _check_mesh(ops, initial)
     check_boundary_data(initial, bc)
     steps = (config.t_final - initial.time) / config.tau
-    if round(steps) < 0 or abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
-        raise ValueError(f"cannot step from t = {initial.time!r} to t_final = "
-                         f"{config.t_final!r} in whole steps of tau = {config.tau!r}")
+    remainder = abs(steps - round(steps)) > 1e-9 * max(steps, 1.0)
+    whole = math.floor(steps) if remainder else round(steps)
+    if whole < 0:
+        raise ValueError(f"cannot step from t = {initial.time!r} back to t_final = {config.t_final!r}")
     state = initial  # returned as it is when there is no step
     carried = with_energy(ops, weights, initial)
     mass0 = float(ops.mass_rows @ initial.phi.values)
@@ -679,10 +676,9 @@ def run(ops: Operators, initial: PhaseState, weights: ModelWeights,
         if hasattr(sink, "on_start"):
             sink.on_start(state, carried.energy)
     try:
-        for _ in range(round(steps)):
-            state, report = gradient_flow_step(
-                ops, carried, weights, config, phi_mass_ref=mass0, cache=cache,
-            )
+        for k in range(whole + remainder):
+            step_config = config if k < whole else replace(config, tau=config.t_final - carried.time)
+            state, report = gradient_flow_step(ops, carried, weights, step_config, mass0, cache)
             carried = state
             for sink in sinks:
                 if hasattr(sink, "on_step"):

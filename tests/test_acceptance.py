@@ -239,7 +239,7 @@ def _full_run_components(name, n_droplets, overrides=()):
     )
 
     state = sv.run(prob.ops, prob.initial, prob.weights, prob.scheme, prob.bc)
-    assert state.step_index == prob.scheme.n_steps
+    assert state.step_index == round(prob.scheme.t_final / prob.scheme.tau)
     final = count_components(prob.mesh, state.phi.values > 0.0)
     detail = (
         f"components {initial} -> {final} ({_outcome(initial, final)}); "
@@ -298,6 +298,43 @@ def test_criterion_9c_split_holds_with_higher_tension():
         f"expected one positive-phase component at T=2, observed {detail}; "
         "see README, criterion 9"
     )
+
+
+def _merge_time(tau):
+    """The time of the first step of the 64^2 droplet_collide run in the
+    droplet regime, at tau, after which phi > 0 is one component; every
+    step's ledger must close to 1e-12 relative with the solver defect
+    charged."""
+    prob = cfg.build_problem(cfg.merge_config(
+        cfg.preset("droplet_collide"), None, [DROPLET_REGIME, f"scheme.tau={tau!r}"]))
+    state, cache = prob.initial, sv.JacobianCache()
+    while count_components(prob.mesh, state.phi.values > 0.0) != 1:
+        assert state.time < prob.scheme.t_final, f"no merge by t = {state.time} at tau = {tau}"
+        state, rep = sv.gradient_flow_step(prob.ops, state, prob.weights, prob.scheme, cache=cache)
+        scale = max(abs(rep.before.total), abs(rep.after.total), 1.0)
+        assert abs(rep.closed_budget_residual) <= 1e-12 * scale, (tau, state.step_index)
+    return state.time
+
+
+@pytest.mark.slow
+def test_merge_time_is_first_order_in_tau():
+    """Halving tau shrinks the merge time's error by about 2 (first order):
+    the ratio of successive differences of the merge times at tau = 1e-3,
+    5e-4 and 2.5e-4 lies in [1.7, 2.5].  Their Richardson limit is where
+    the merge converges; the presets' tau = 0.002 merges much later (see
+    README, criterion 9)."""
+    t0 = time.time()
+    taus = (1e-3, 5e-4, 2.5e-4)
+    t1, t2, t3 = (_merge_time(tau) for tau in taus)
+    ratio = (t1 - t2) / (t2 - t3)
+    ok = 1.7 <= ratio <= 2.5
+    _report(
+        "time accuracy of the merge", ok,
+        f"merge at t = {t1:.4f}, {t2:.4f}, {t3:.4f} for tau = {taus}; difference "
+        f"ratio {ratio:.2f}; Richardson limit {2.0 * t3 - t2:.4f}; "
+        f"runtime {time.time() - t0:.0f}s",
+    )
+    assert ok, f"difference ratio {ratio:.3f} outside [1.7, 2.5]"
 
 
 def test_criterion_10_weak_acuteness_audit():

@@ -166,10 +166,6 @@ RECT = "mesh.rect must be two points [[x0, y0], [x1, y1]] of finite numbers, got
         ("scheme.tau=inf", "tau must be finite and positive, got inf"),
         ("scheme.t_final=nan", "t_final must be finite and nonnegative, got nan"),
         ("scheme.t_final=inf", "t_final must be finite and nonnegative, got inf"),
-        ("scheme.t_final=0.005",
-         "t_final = 0.005 is not a whole number of steps of tau = 0.002 (2.5 steps)"),
-        ("scheme.t_final=0.007",
-         "t_final = 0.007 is not a whole number of steps of tau = 0.002 (3.5 steps)"),
         ("scheme.newton_max_iter=-1", "newton_max_iter must be nonnegative, got -1"),
         ("scheme.newton_res_tol=0", "newton_res_tol must be positive, got 0.0"),
         ("scheme.newton_res_tol=-1e-7", "newton_res_tol must be positive, got -1e-07"),

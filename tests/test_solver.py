@@ -825,17 +825,54 @@ def test_scheme_config_validation():
         SchemeConfig(linear_solver="lu")
 
 
-@pytest.mark.parametrize("t_final", [1e-12, 1e306])  # 0.005 and 0.007: test_cli
+@pytest.mark.parametrize("t_final", [1e306])
 def test_t_final_off_the_step_grid_rejected(t_final):
+    """A t_final whose step count t_final / tau overflows is no step grid."""
     with pytest.raises(ValueError, match=r"t_final = .* tau = 0\.002"):
         SchemeConfig(tau=0.002, t_final=t_final)
 
 
-def test_n_steps_forgives_roundoff():
-    # 0.05 / 0.002 = 25.000000000000004 and 0.3 / 0.1 = 2.9999999999999996
-    assert SchemeConfig(tau=0.002, t_final=0.05).n_steps == 25
-    assert SchemeConfig(tau=0.1, t_final=0.3).n_steps == 3
-    assert SchemeConfig(tau=0.002, t_final=0.0).n_steps == 0
+class StepLog:
+    """A sink keeping the step index, the time and the report of each step."""
+
+    def __init__(self):
+        self.steps, self.times, self.reports = [], [], []
+
+    def on_step(self, state, report):
+        self.steps.append(state.step_index)
+        self.times.append(state.time)
+        self.reports.append(report)
+
+
+@pytest.mark.parametrize("tau,t_final,steps", [(0.002, 0.05, 25), (0.1, 0.3, 3),
+                                               (0.002, 0.0, 0)])
+def test_run_counts_whole_steps_from_the_span(tau, t_final, steps):
+    """0.05 / 0.002 = 25.000000000000004 and 0.3 / 0.1 = 2.9999999999999996
+    are whole numbers of steps to ``run``'s 1e-9, so no remainder step
+    follows them, and every step has the config's tau."""
+    problem = small_problem(nx=4, tau=tau, t_final=t_final)
+    log = StepLog()
+    final = sv.run(problem.ops, problem.initial, problem.weights, problem.scheme,
+                   problem.bc, [log])
+    assert log.steps == list(range(1, steps + 1)) and final.step_index == steps
+    assert final.time == pytest.approx(t_final, rel=1e-12)
+    times = [0.0] + log.times
+    assert all(b - a == pytest.approx(tau, rel=1e-9) for a, b in zip(times, times[1:]))
+
+
+def test_a_span_off_the_step_grid_ends_exactly_at_t_final():
+    """t_final = 0.005 at tau = 0.002 is two whole steps and a last step of
+    0.001, after which the state's time is 0.005 exactly; the energy law
+    holds over all three, the shorter step included."""
+    problem = small_problem(nx=16, tau=0.002, t_final=0.005, newton_res_tol=1e-11)
+    log = StepLog()
+    final = sv.run(problem.ops, problem.initial, problem.weights, problem.scheme,
+                   problem.bc, [log])
+    assert log.steps == [1, 2, 3] and final.time == 0.005
+    assert log.times[-1] - log.times[-2] == pytest.approx(0.001, rel=1e-12)
+    e0 = sv.with_energy(problem.ops, problem.weights, problem.initial).energy.total
+    audit = verify.energy_law_audit(e0, log.reports)
+    assert audit.passed, audit
 
 
 def test_make_state_rejects_phi_of_another_mesh():
@@ -950,6 +987,18 @@ def test_load_state_rejects_a_nan_director(tmp_path):
              mu=np.zeros(9), time=0.0, step_index=0)
     with pytest.raises(ValueError, match=r"^n is not finite at node 3$"):
         cli.load_state(tmp_path / "state.npz", mesh)
+
+
+@pytest.mark.parametrize("missing", ["mu", "step_index"])
+def test_load_state_names_a_missing_field(tmp_path, missing):
+    fields = dict(s=np.full(9, 0.75), n=np.tile([1.0, 0.0], (9, 1)), phi=np.zeros(9),
+                  mu=np.zeros(9), time=0.0, step_index=0)
+    del fields[missing]
+    path = tmp_path / "state.npz"
+    np.savez(path, **fields)
+    message = f"final-state archive {path} has no field {missing!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli.load_state(path, build_structured_mesh(2, 2))
 
 
 def test_energy_csv_s_columns_are_the_state_range(tmp_path):
@@ -1190,32 +1239,24 @@ def test_drop_eform_is_accurate_to_its_own_size():
 
 
 def test_a_resumed_run_stops_at_t_final(tmp_path):
-    """``run`` from a 4-step run's final state takes the 6 steps to
-    t_final = 10 tau, not 10 more; a start past t_final or off the step
-    grid is a ValueError naming both times and tau."""
+    """``run`` from the final state of a run to t = 4.5 tau, loaded from
+    its archive, takes the 6 steps to t_final = 10 tau, the last of half a
+    tau, and ends there exactly; a start past t_final is a ValueError
+    naming both times."""
     problem = cfg.build_problem(cfg.merge_config(
-        cfg.preset("droplet_corner"), None, ["mesh.nx=4", "mesh.ny=4", "scheme.t_final=0.008"]))
+        cfg.preset("droplet_corner"), None, ["mesh.nx=4", "mesh.ny=4", "scheme.t_final=0.009"]))
     assert cli.run_scenario(problem, str(tmp_path))[1] == 0
     start = cli.load_state(tmp_path / "final_state.npz", problem.mesh)
     tau = problem.scheme.tau
-    assert start.step_index == 4 and start.time == pytest.approx(4 * tau, rel=1e-12)
-
-    class Steps:
-        def __init__(self):
-            self.seen = []
-
-        def on_step(self, state, report):
-            self.seen.append(state.step_index)
-
-    steps = Steps()
+    assert start.step_index == 5 and start.time == 0.009
+    log = StepLog()
     final = sv.run(problem.ops, start, problem.weights,
-                   replace(problem.scheme, t_final=10 * tau), problem.bc, [steps])
-    assert steps.seen == [5, 6, 7, 8, 9, 10]
-    assert final.step_index == 10 and final.time == pytest.approx(10 * tau, rel=1e-12)
-    for time, t_final in ((start.time, 2 * tau), (4.5 * tau, 10 * tau)):
-        message = (f"cannot step from t = {time!r} to t_final = {t_final!r} "
-                   f"in whole steps of tau = {tau!r}")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            sv.run(problem.ops, replace(start, time=time), problem.weights,
-                   replace(problem.scheme, t_final=t_final), problem.bc, [steps])
-    assert len(steps.seen) == 6
+                   replace(problem.scheme, t_final=10 * tau), problem.bc, [log])
+    assert log.steps == [6, 7, 8, 9, 10, 11]
+    assert final.step_index == 11 and final.time == 10 * tau
+    assert log.times[-1] - log.times[-2] == pytest.approx(0.5 * tau, rel=1e-9)
+    message = f"cannot step from t = {final.time!r} back to t_final = {2 * tau!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sv.run(problem.ops, final, problem.weights,
+               replace(problem.scheme, t_final=2 * tau), problem.bc, [log])
+    assert len(log.steps) == 6
