@@ -156,19 +156,3 @@ def build_operators(mesh: TriMesh) -> Operators:
     M = assemble_mass(mesh)
     return Operators(mesh, assemble_stiffness(mesh), M, M @ np.ones(mesh.n_nodes))
 
-
-def apply_dirichlet(A: SparseOperator, b: np.ndarray, values, mesh: TriMesh):
-    """Symmetric row/column elimination of the Dirichlet constraints
-    x = ``values`` at ``mesh.boundary_nodes``.
-
-    ``A`` is a CSR matrix on the mesh pattern, whose ``interior`` map
-    gives its free block.  Returns (A_ff, b_f, free) where ``free`` is the
-    boolean mask of retained dofs and the right-hand side has been lifted
-    by the prescribed values.
-    """
-    free, keep, indptr, indices = mesh.pattern.interior
-    g = np.zeros(mesh.n_nodes)
-    g[mesh.boundary_nodes] = values
-    A_ff = SparseOperator((A.data[keep], indices, indptr), shape=(len(indptr) - 1,) * 2)
-    # zero values lift nothing (the director's velocity)
-    return A_ff, (b - A @ g if g.any() else b)[free], free

@@ -223,12 +223,6 @@ def was_weights(ops: Operators, s, s_star: float) -> np.ndarray:
 # energies
 # ---------------------------------------------------------------------------
 
-def energy_ericksen(ops: Operators, s, n, kappa: float, elastic_diag=None) -> float:
-    """``elastic_diag`` is ``eform_scalar_diag`` of n, evaluated when absent."""
-    d = eform_scalar_diag(ops, n) if elastic_diag is None else elastic_diag
-    return kappa * ops.grad_form(s, s) + 0.5 * float(np.sum(s * s * d))  # eform(s, s, n, n)
-
-
 def energy_dw(ops: Operators, s) -> float:
     smin, smax = float(np.min(s)), float(np.max(s))
     if smin <= S_RANGE[0] or smax >= S_RANGE[1]:
@@ -239,21 +233,6 @@ def energy_dw(ops: Operators, s) -> float:
             stacklevel=2,
         )
     return assembly.integrate(ops.mesh, double_well(assembly.quad_values(ops.mesh, np.asarray(s))))
-
-
-def energy_ch_dw(ops: Operators, phi, eps: float, phi_quad=None) -> float:
-    """``phi_quad`` is phi at the quadrature points, evaluated when absent."""
-    pq = assembly.quad_values(ops.mesh, phi) if phi_quad is None else phi_quad
-    return assembly.integrate(ops.mesh, (pq * pq - 1.0) ** 2) / (4.0 * eps)
-
-
-def energy_ch_grad(ops: Operators, phi, eps: float) -> float:
-    return 0.5 * eps * ops.grad_form(phi, phi)
-
-
-def energy_wan(s, n, coupling: np.ndarray, eps: float) -> float:
-    """Uniaxial anchoring energy, ``coupling`` the coupling_tensors of grad phi."""
-    return 0.5 * eps * float(np.sum(np.square(s) * tensor_pairing(coupling, n, n)))
 
 
 def energy_was(ops: Operators, a: np.ndarray, gphi, eps: float) -> float:
@@ -272,12 +251,16 @@ def total_energy(ops: Operators, weights: ModelWeights, s, n, phi, gphi=None, co
     gphi = assembly.element_gradients(ops.mesh, np.asarray(phi)) if gphi is None else gphi
     coupling = coupling_tensors(ops, gphi, gphi) if coupling is None else coupling
     a = was_weights(ops, s, weights.s_star) if a is None else a
-    e_erk = energy_ericksen(ops, s, n, weights.kappa, elastic_diag)
+    d = eform_scalar_diag(ops, n) if elastic_diag is None else elastic_diag
+    pq = assembly.quad_values(ops.mesh, phi) if phi_quad is None else phi_quad
+    eps = weights.eps
+    # eform(s, s, n, n) is the sum of s_i^2 d_i
+    e_erk = weights.kappa * ops.grad_form(s, s) + 0.5 * float(np.sum(s * s * d))
     e_dw = energy_dw(ops, s)
-    e_chdw = energy_ch_dw(ops, phi, weights.eps, phi_quad)
-    e_chgd = energy_ch_grad(ops, phi, weights.eps)
-    e_wan = energy_wan(s, n, coupling, weights.eps)
-    e_was = energy_was(ops, a, gphi, weights.eps)
+    e_chdw = assembly.integrate(ops.mesh, (pq * pq - 1.0) ** 2) / (4.0 * eps)
+    e_chgd = 0.5 * eps * ops.grad_form(phi, phi)
+    e_wan = 0.5 * eps * float(np.sum(np.square(s) * tensor_pairing(coupling, n, n)))
+    e_was = energy_was(ops, a, gphi, eps)
     total = (
         weights.w_erk * e_erk
         + weights.w_dw * e_dw

@@ -100,7 +100,8 @@ class PhaseState:
     and mu on ``mesh``, built and checked by :func:`make_state`.  A state
     from :func:`with_energy` and every state a step returns also carry what
     the next step reuses: grad phi, phi at the quadrature points, the
-    coupling tensors and the energy (under the weights that step used)."""
+    coupling tensors, and the energy under ``weights``, the weights it was
+    evaluated with."""
 
     mesh: TriMesh
     s: Nodal
@@ -113,15 +114,18 @@ class PhaseState:
     phi_quad: np.ndarray | None = None
     coupling: np.ndarray | None = None
     energy: EnergyReport | None = None
+    weights: ModelWeights | None = None
 
 
 def make_state(mesh: TriMesh, s, n, phi, mu=None, time=0.0, step_index=0) -> PhaseState:
     """The state of the nodal arrays s, n (one unit vector a node), phi and
     mu (zero when absent) on ``mesh``; an array of the wrong shape is a
     ValueError naming it and the shape it needs, as are one not finite at
-    a node, naming the first, and a director off unit length by more than
-    ``UNIT_TOL`` at some node."""
+    a node, naming the first, a director off unit length by more than
+    ``UNIT_TOL`` at some node, and a time that is not finite."""
     nn = mesh.n_nodes
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time!r}")
     mu = np.zeros(nn) if mu is None else mu
     fields = {}
     for name, given, shape in (("s", s, (nn,)), ("n", n, (nn, 2)),
@@ -142,14 +146,16 @@ def make_state(mesh: TriMesh, s, n, phi, mu=None, time=0.0, step_index=0) -> Pha
 def with_energy(ops: Operators, weights: ModelWeights, state: PhaseState, a=None,
                 elastic_diag=None) -> PhaseState:
     """``state`` carrying the gradient of its phi, phi at the quadrature
-    points, the coupling tensors and its energy; ``a`` (the ``was_weights``
-    of s) and ``elastic_diag`` are those of ``energy.total_energy``."""
+    points, the coupling tensors and its energy under ``weights``; ``a``
+    (the ``was_weights`` of s) and ``elastic_diag`` are those of
+    ``energy.total_energy``."""
     s, n, phi = state.s.values, state.n.values, state.phi.values
     gphi = assembly.element_gradients(ops.mesh, phi)
     phi_quad = assembly.quad_values(ops.mesh, phi)
     coupling = en.coupling_tensors(ops, gphi, gphi)
     energy = en.total_energy(ops, weights, s, n, phi, gphi, coupling, a, elastic_diag, phi_quad)
-    return replace(state, gphi=gphi, phi_quad=phi_quad, coupling=coupling, energy=energy)
+    return replace(state, gphi=gphi, phi_quad=phi_quad, coupling=coupling, energy=energy,
+                   weights=weights)
 
 
 @dataclass(frozen=True)
@@ -248,11 +254,15 @@ def _solve_spd(A, b, config: SchemeConfig, stage: str):
 
 
 def _constrained_solve(mesh: TriMesh, A, b, values, config: SchemeConfig, stage: str):
-    """Solve the SPD system A x = b of ``stage`` with x = ``values`` at
-    ``mesh.boundary_nodes``; returns (x, b - A x zeroed there, CG iterations)."""
-    A_ff, b_f, free = assembly.apply_dirichlet(A, b, values, mesh)
-    x, r = np.empty(mesh.n_nodes), np.zeros(mesh.n_nodes)
+    """Solve the SPD system A x = b of ``stage``, A on the mesh pattern, with
+    x = ``values`` at ``mesh.boundary_nodes``, by symmetric elimination onto
+    ``mesh.pattern.interior``; returns (x, b - A x zeroed there, CG iterations)."""
+    free, keep, indptr, indices = mesh.pattern.interior
+    x, r = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
     x[mesh.boundary_nodes] = values
+    A_ff = sp.csr_matrix((A.data[keep], indices, indptr), shape=(len(indptr) - 1,) * 2)
+    # zero values lift nothing (the director's velocity)
+    b_f = (b - A @ x if x.any() else b)[free]
     x[free], r[free], its = _solve_spd(A_ff, b_f, config, stage)
     return x, r, its
 
@@ -541,10 +551,10 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
     What the stages and the ledger share is evaluated once: what
     :class:`PhaseState` carries comes with ``state`` (evaluated here for a
-    state that does not carry it), and then the explicit double-well load
-    at s_prev, the edge differences of n_new and the elastic form's nodal
-    coefficients there, the ``was_weights`` of s_new, and what the new
-    state carries.  The ledger charges the implicit double well as the
+    state that does not carry it under ``weights``), and then the explicit
+    double-well load at s_prev, the edge differences of n_new and the
+    elastic form's nodal coefficients there, the ``was_weights`` of s_new,
+    and what the new state carries.  The ledger charges the implicit double well as the
     ``s`` stage solved it, ``DW_DFC[1] M s_new``.  The state returned
     keeps the boundary values of ``state``: s exactly, and n up to its
     renormalization, as the velocity vanishes there."""
@@ -552,7 +562,7 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     mesh = state.mesh
     tau = config.tau
     eps = weights.eps
-    if state.energy is None:
+    if state.weights != weights:
         state = with_energy(ops, weights, state)
     s_prev, phi_prev = state.s.values, state.phi.values
     gphi_prev, pq_prev, coupling, before = state.gphi, state.phi_quad, state.coupling, state.energy

@@ -12,7 +12,6 @@ from lcdroplet import (
     element_gradients,
 )
 from lcdroplet.assembly import (
-    apply_dirichlet,
     build_operators,
     integrate,
     quad_values,
@@ -133,18 +132,15 @@ def test_stiffness_edge_identity_random(rng):
         assert lhs == pytest.approx(ops.grad_form(s, s), rel=1e-12)
 
 
-def test_apply_dirichlet_symmetric_elimination():
+def test_constrained_solve_symmetric_elimination():
+    from lcdroplet.solver import SchemeConfig, _constrained_solve
+
     m = build_structured_mesh(3, 3)
     K = assemble_stiffness(m)
     b = np.zeros(m.n_nodes)
     fixed = m.boundary_nodes
     vals = m.nodes[fixed, 0]  # boundary data of the harmonic function x
-    A_ff, b_f, free = apply_dirichlet(K.tolil().tocsr(), b, vals, m)
-    import scipy.sparse.linalg as spla
-
-    x = np.empty(m.n_nodes)
-    x[fixed] = vals
-    x[free] = spla.spsolve(A_ff, b_f)
+    x, _, _ = _constrained_solve(m, K, b, vals, SchemeConfig(linear_solver="direct"), "s")
     assert np.allclose(x, m.nodes[:, 0], atol=1e-12)
 
 
@@ -292,20 +288,30 @@ def test_operators_edges_match_stiffness(pattern_mesh):
         assert np.array_equal(K.data[m.pattern.lower], K.data[m.pattern.upper])
 
 
-def test_apply_dirichlet_pattern_map_matches_slicing(pattern_mesh, rng):
+def test_interior_pattern_map_matches_slicing(pattern_mesh, rng):
+    """The pattern's interior map gives the free block of a matrix on the
+    pattern bit for bit as slicing does, and the constrained solve lifts
+    the right-hand side by the boundary values and solves that block."""
+    from lcdroplet.solver import SchemeConfig, _constrained_solve
+
     m = pattern_mesh
     K = assemble_stiffness(m)
     b = rng.standard_normal(m.n_nodes)
     vals = rng.standard_normal(len(m.boundary_nodes))
-    A_ff, b_f, free = apply_dirichlet(K, b, vals, m)
+    free, keep, indptr, indices = m.pattern.interior
     assert np.array_equal(np.flatnonzero(~free), m.boundary_nodes)
     ref = K[free][:, free]
-    assert np.array_equal(A_ff.indptr, ref.indptr)
-    assert np.array_equal(A_ff.indices, ref.indices)
-    assert np.array_equal(A_ff.data, ref.data)
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    assert np.array_equal(K.data[keep], ref.data)
     g = np.zeros(m.n_nodes)
     g[m.boundary_nodes] = vals
-    assert np.allclose(b_f, (b - K @ g)[free], rtol=0, atol=1e-13)
+    x, r, _ = _constrained_solve(m, K, b, vals, SchemeConfig(linear_solver="direct"), "s")
+    assert np.array_equal(x[m.boundary_nodes], vals) and not r[m.boundary_nodes].any()
+    # the residual is b_f - A_ff x_f, so it gives back the lifted right-hand side
+    assert np.allclose(r[free] + ref @ x[free], (b - K @ g)[free], rtol=0, atol=1e-13)
+    x_ref = spla.spsolve(ref.tocsc(), (b - K @ g)[free])
+    assert np.abs(x[free] - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 
 def test_mmd_ordered_spd_solve_matches_spsolve(pattern_mesh, rng):

@@ -978,6 +978,13 @@ def test_make_state_rejects_non_finite_fields(field, bad):
         make_state(mesh, **fields)
 
 
+@pytest.mark.parametrize("time", [np.inf, np.nan])
+def test_make_state_rejects_a_non_finite_time(time):
+    mesh = build_structured_mesh(2, 2)
+    with pytest.raises(ValueError, match=rf"^time must be finite, got {time!r}$"):
+        make_state(mesh, np.full(9, 0.75), np.tile([1.0, 0.0], (9, 1)), np.zeros(9), time=time)
+
+
 def test_load_state_rejects_a_nan_director(tmp_path):
     """``cli.load_state`` reaches ``make_state`` with no check of its own."""
     mesh = build_structured_mesh(2, 2)
@@ -1049,6 +1056,44 @@ def test_step_from_carried_state_is_bit_identical():
         assert np.array_equal(getattr(carried_next, name), getattr(bare_next, name))
     assert carried_next.energy == bare_next.energy == carried.after
     assert (carried_next.time, carried_next.step_index) == (bare_next.time, bare_next.step_index)
+
+
+def test_a_state_carried_under_other_weights_is_evaluated_afresh():
+    """A state carries its energy with the weights it was evaluated under;
+    a step under other weights evaluates the energy afresh, so its ``before``
+    is the energy under its own weights and its ledger closes."""
+    problem = small_problem(nx=8, newton_res_tol=1e-11)
+    ops, w, sc = problem.ops, problem.weights, problem.scheme
+    state, _ = gradient_flow_step(ops, problem.initial, w, sc)
+    other = replace(w, w_chdw=100.0)
+    new_state, rep = gradient_flow_step(ops, state, other, sc)
+    scale = max(abs(rep.before.total), abs(rep.after.total), 1.0)
+    assert abs(rep.closed_budget_residual) <= 1e-12 * scale
+    assert rep.before == en.total_energy(ops, other, state.s.values, state.n.values,
+                                         state.phi.values)
+    assert (state.weights, new_state.weights) == (w, other)
+
+
+def test_a_failed_step_leaves_the_state_for_a_retry():
+    """A step that raises a NewtonError leaves the carried state it started
+    from as it was, and a retry from that state with the same cache and
+    the preset config succeeds with a closed ledger."""
+    c = cfg.preset("droplet_collide")
+    c.mesh["nx"] = c.mesh["ny"] = 16
+    c.weights["w_chdw"] = 100.0
+    prob = cfg.build_problem(c)
+    cache = sv.JacobianCache()
+    state, _ = gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme,
+                                  cache=cache)
+    kept = {name: getattr(state, name).values.copy() for name in ("s", "n", "phi", "mu")}
+    with pytest.raises(NewtonError):
+        gradient_flow_step(prob.ops, state, prob.weights,
+                           replace(prob.scheme, newton_max_iter=1), cache=cache)
+    for name, values in kept.items():
+        assert np.array_equal(getattr(state, name).values, values), name
+    _, rep = gradient_flow_step(prob.ops, state, prob.weights, prob.scheme, cache=cache)
+    scale = max(abs(rep.before.total), abs(rep.after.total), 1.0)
+    assert abs(rep.closed_budget_residual) <= 1e-12 * scale
 
 
 def _count_calls(monkeypatch, targets):

@@ -22,7 +22,8 @@ def test_fd_derivative_quadratic_energy_tight(ops4, rng):
     phi = rng.uniform(-1, 1, ops4.mesh.n_nodes)
     psi = rng.standard_normal(ops4.mesh.n_nodes)
     eps, h = 0.1, 1e-5
-    E = lambda p: en.energy_ch_grad(ops4, p, eps)
+    s, n = np.zeros(ops4.mesh.n_nodes), np.tile([1.0, 0.0], (ops4.mesh.n_nodes, 1))
+    E = lambda p: en.total_energy(ops4, ModelWeights(eps=eps), s, n, p).e_chgd
     fd = (E(phi + h * psi) - E(phi - h * psi)) / (2 * h)
     exact = eps * float(psi @ (ops4.stiffness @ phi))
     assert abs(fd - exact) / max(abs(exact), 1e-14) <= 1e-9
