@@ -121,35 +121,19 @@ def integrate(mesh: TriMesh, values_at_quad: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Operators:
-    """The operators assembled once per mesh and reused across time steps.
-
-    The two matrices are on the mesh pattern (``mesh.pattern``); the
-    stiffness couplings -K_ij of the mesh edges are ``mesh.edge_k``.
-    ``mass_rows`` holds the row sums
-    of ``mass`` (the integrals of the hat functions), computed as
-    ``mass @ ones``; they are also the vertex-rule (lumped) mass
-    weights, the sum of |T|/3 over the elements touching each node."""
+    """The operators assembled once per mesh and reused across time steps,
+    on the mesh pattern (``mesh.pattern``); a plain record.  The stiffness
+    couplings -K_ij of the mesh edges are ``mesh.edge_k``, from which the
+    gradient energies are edge sums (``energy.grad_square``).
+    ``mass_rows`` holds the row sums of ``mass`` (the integrals of the hat
+    functions), computed as ``mass @ ones``; they are also the vertex-rule
+    (lumped) mass weights, the sum of |T|/3 over the elements touching
+    each node."""
 
     mesh: TriMesh
     stiffness: SparseOperator
     mass: SparseOperator
     mass_rows: np.ndarray
-
-    def grad_form(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Gradient inner product of one or more P1 fields.
-
-        For (n,) arrays returns u^T K v; for (n, d) arrays sums over
-        components (Frobenius gradient product of vector fields).
-        """
-        if u.ndim == 1:
-            return float(u @ (self.stiffness @ v))
-        return float(np.sum(u * (self.stiffness @ v)))
-
-    def l2_form(self, u: np.ndarray, v: np.ndarray) -> float:
-        """L2 inner product (consistent mass) of one or more P1 fields."""
-        if u.ndim == 1:
-            return float(u @ (self.mass @ v))
-        return float(np.sum(u * (self.mass @ v)))
 
 
 def build_operators(mesh: TriMesh) -> Operators:

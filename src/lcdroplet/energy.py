@@ -15,6 +15,9 @@ and the director/interface coupling evaluated by the vertex quadrature
 rule (mass lumping), which is what makes nodewise normalization of the
 director energy-decreasing.  ``eform`` and ``cform`` are the two
 multilinear forms underlying E_erk, E_wan and all their derivatives.
+Every gradient energy, here and in the ledger, is such an edge sum
+(``grad_square``, ``eform``), accurate to its own size: on a weakly
+acute mesh (all k_ij >= 0) no term is negative.
 E_chgd, E_was and E_wan are quadratic in grad phi, so their part of the
 chemical-potential equation is one tensor-weighted stiffness
 (``ch_step_matrix``).  E_dw integrates the one orientation double well,
@@ -138,10 +141,17 @@ def eform(ops: Operators, s, z, n, w) -> float:
 
 
 def edge_diff(ops: Operators, x) -> np.ndarray:
-    """x_i - x_j over the edges (i, j) of an (n, 2) array, as its two
-    component rows, shape (2, n_edges); ``np.take`` gathers the rows an
-    order of magnitude faster than ``x[i]`` does."""
+    """x_i - x_j over the edges (i, j) of an (n,) or (n, 2) array, the latter
+    as its two component rows, shape (2, n_edges); ``np.take`` gathers the
+    rows an order of magnitude faster than ``x[i]`` does."""
     return (np.take(x, ops.mesh.edges.lo, axis=0) - np.take(x, ops.mesh.edges.hi, axis=0)).T
+
+
+def grad_square(ops: Operators, u) -> float:
+    """u^T K u of a scalar field as the edge sum sum_edges k_ij (u_i - u_j)^2
+    (K's rows sum to zero): each term >= 0 on a weakly acute mesh."""
+    d = edge_diff(ops, u)
+    return float(np.sum(ops.mesh.edge_k * (d * d)))
 
 
 def eform_drop(ops: Operators, s, n_tilde, n, dn) -> float:
@@ -255,10 +265,10 @@ def total_energy(ops: Operators, weights: ModelWeights, s, n, phi, gphi=None, co
     pq = assembly.quad_values(ops.mesh, phi) if phi_quad is None else phi_quad
     eps = weights.eps
     # eform(s, s, n, n) is the sum of s_i^2 d_i
-    e_erk = weights.kappa * ops.grad_form(s, s) + 0.5 * float(np.sum(s * s * d))
+    e_erk = weights.kappa * grad_square(ops, s) + 0.5 * float(np.sum(s * s * d))
     e_dw = energy_dw(ops, s)
     e_chdw = assembly.integrate(ops.mesh, (pq * pq - 1.0) ** 2) / (4.0 * eps)
-    e_chgd = 0.5 * eps * ops.grad_form(phi, phi)
+    e_chgd = 0.5 * eps * grad_square(ops, phi)
     e_wan = 0.5 * eps * float(np.sum(np.square(s) * tensor_pairing(coupling, n, n)))
     e_was = energy_was(ops, a, gphi, eps)
     total = (

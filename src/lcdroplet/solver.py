@@ -603,17 +603,17 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
     diss = {
         "normalization_eform": 0.5 * weights.w_erk * drop_eform,
         "normalization_cform": 0.5 * weights.w_wan * eps * drop_cform,
-        "velocity_n": tau * weights.rho * ops.l2_form(v, v),
-        "velocity_s": ops.l2_form(ds, ds) / tau,
-        "mu_gradient": tau * eps * ops.grad_form(mu_new, mu_new),
-        "tau2_ch_grad": 0.5 * weights.w_chgd * eps * ops.grad_form(dphi, dphi),
+        "velocity_n": tau * weights.rho * float(np.sum(v * (ops.mass @ v))),
+        "velocity_s": float(ds @ (ops.mass @ ds)) / tau,
+        "mu_gradient": tau * eps * en.grad_square(ops, mu_new),
+        "tau2_ch_grad": 0.5 * weights.w_chgd * eps * en.grad_square(ops, dphi),
         "tau2_ch_dw": weights.w_chdw
         * (tau**2 / (4.0 * eps))
         * (norm_dtau_phisq + 2.0 * norm_phidphi + 2.0 * norm_dphi),
         "tau2_erk": 0.5
         * weights.w_erk
         * (
-            2.0 * weights.kappa * ops.grad_form(ds, ds)
+            2.0 * weights.kappa * en.grad_square(ops, ds)
             + tau**2 * en.eform(ops, s_prev, s_prev, v, v)
             + float(np.sum(ds * ds * elastic_diag))
         ),

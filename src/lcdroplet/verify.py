@@ -360,7 +360,7 @@ def stiffness_identity_check(ops: Operators, rng, trials: int = 50):
         s = rng.standard_normal(ops.mesh.n_nodes)
         ref = float(s @ K_ref @ s)
         by_edges = float(np.sum(ops.mesh.edge_k * (s[edges.lo] - s[edges.hi]) ** 2))
-        by_form = ops.grad_form(s, s)
+        by_form = float(s @ (ops.stiffness @ s))
         worst = max(worst, max(abs(by_edges - ref), abs(by_form - ref)) / max(abs(ref), 1e-14))
     return CheckOutcome("stiffness_edge_identity", worst <= 1e-12, worst, 1e-12)
 

@@ -129,7 +129,7 @@ def test_stiffness_edge_identity_random(rng):
     for _ in range(20):
         s = rng.standard_normal(m.n_nodes)
         lhs = float(np.sum(ops.mesh.edge_k * (s[lo] - s[hi]) ** 2))
-        assert lhs == pytest.approx(ops.grad_form(s, s), rel=1e-12)
+        assert lhs == pytest.approx(float(s @ (ops.stiffness @ s)), rel=1e-12)
 
 
 def test_constrained_solve_symmetric_elimination():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -37,7 +39,7 @@ def test_eform_unit_weights_matches_gradient_energy(ops4, rng):
     n = rng.standard_normal((ops4.mesh.n_nodes, 2))
     ones = np.ones(ops4.mesh.n_nodes)
     assert 0.5 * en.eform(ops4, ones, ones, n, n) == pytest.approx(
-        ops4.grad_form(n, n), rel=1e-12
+        np.sum(n * (ops4.stiffness @ n)), rel=1e-12
     )
 
 
@@ -149,9 +151,30 @@ def test_ericksen_coercivity(ops4, rng):
             u = s[:, None] * n
             e = energies(ops4, s, n, np.zeros(mesh.n_nodes), kappa=kappa).e_erk
             bound = min(kappa, 1.0) * max(
-                ops4.grad_form(u, u), ops4.grad_form(s, s)
+                np.sum(u * (ops4.stiffness @ u)), float(s @ (ops4.stiffness @ s))
             )
             assert e >= bound - 1e-11
+
+
+def test_gradient_energies_are_accurate_to_their_own_size():
+    """E_erk and E_chgd of fields that differ from constants by a small
+    smooth bump equal an accurately summed edge sum of their own terms to
+    1e-12 of their size; the stiffness product u^T K u, whose terms cancel
+    for such fields, misses by far more than that."""
+    mesh = build_structured_mesh(64, 64)
+    ops = build_operators(mesh)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    bump, delta = np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.02), 1e-4
+    s, phi = 0.75 + delta * bump, 1.0 + delta * bump
+    n = np.tile([0.6, 0.8], (mesh.n_nodes, 1))  # uniform: eform_scalar_diag is 0
+    weights = ModelWeights()
+    report = en.total_energy(ops, weights, s, n, phi)
+    for name, u, c in (("e_erk", s, weights.kappa), ("e_chgd", phi, 0.5 * weights.eps)):
+        d = u[mesh.edges.lo] - u[mesh.edges.hi]
+        edge_sum = math.fsum(mesh.edge_k * d * d)
+        assert edge_sum > 0.0
+        assert abs(getattr(report, name) - c * edge_sum) <= 1e-12 * c * edge_sum, name
+        assert abs(float(u @ (ops.stiffness @ u)) - edge_sum) > 1e-9 * edge_sum, name
 
 
 def double_well_derivative(s):

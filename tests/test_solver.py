@@ -1236,7 +1236,7 @@ def test_ledger_terms_match_forms_of_returned_fields():
         "drop_eform": [en.eform(ops, s0, s0, n_tilde, n_tilde), -en.eform(ops, s0, s0, n1, n1)],
         "drop_cform": [en.cform(ops, n_tilde, g0, n_tilde, g0, s0, s0),
                        -en.cform(ops, n1, g0, n1, g0, s0, s0)],
-        "tau2_erk": [0.5 * w.w_erk * f for f in (2.0 * w.kappa * ops.grad_form(ds, ds),
+        "tau2_erk": [0.5 * w.w_erk * f for f in (2.0 * w.kappa * float(ds @ (ops.stiffness @ ds)),
                                                  sc.tau**2 * en.eform(ops, s0, s0, v, v),
                                                  en.eform(ops, ds, ds, n1, n1))],
         "tau2_wan": [0.5 * w.w_wan * w.eps * sc.tau**2 * f
@@ -1281,6 +1281,35 @@ def test_drop_eform_is_accurate_to_its_own_size():
         difference_errors.append(rel_error(en.eform(ops, s, s, n_tilde, n_tilde)
                                            - en.eform(ops, s, s, n_new, n_new)))
     assert max(difference_errors) > 1e-12
+
+
+def test_energy_law_holds_at_stiff_weights():
+    """droplet_corner on 32^2 cells at stiff but valid weights (w_erk = 1e4
+    holds s nearly constant, and a larger droplet relaxes at tau = 0.01):
+    at every step the charged ledger closes to 1e-12 relative, the energy
+    rises by no more than 1e-12 relative, and the gradient dissipation
+    terms, sums of nonnegative edge terms, are nonnegative."""
+    problem = cfg.build_problem(cfg.merge_config(cfg.preset("droplet_corner"), None, [
+        "mesh.nx=32", "mesh.ny=32", "weights.w_chdw=100", "weights.w_wan=20",
+        "weights.w_erk=10000", "scheme.tau=0.01", "scheme.t_final=1.2",
+        "initial.phi=-tanh(((x - 0.5)**2/0.04 + (y - 0.5)**2/0.04 - 1)/(2*eps))",
+    ]))
+    assert np.all(problem.mesh.edge_k >= 0.0)
+    reports = []
+
+    class Collector:
+        def on_step(self, state, report):
+            reports.append(report)
+
+    sv.run(problem.ops, problem.initial, problem.weights, problem.scheme, problem.bc,
+           [Collector()])
+    assert len(reports) == 120
+    for step, rep in enumerate(reports, 1):
+        scale = max(abs(rep.before.total), abs(rep.after.total), 1.0)
+        assert abs(rep.closed_budget_residual) <= 1e-12 * scale, step
+        assert rep.after.total - rep.before.total <= 1e-12 * scale, step
+        for name in ("mu_gradient", "tau2_ch_grad", "tau2_erk"):
+            assert rep.dissipation[name] >= 0.0, (step, name)
 
 
 def test_a_resumed_run_stops_at_t_final(tmp_path):
