@@ -112,5 +112,4 @@ def compile_expression(source: str, constants: dict | None = None):
         except RecursionError:
             raise ExpressionError(too_deep) from None
 
-    fn.source = source
     return fn

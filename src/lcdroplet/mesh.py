@@ -43,10 +43,10 @@ _EDGE_PAIRS = ((0, 1), (1, 2), (2, 0))
 def _sum_operator(index: np.ndarray, n_bins: int) -> sp.csr_matrix:
     """0/1 CSR matrix S with S @ x = ``np.bincount(index, x, minlength=n_bins)``
     bit for bit: a CSR product adds row k in its stored order from 0.0 on, and
-    row k lists the positions of k in ``index`` in the order bincount adds them."""
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=n_bins))])
-    order = np.argsort(index, kind="stable")
-    return sp.csr_matrix((np.ones(index.size), order, indptr), shape=(n_bins, index.size))
+    COO to CSR conversion is a stable counting sort, so row k lists the
+    positions of k in ``index`` in increasing order, the order bincount adds them."""
+    return sp.csr_matrix((np.ones(index.size), (index, np.arange(index.size))),
+                         shape=(n_bins, index.size))
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,9 @@ class SparsityPattern:
     (9, ne) with row 3a + b for entry (a, b), into the data slots
     (``_sum_operator``); ``diag``, ``upper`` and ``lower`` are the slots of
     (i, i), (lo, hi) and (hi, lo) for node i and edge (lo, hi) (``mesh.edges``,
-    in the order of their keys); ``interior`` maps the slots to the block
-    off ``mesh.boundary_nodes``.
+    in the order of their keys), read off where scipy's COO to CSR
+    conversion stores each entry; ``interior`` maps the slots to the block
+    off ``mesh.boundary_nodes``, sliced from the pattern with its slots as data.
     Every operator built on the pattern shares ``indptr`` and ``indices``,
     so a linear combination of operators is one of their ``data`` arrays.
     """
@@ -223,30 +224,21 @@ class SparsityPattern:
         n = mesh.n_nodes
         edges = mesh.edges
         lo, hi = edges.lo, edges.hi
-        n_up = np.bincount(lo, minlength=n)
-        n_low = np.bincount(hi, minlength=n)
-        idx = np.int32 if n + 2 * lo.size < 2**31 else np.int64
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(n_up + n_low + 1, out=indptr[1:])
-        diag = indptr[:-1] + n_low
-        # the keys sort the edges by (lo, hi): edges with the same lo are
-        # consecutive and in column order
-        k = np.arange(lo.size, dtype=idx)
-        upper = k + np.take(diag + 1 - (np.cumsum(n_up) - n_up), lo)
-        # edges with the same hi are in order of lo too; a stable sort by
-        # hi groups them without reordering
-        by_hi = np.argsort(hi, kind="stable")
-        lower = np.empty_like(k)
-        lower[by_hi] = k + np.take(indptr[:-1] - (np.cumsum(n_low) - n_low), np.take(hi, by_hi))
-        indices = np.empty(indptr[-1], dtype=idx)
-        indices[diag] = np.arange(n)
-        indices[upper] = hi
-        indices[lower] = lo
+        # entry e is the diagonal (e, e) for e < n, then edge (lo, hi), then
+        # edge (hi, lo); CSR with sorted columns stores entry e in slot[e]
+        nodes = np.arange(n)
+        entries = (np.concatenate([nodes, lo, hi]), np.concatenate([nodes, hi, lo]))
+        numbered = sp.csr_matrix((np.arange(n + 2 * lo.size), entries), shape=(n, n))
+        numbered.sort_indices()
+        indptr, indices = numbered.indptr, numbered.indices
+        slot = np.empty_like(indices)
+        slot[numbered.data] = np.arange(indices.size, dtype=indices.dtype)
+        diag, upper, lower = np.split(slot, [n, n + lo.size])
 
         # one (3, 3, ne) row per block entry; edge k joins rows v[k] and w[k]
         v, of = mesh.verts, edges.of_element.T
         w = v[[q for _, q in _EDGE_PAIRS]]
-        slots = np.empty((3, 3, v.shape[1]), dtype=idx)
+        slots = np.empty((3, 3, v.shape[1]), dtype=indices.dtype)
         slots[[0, 1, 2], [0, 1, 2]] = np.take(diag, v)
         up, low, v_lo = np.take(upper, of), np.take(lower, of), v < w
         slots[[0, 1, 2], [1, 2, 0]] = np.where(v_lo, up, low)
@@ -276,13 +268,9 @@ class SparsityPattern:
         data on its CSR structure (indptr, indices)."""
         free = np.ones(self.n, dtype=bool)
         free[self._boundary] = False
-        rows, dtype = self.rows, self.indices.dtype
-        keep = np.flatnonzero(free[rows] & free[self.indices])
-        new = np.cumsum(free, dtype=dtype) - 1
-        n_free = int(np.count_nonzero(free))
-        sub = np.zeros(n_free + 1, dtype=dtype)
-        np.cumsum(np.bincount(new[rows[keep]], minlength=n_free), out=sub[1:])
-        return free, keep, sub, new[self.indices[keep]]
+        # slots numbered from 1: none is a stored zero that slicing might drop
+        block = self.csr(np.arange(1, self.nnz + 1))[free][:, free]
+        return free, block.data - 1, block.indptr, block.indices
 
 
 @dataclass(frozen=True)

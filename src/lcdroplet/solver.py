@@ -584,12 +584,11 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
 
     # --- dissipation budget (every term of the discrete energy law) ---
     s2_prev = s_prev * s_prev
-
-    def cform_prev(u):  # cform(u, gphi_prev, u, gphi_prev, s_prev, s_prev)
-        return float(np.sum(s2_prev * en.tensor_pairing(coupling, u, u)))
-
     drop_eform = en.eform_drop(ops, s_prev, n_tilde, n_new, dn_new)
-    drop_cform = cform_prev(n_tilde) - cform_prev(n_new)
+    # cform(n~, ..) - cform(n_new, ..) at gphi_prev and s_prev as one pairing,
+    # (n~ - n_new) . G (n~ + n_new) with G symmetric, accurate to its own size
+    drop_cform = float(np.sum(s2_prev * en.tensor_pairing(coupling, n_tilde - n_new,
+                                                         n_tilde + n_new)))
 
     ds = s_new - s_prev
     dphi = phi_new - phi_prev
@@ -618,7 +617,8 @@ def gradient_flow_step(ops: Operators, state: PhaseState, weights: ModelWeights,
             + float(np.sum(ds * ds * elastic_diag))
         ),
         "tau2_wan": 0.5 * weights.w_wan * eps * tau**2
-        * (en.cform_square(ops, n_new, gdphi, s_new) + cform_prev(v)),
+        * (en.cform_square(ops, n_new, gdphi, s_new)
+           + float(np.sum(s2_prev * en.tensor_pairing(coupling, v, v)))),
         "tau2_was": weights.w_was
         * (
             en.energy_was(ops, a_new, gphi_new - gphi_prev, eps)

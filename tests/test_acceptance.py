@@ -337,6 +337,80 @@ def test_merge_time_is_first_order_in_tau():
     assert ok, f"difference ratio {ratio:.3f} outside [1.7, 2.5]"
 
 
+def _wulff_run(nx, w_wan):
+    """The stiff-weights droplet_corner flow on nx^2 cells at w_wan, a tanh
+    disk of radius 0.2 at the centre relaxed to T = 2 at tau = 0.01: w_erk =
+    1e4 holds n and s uniform, so that E_chgd + E_wan is eps/2 int grad
+    phi^T A grad phi with the constant A = w_chgd I + w_wan s^2 (I - n n^T).
+    Returns the problem, the final state and the step reports."""
+    prob = cfg.build_problem(cfg.merge_config(cfg.preset("droplet_corner"), None, [
+        f"mesh.nx={nx}", f"mesh.ny={nx}", "weights.w_chdw=100", f"weights.w_wan={w_wan}",
+        "weights.w_erk=10000", "scheme.tau=0.01", "scheme.t_final=2",
+        "initial.phi=-tanh(((x - 0.5)**2/0.04 + (y - 0.5)**2/0.04 - 1)/(2*eps))",
+    ]))
+    state, cache, reports = prob.initial, sv.JacobianCache(), []
+    for _ in range(round(prob.scheme.t_final / prob.scheme.tau)):
+        state, rep = sv.gradient_flow_step(prob.ops, state, prob.weights, prob.scheme,
+                                           cache=cache)
+        reports.append(rep)
+    return prob, state, reports
+
+
+def _semi_axis(mesh, phi, axis):
+    """Half the distance between the two zero crossings of the P1 field phi
+    on the mesh line through (0.5, 0.5) along ``axis`` (0: x, 1: y)."""
+    line = np.flatnonzero(mesh.nodes[:, 1 - axis] == 0.5)
+    line = line[np.argsort(mesh.nodes[line, axis])]
+    t, f = mesh.nodes[line, axis], phi[line]
+    k = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+    assert k.size == 2, f"phi changes sign {k.size} times on the line"
+    roots = t[k] - f[k] * (t[k + 1] - t[k]) / (f[k + 1] - f[k])
+    return 0.5 * (roots[1] - roots[0])
+
+
+@pytest.mark.slow
+def test_anisotropic_tension_relaxes_to_its_wulff_ellipse():
+    """With n and s uniform, the weak anchoring energy is an anisotropic
+    surface tension, and the substitution x = A^(1/2) y maps the stationary
+    droplet onto a round one: its phi = 0 contour is an ellipse, long across
+    n, with axis ratio b/a = sqrt(1 + w_wan s*^2 / w_chgd) (see README).  At
+    w_wan = 0, 20 and 80 on 32^2 and 64^2 cells: b/a = 1 within 1e-3 at
+    w_wan = 0, b > a otherwise, b/a within 0.5 % of the prediction at 64^2,
+    and its error at w_wan = 80 smaller at 64^2 than at 32^2.  Every run
+    holds n within 0.1 degree of e_x and s within 1e-3 of s*, closes its
+    charged ledger to 1e-12 at every step and ends with |dE/dt| <= 1e-6."""
+    t0 = time.time()
+    errors, rows = {}, []
+    for nx in (32, 64):
+        for w_wan in (0, 20, 80):
+            prob, state, reports = _wulff_run(nx, w_wan)
+            w = prob.weights
+            for step, rep in enumerate(reports, 1):
+                scale = max(abs(rep.before.total), abs(rep.after.total), 1.0)
+                assert abs(rep.closed_budget_residual) <= 1e-12 * scale, (nx, w_wan, step)
+            rate = (reports[-1].before.total - reports[-1].after.total) / prob.scheme.tau
+            assert abs(rate) <= 1e-6, (nx, w_wan, rate)
+            n, s = state.n.values, state.s.values
+            turn = float(np.degrees(np.max(np.abs(np.arctan2(n[:, 1], n[:, 0])))))
+            assert turn <= 0.1, (nx, w_wan, turn)
+            assert np.max(np.abs(s - w.s_star)) <= 1e-3, (nx, w_wan)
+            a = _semi_axis(prob.mesh, state.phi.values, 0)
+            b = _semi_axis(prob.mesh, state.phi.values, 1)
+            predicted = np.sqrt(1.0 + w_wan * w.s_star**2 / w.w_chgd)
+            errors[nx, w_wan] = abs(b / a - predicted) / predicted
+            rows.append(f"{nx}^2 w_wan={w_wan}: b/a {b / a:.4f} (predicted {predicted:.4f})")
+            if w_wan == 0:
+                assert abs(b / a - 1.0) <= 1e-3, rows[-1]
+            else:
+                assert b > a, rows[-1]
+            if nx == 64:
+                assert errors[nx, w_wan] <= 5e-3, rows[-1]
+    ok = errors[64, 80] < errors[32, 80]
+    _report("anisotropic tension, Wulff ellipse", ok,
+            f"{'; '.join(rows)}; runtime {time.time() - t0:.0f}s")
+    assert ok, errors
+
+
 def test_criterion_10_weak_acuteness_audit():
     t0 = time.time()
     worst = np.inf

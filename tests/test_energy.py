@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import naive_assembly as naive
-from lcdroplet import build_operators, build_structured_mesh
+from lcdroplet import TriMesh, build_operators, build_structured_mesh
 from lcdroplet import energy as en
 from lcdroplet import verify as vf
 from lcdroplet.assembly import element_gradients, tensor_stiffness
@@ -101,6 +101,28 @@ def test_cform_matches_interpolant_formulation(ops4, rng):
     assert en.cform(ops4, v, gphi, w, gpsi, s, z) == pytest.approx(
         via_interpolant, rel=1e-12, abs=1e-14
     )
+
+
+def test_cform_square_matches_naive_cform(rng):
+    """cform_square, the ledger's route to cform(n, g, n, g, s, s), equals
+    the per-vertex loop of ``verify.naive_cform`` to 1e-12 on random
+    fields, on structured meshes and on one with its interior nodes moved,
+    and is never negative."""
+    moved = build_structured_mesh(4, 4)
+    inner = np.setdiff1d(np.arange(moved.n_nodes), moved.boundary_nodes)
+    nodes = moved.nodes.copy()
+    nodes[inner] += rng.uniform(-0.05, 0.05, (inner.size, 2))
+    for mesh in (build_structured_mesh(2, 2), build_structured_mesh(4, 4),
+                 TriMesh(nodes, moved.elements)):
+        ops, trials = build_operators(mesh), 20
+        n = rng.standard_normal((trials, mesh.n_nodes, 2))
+        phi = rng.uniform(-1, 1, (trials, mesh.n_nodes))
+        s = rng.uniform(-0.4, 0.9, (trials, mesh.n_nodes))
+        naive = vf.naive_cform(mesh, n, phi, n, phi, s, s)
+        for t in range(trials):
+            got = en.cform_square(ops, n[t], element_gradients(mesh, phi[t]), s[t])
+            assert got >= 0.0
+            assert got == pytest.approx(naive[t], rel=1e-12)
 
 
 def test_cform_phi_matrix_consistency(ops4, rng):

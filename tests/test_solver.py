@@ -1283,6 +1283,41 @@ def test_drop_eform_is_accurate_to_its_own_size():
     assert max(difference_errors) > 1e-12
 
 
+def test_drop_cform_is_accurate_to_its_own_size():
+    """drop_cform, the decrease of the coupling form under normalization,
+    agrees with an exact rational evaluation of sum_i s_i^2 (n~_i . G_i n~_i
+    - n_i . G_i n_i) to 1e-12 of itself in every step of a droplet_corner
+    run, where the difference of the two forms it equals loses more than
+    that."""
+    from fractions import Fraction
+
+    problem = small_problem(nx=8)
+    ops, w, sc = problem.ops, problem.weights, problem.scheme
+    state = sv.with_energy(ops, w, problem.initial)
+    difference_errors = []
+    for _ in range(6):
+        n_tilde, n_new, _, _, _ = director_stage(ops, state, w, sc)
+        s, G = state.s.values, state.coupling
+
+        def quadratic(u):
+            return [sum(Fraction(u[i, a]) * Fraction(G[i, a, b]) * Fraction(u[i, b])
+                        for a in range(2) for b in range(2)) for i in range(len(u))]
+
+        exact = sum(Fraction(s[i]) ** 2 * (p - q)
+                    for i, (p, q) in enumerate(zip(quadratic(n_tilde), quadratic(n_new))))
+        assert exact > 0
+
+        def rel_error(value):
+            return float(abs(Fraction(value) - exact) / exact)
+
+        state, rep = gradient_flow_step(ops, state, w, sc)
+        assert rel_error(rep.drop_cform) <= 1e-12
+        difference_errors.append(rel_error(
+            float(np.sum(s * s * en.tensor_pairing(G, n_tilde, n_tilde)))
+            - float(np.sum(s * s * en.tensor_pairing(G, n_new, n_new)))))
+    assert max(difference_errors) > 1e-12
+
+
 def test_energy_law_holds_at_stiff_weights():
     """droplet_corner on 32^2 cells at stiff but valid weights (w_erk = 1e4
     holds s nearly constant, and a larger droplet relaxes at tau = 0.01):
