@@ -91,8 +91,8 @@ class TriMesh:
     grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
-        elements = np.ascontiguousarray(np.asarray(self.elements, dtype=np.int64))
+        nodes = np.ascontiguousarray(self.nodes, dtype=float)
+        elements = np.ascontiguousarray(self.elements, dtype=np.int64)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
@@ -110,10 +110,10 @@ class TriMesh:
             raise MeshError("element vertex index out of range")
         v0, v1, v2 = verts = np.ascontiguousarray(elements.T)
         object.__setattr__(self, "verts", verts)
-        repeated = np.flatnonzero((v0 == v1) | (v1 == v2) | (v2 == v0))
-        if repeated.size:
-            raise MeshError(f"element {repeated[0]} has repeated vertices")
-        x, y = np.take(nodes.T, verts, axis=1)  # (3, ne) each
+        repeated = (v0 == v1) | (v1 == v2) | (v2 == v0)
+        if repeated.any():
+            raise MeshError(f"element {repeated.argmax()} has repeated vertices")
+        x, y = nodes.T.take(verts, axis=1)  # (3, ne) each
         # b_a = y_{a+1} - y_{a+2} and c_a = x_{a+2} - x_{a+1}, indices mod 3
         g = np.empty((3, 2, len(elements)))
         for a in range(3):
@@ -121,9 +121,8 @@ class TriMesh:
             np.subtract(x[a - 1], x[a - 2], out=g[a, 1])
         # (x1 - x0)(y2 - y0) - (x2 - x0)(y1 - y0) = c_2 b_1 - c_1 b_2, exactly
         det = g[2, 1] * g[1, 0] - g[1, 1] * g[2, 0]
-        if np.any(det <= 0.0):
-            bad = int(np.argmin(det))
-            raise MeshError(f"element {bad} is degenerate or negatively oriented")
+        if (det <= 0.0).any():
+            raise MeshError(f"element {det.argmin()} is degenerate or negatively oriented")
         g /= det
         object.__setattr__(self, "areas", 0.5 * det)
         object.__setattr__(self, "grads", g.transpose(2, 0, 1))
@@ -149,15 +148,16 @@ class TriMesh:
         keys += np.maximum(v, w)
         keys = keys.ravel()
         # np.unique(keys, return_inverse=True, return_counts=True)
-        order = np.argsort(keys, kind="stable")
-        ordered = np.take(keys, order)
-        first = np.ones(keys.size + 1, dtype=bool)  # and an end marker
+        order = keys.argsort(kind="stable")
+        ordered = keys.take(order)
+        first = np.empty(keys.size + 1, dtype=bool)
+        first[0] = first[-1] = True  # the first key, and an end marker
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
-        bounds = np.flatnonzero(first)
+        bounds = first.nonzero()[0]
         counts = bounds[1:] - bounds[:-1]
         inverse = np.empty(keys.size, dtype=np.int64)
-        inverse[order] = np.repeat(np.arange(counts.size), counts)
-        unique = np.take(ordered, bounds[:-1])
+        inverse[order] = np.arange(counts.size).repeat(counts)
+        unique = ordered.take(bounds[:-1])
         lo = unique // n
         return MeshEdges(lo, unique - lo * n, inverse.reshape(3, -1).T, counts)
 
@@ -333,7 +333,7 @@ def audit_weak_acuteness(mesh: TriMesh, tol: float = 1e-12) -> AcutenessReport:
     """
     k, edges = mesh.edge_k, mesh.edges
     violating = [(int(edges.lo[e]), int(edges.hi[e]), float(k[e]))
-                 for e in np.flatnonzero(k < -tol)]
+                 for e in (k < -tol).nonzero()[0]]
     return AcutenessReport(not violating, float(k.min()) + 0.0, violating)  # no -0.0
 
 

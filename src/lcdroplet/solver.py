@@ -216,7 +216,8 @@ def tangent_space(n_values: np.ndarray) -> np.ndarray:
 def _cg(A, b: np.ndarray, stage: str):
     """``spla.cg(A, b, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER)`` bit for bit:
     its operations in its order, in place, without its wrappers (its
-    ``np.linalg.norm(r)`` is sqrt(r . r): the stop test reuses rho); returns (x, iterations)."""
+    ``np.linalg.norm(r)`` is sqrt(r . r): the stop test reuses rho); returns (x, iterations).
+    A residual that overflows or turns nan stops the solve at once."""
     bnorm = math.sqrt(np.dot(b, b))
     if bnorm == 0.0:
         return b.copy(), 0
@@ -225,6 +226,9 @@ def _cg(A, b: np.ndarray, stage: str):
         rho = np.dot(r, r)
         if math.sqrt(rho) < atol:
             return x, it
+        if not math.isfinite(rho):
+            raise StepError(f"{stage} solve: the conjugate-gradient residual is not finite "
+                            f"at iteration {it} (r . r = {rho})")
         if it:
             p *= rho / rho_prev
             p += r

@@ -278,7 +278,17 @@ def test_squared_field_mass_exact_on_one_element():
 
 
 def test_operators_edges_match_stiffness(pattern_mesh):
-    for m in (pattern_mesh, perturbed_mesh()):
+    """The edges are the stiffness's off-diagonal pairs, numbered as
+    np.unique numbers their keys, and edge_k is, bit for bit, the sum over
+    the elements of each edge in element order, on structured meshes of 1
+    to 8 cells a side, a stretched 3 x 5 mesh, a shuffled 9 x 7 mesh and a
+    perturbed one."""
+    meshes = [pattern_mesh, perturbed_mesh(),
+              build_structured_mesh(3, 5, ((0.0, 0.0), (3.0, 1.0))),
+              naive.shuffled(build_structured_mesh(9, 7), seed=3)]
+    meshes += [build_structured_mesh(nx, ny) for nx in range(1, 9) for ny in range(1, 9)]
+    pairs = ((0, 1), (1, 2), (2, 0))
+    for m in meshes:
         K = assemble_stiffness(m)
         ei, ej, k = naive.edges(m)
         assert np.array_equal(m.edges.lo, ei) and np.array_equal(m.edges.hi, ej)
@@ -286,6 +296,21 @@ def test_operators_edges_match_stiffness(pattern_mesh):
         # the stiffness takes its couplings from the mesh, bit for bit
         assert np.array_equal(-K.data[m.pattern.upper], m.edge_k)
         assert np.array_equal(K.data[m.pattern.lower], K.data[m.pattern.upper])
+
+        a, b = (m.elements[:, [p[i] for p in pairs]] for i in (0, 1))
+        keys = np.minimum(a, b) * m.n_nodes + np.maximum(a, b)
+        unique, inverse, counts = np.unique(keys.ravel(), return_inverse=True,
+                                            return_counts=True)
+        assert np.array_equal(m.edges.lo * m.n_nodes + m.edges.hi, unique)
+        assert np.array_equal(m.edges.of_element, inverse.reshape(-1, 3))
+        assert np.array_equal(m.edges.counts, counts)
+
+        summed = np.zeros(unique.size)
+        for e, g in enumerate(m.grads):
+            for col, (i, j) in enumerate(pairs):
+                dot = g[i, 0] * g[j, 0] + g[i, 1] * g[j, 1]
+                summed[m.edges.of_element[e, col]] += dot * m.areas[e]
+        assert m.edge_k.tobytes() == (-summed).tobytes()
 
 
 def test_interior_pattern_map_matches_slicing(pattern_mesh, rng):

@@ -78,12 +78,12 @@ def test_cform_alignment_and_constant_phi(ops4, rng):
 
 def test_cform_matches_interpolant_formulation(ops4, rng):
     """The vertex-sum definition equals elementwise integration of the
-    nodal interpolant of the integrand."""
+    nodal interpolant of the integrand, for each trial of a batch."""
     mesh = ops4.mesh
     s = rng.uniform(-0.4, 0.9, mesh.n_nodes)
     z = rng.standard_normal(mesh.n_nodes)
-    v = rng.standard_normal((mesh.n_nodes, 2))
-    w = rng.standard_normal((mesh.n_nodes, 2))
+    v = rng.standard_normal((3, mesh.n_nodes, 2))
+    w = rng.standard_normal((3, mesh.n_nodes, 2))
     phi = rng.uniform(-1, 1, mesh.n_nodes)
     psi = rng.uniform(-1, 1, mesh.n_nodes)
     gphi = element_gradients(mesh, phi)
@@ -97,10 +97,12 @@ def test_cform_matches_interpolant_formulation(ops4, rng):
         for a in range(3):
             i = mesh.elements[t, a]
             H[t, a] = s[i] * z[i] * Ht
-    via_interpolant = vf.vertex_form(ops4, v, H, w)
-    assert en.cform(ops4, v, gphi, w, gpsi, s, z) == pytest.approx(
-        via_interpolant, rel=1e-12, abs=1e-14
-    )
+    via_interpolant = vf.vertex_form(ops4, v, np.stack([H, H, 2.0 * H]), w)
+    assert via_interpolant.shape == (3,)
+    for t, scale in enumerate([1.0, 1.0, 2.0]):
+        assert scale * en.cform(ops4, v[t], gphi, w[t], gpsi, s, z) == pytest.approx(
+            via_interpolant[t], rel=1e-12, abs=1e-14
+        )
 
 
 def test_cform_square_matches_naive_cform(rng):

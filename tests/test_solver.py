@@ -727,6 +727,19 @@ def test_cg_out_of_iterations_names_stage_iterations_and_residual(monkeypatch):
         gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme)
 
 
+def test_cg_stops_at_a_non_finite_residual():
+    # w_erk = 1e300 is finite, so the weights accept it, but the s system's
+    # right-hand side overflows: r . r is inf at the first iteration, and
+    # the solve stops there instead of running out of iterations
+    c = cfg.merge_config(cfg.preset("droplet_corner"), None, [
+        "mesh.nx=8", "mesh.ny=8", "scheme.t_final=0.002", "weights.w_erk=1e300"])
+    prob = cfg.build_problem(c)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(sv.StepError, match=r"^s solve: the conjugate-gradient residual "
+                          r"is not finite at iteration 0 \(r \. r = inf\)$"):
+        gradient_flow_step(prob.ops, prob.initial, prob.weights, prob.scheme)
+
+
 def diagonal_jacobian(m, k, b):
     """The interface Jacobian with diagonal blocks M, K and B, M_L = 1 and
     eps = tau = 1."""

@@ -403,6 +403,42 @@ def test_lumped_check_counts_a_violation(ops4, rng, monkeypatch):
     assert not outcome.passed and outcome.measured < outcome.tolerance
 
 
+def per_trial_lumped(ops, rng, trials, tol=1e-12):
+    """The lumped check one trial at a time: draw a trial, evaluate its two
+    vertex-rule forms element by element, compare."""
+    mesh = ops.mesh
+
+    def form(v, H, w):
+        vals = np.einsum("ead,eadc,eac->ea", v[mesh.elements], H, w[mesh.elements])
+        return float(np.sum((mesh.areas / 3.0) * vals.sum(axis=1)))
+
+    worst, violations = np.inf, 0
+    for _ in range(trials):
+        A = rng.standard_normal((mesh.n_elements, 3, 2, 2))
+        H = np.einsum("evij,evkj->evik", A, A)
+        r = rng.uniform(1.0, 2.0, mesh.n_nodes)
+        theta = rng.uniform(0.0, 2 * np.pi, mesh.n_nodes)
+        n = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+        n_hat = n / np.linalg.norm(n, axis=1)[:, None]
+        margin = form(n, H, n) - form(n_hat, H, n_hat)
+        worst = min(worst, margin)
+        violations += margin < -tol
+    return worst, violations == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lumped_check_is_the_per_trial_check(ops4, seed):
+    # the trials evaluated a block at a time give the per-trial margins bit
+    # for bit, and leave the generator in the same state; 250 trials end
+    # in a partial block
+    for trials in (1000, 250):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcome = vf.lumped_monotonicity_check(ops4, rng, trials=trials)
+        measured, passed = per_trial_lumped(ops4, ref_rng, trials)
+        assert outcome.measured == measured and outcome.passed is passed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_convex_split_check_counts_a_violation(ops4, rng, monkeypatch):
     monkeypatch.setattr(vf.en, "DW_DFC", -en.DW_DFC)
     outcome = vf.convex_split_check(ops4, rng, trials=20)
