@@ -57,6 +57,10 @@ class NewtonError(StepError):
         super().__init__(message)
         self.residual_history = list(residual_history)
 
+    def __reduce__(self):
+        # pickled with both arguments, so that a worker process can raise it
+        return type(self), (self.args[0], self.residual_history)
+
 
 @dataclass(frozen=True)
 class SchemeConfig:

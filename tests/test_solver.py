@@ -1,4 +1,5 @@
 import csv
+import pickle
 import re
 import weakref
 from dataclasses import replace
@@ -510,6 +511,9 @@ def test_ch_step_newton_failure_reports_history():
             prob.ops, state, state.s.values, state.n.values, prob.weights, scheme
         )
     assert len(err.value.residual_history) >= 1
+    # it pickles with its history, so that a worker process can raise it
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert str(copy) == str(err.value) and copy.residual_history == err.value.residual_history
 
 
 # ---------------------------------------------------------------------------

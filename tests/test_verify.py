@@ -1,11 +1,17 @@
 import json
+import math
+import multiprocessing
+import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lcdroplet import TriMesh, build_operators, build_structured_mesh
+from lcdroplet import assembly
 from lcdroplet import energy as en
+from lcdroplet import solver as sv
 from lcdroplet import verify as vf
 from lcdroplet.assembly import element_gradients
 from lcdroplet.energy import ModelWeights
@@ -365,10 +371,77 @@ def test_suite_mutation_fails(tmp_path):
 
 
 def test_suite_rejects_an_unknown_mutation(monkeypatch):
-    # before its first check
-    monkeypatch.setattr(vf, "quadrature_exactness_check", lambda: pytest.fail("a check ran"))
+    # before its first check, and before a worker process starts
+    monkeypatch.setattr(vf, "ProcessPoolExecutor", lambda **kw: pytest.fail("a worker started"))
+    monkeypatch.setattr(vf, "seeded_checks", lambda *args: pytest.fail("a check ran"))
+    monkeypatch.setattr(vf, "acuteness_sweep_check", lambda *args: pytest.fail("a check ran"))
     with pytest.raises(ValueError, match="unknown mutation 'typo'; choose from convex-split-sign"):
         vf.run_suite(seed=0, mutate="typo", acuteness_max=2)
+    assert multiprocessing.active_children() == []
+
+
+# run_suite runs seeded_checks in a forked worker beside the acuteness sweep
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_forked_suite_reports_what_the_in_process_suite_reports(seed, monkeypatch):
+    # the in-process run, as on a platform without fork, also lets a line
+    # tracer in this process see seeded_checks, which it cannot see inside
+    # the forked worker
+    forked = [oc.to_json() for oc in vf.run_suite(seed=seed, acuteness_max=8)]
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(vf, "ProcessPoolExecutor", lambda **kw: pytest.fail("a worker started"))
+    assert [oc.to_json() for oc in vf.run_suite(seed=seed, acuteness_max=8)] == forked
+    assert [json.loads(line)["name"] for line in forked][:3] == [
+        "quadrature_degree4_exactness", "stiffness_edge_identity", "structured_mesh_acuteness"]
+
+
+def test_suite_raises_the_workers_exception_and_leaves_no_process():
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError) as err:
+        vf.run_suite(seed=-1, acuteness_max=2)
+    assert str(err.value) == str(expected.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_raises_a_newton_error_of_the_worker_with_its_history(monkeypatch):
+    def failing_flow(problem, mutate=None):
+        raise sv.NewtonError("Newton stalled", [1.0, 0.5])
+
+    monkeypatch.setattr(vf, "flow_trajectory", failing_flow)
+    with pytest.raises(sv.NewtonError, match="Newton stalled") as err:
+        vf.run_suite(seed=0, acuteness_max=2)
+    assert err.value.residual_history == [1.0, 0.5]
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_raises_a_warning_of_the_worker_that_the_filters_make_an_error(monkeypatch):
+    # the worker inherits this process's patches and warning filters
+    def warning_check(ops, rng):
+        warnings.warn("overflow in a seeded check", RuntimeWarning)
+
+    monkeypatch.setattr(vf, "convex_split_check", warning_check)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow in a seeded check"):
+            vf.run_suite(seed=0, acuteness_max=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_writes_pending_output_once(tmp_path, monkeypatch):
+    # text buffered before the fork is flushed here, not by the worker too
+    paths = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(paths[0], "w", encoding="utf-8", buffering=1 << 16) as out, \
+            open(paths[1], "w", encoding="utf-8", buffering=1 << 16) as err:
+        out.write("pending stdout\n")
+        err.write("pending stderr\n")
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        vf.run_suite(seed=0, acuteness_max=2)
+        monkeypatch.undo()
+    assert paths[0].read_text() == "pending stdout\n"
+    assert paths[1].read_text() == "pending stderr\n"
 
 
 def test_flow_trajectory_rejects_an_unknown_mutation(monkeypatch):
@@ -459,3 +532,61 @@ def test_acuteness_sweep_reports_the_first_failing_mesh(monkeypatch):
     outcome = vf.acuteness_sweep_check(max_n=3)
     assert outcome == vf.CheckOutcome("structured_mesh_acuteness", False,
                                       pytest.approx(-4.0 / 15.0), -1e-12, {"nx": 2, "ny": 2})
+
+
+# a NaN from the program fails each oracle and is its measured value:
+# Python's max and min, and comparisons such as margin < -tol, drop a NaN
+
+def _nan_like(fn):
+    def patched(*args, **kwargs):
+        return np.full_like(np.asarray(fn(*args, **kwargs), dtype=float), np.nan)
+    return patched
+
+
+def _assert_fails_on_nan(outcome):
+    assert not outcome.passed and math.isnan(outcome.measured)
+
+
+def test_projection_check_fails_on_nan(ops4, rng, monkeypatch):
+    monkeypatch.setattr(vf.sv, "normalized", _nan_like(sv.normalized))
+    with np.errstate(all="ignore"):
+        outcome = vf.projection_monotonicity_check(ops4, rng, trials=5)
+    _assert_fails_on_nan(outcome)
+    assert outcome.witness["trial"] == 0 and math.isnan(outcome.witness["eform_margin"])
+
+
+def test_lumped_check_fails_on_nan(ops4, rng, monkeypatch):
+    monkeypatch.setattr(vf.sv, "normalized", _nan_like(sv.normalized))
+    with np.errstate(all="ignore"):
+        _assert_fails_on_nan(vf.lumped_monotonicity_check(ops4, rng, trials=5))
+
+
+def test_convex_split_check_fails_on_nan(ops4, rng, monkeypatch):
+    monkeypatch.setattr(vf.en, "energy_dw", _nan_like(en.energy_dw))
+    with np.errstate(all="ignore"):
+        _assert_fails_on_nan(vf.convex_split_check(ops4, rng, trials=5))
+
+
+def test_stiffness_identity_check_fails_on_nan(mesh4, rng, monkeypatch):
+    # the stiffness form is the second of the two values the check compares
+    monkeypatch.setattr(assembly, "assemble_stiffness",
+                        lambda mesh, f=assembly.assemble_stiffness: np.nan * f(mesh))
+    with np.errstate(all="ignore"):
+        _assert_fails_on_nan(vf.stiffness_identity_check(build_operators(mesh4), rng, trials=5))
+
+
+def test_brute_force_check_fails_on_nan(ops2, rng):
+    # the coupling form is the second of the two errors the check compares
+    with np.errstate(all="ignore"):
+        outcome = vf.brute_force_form_check(ops2, rng, trials=5,
+                                            cform_fn=_nan_like(en.cform))
+    _assert_fails_on_nan(outcome)
+    assert outcome.witness["trial"] == 0 and math.isnan(outcome.witness["cform_rel"])
+
+
+def test_quadrature_check_fails_on_nan(monkeypatch):
+    weights = vf.quad.TRI4_WEIGHTS.copy()
+    weights[-1] = np.nan
+    monkeypatch.setattr(vf.quad, "TRI4_WEIGHTS", weights)
+    with np.errstate(all="ignore"):
+        _assert_fails_on_nan(vf.quadrature_exactness_check())
