@@ -328,12 +328,13 @@ def audit_weak_acuteness(mesh: TriMesh, tol: float = 1e-12) -> AcutenessReport:
     """Check ``k_ij >= 0`` (``mesh.edge_k``) on every edge of the mesh.
 
     Exact zeros occur legitimately (right angles opposite an edge), so the
-    classification tolerance is ``-tol`` rather than 0.  The violating
+    classification tolerance is ``-tol`` rather than 0.  A NaN coupling,
+    such as a sliver's whose gradients overflow, violates.  The violating
     pairs (i, j, k_ij) come in edge order, i < j.
     """
     k, edges = mesh.edge_k, mesh.edges
     violating = [(int(edges.lo[e]), int(edges.hi[e]), float(k[e]))
-                 for e in (k < -tol).nonzero()[0]]
+                 for e in (~(k >= -tol)).nonzero()[0]]
     return AcutenessReport(not violating, float(k.min()) + 0.0, violating)  # no -0.0
 
 

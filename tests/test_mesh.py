@@ -239,6 +239,17 @@ def test_obtuse_triangle_flagged():
     assert report.min_offdiag_kij == -1.0
 
 
+def test_nan_coupling_flagged():
+    # a sliver whose hat gradients overflow: its couplings are (nan, inf, nan)
+    with np.errstate(all="ignore"):
+        m = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-310]]), np.array([[0, 1, 2]]))
+        report = audit_weak_acuteness(m)
+    assert not report.is_weakly_acute
+    assert math.isnan(report.min_offdiag_kij)
+    assert [(i, j) for i, j, _ in report.violating_pairs] == [(0, 1), (1, 2)]
+    assert all(math.isnan(k) for _, _, k in report.violating_pairs)
+
+
 def test_nonconforming_mesh_rejected():
     # three triangles sharing one edge
     nodes = np.array(

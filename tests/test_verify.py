@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lcdroplet import TriMesh, build_operators, build_structured_mesh
+from lcdroplet import TriMesh, audit_weak_acuteness, build_operators, build_structured_mesh
 from lcdroplet import assembly
 from lcdroplet import energy as en
 from lcdroplet import solver as sv
@@ -396,6 +397,89 @@ def test_forked_suite_reports_what_the_in_process_suite_reports(seed, monkeypatc
         "quadrature_degree4_exactness", "stiffness_edge_identity", "structured_mesh_acuteness"]
 
 
+# the forked worker also audits every third mesh of the acuteness sweep: at
+# acuteness_max=3, sweep indices 2, 5 and 8, the meshes (1, 3), (2, 3) and
+# (3, 3); the calling process audits the other six
+
+def _sheared(bad):
+    """build_structured_mesh with each mesh (nx, ny) in ``bad`` sheared by
+    x += y / 2, which makes its triangles obtuse."""
+    def build(nx, ny):
+        mesh = build_structured_mesh(nx, ny)
+        if (nx, ny) not in bad:
+            return mesh
+        nodes = mesh.nodes.copy()
+        nodes[:, 0] += 0.5 * nodes[:, 1]
+        return TriMesh(nodes, mesh.elements)
+    return build
+
+
+def _no_seeded_checks(seed, mutate):
+    """Stands in for seeded_checks; a module-level function, which the
+    forked worker's call can pickle."""
+    return []
+
+
+@pytest.mark.parametrize("bad, reported", [
+    ({(2, 3)}, (2, 3)),  # in the worker's share only
+    ({(2, 2)}, (2, 2)),  # in the caller's share only
+    ({(1, 3), (2, 2)}, (1, 3)),  # in both, the worker's first
+    ({(1, 2), (2, 3)}, (1, 2)),  # in both, the caller's first
+])
+def test_split_sweep_reports_the_first_failing_mesh(bad, reported, monkeypatch):
+    assert vf._sweep_share(3, True) == [2, 5, 8]
+    monkeypatch.setattr(vf, "build_structured_mesh", _sheared(bad))
+    monkeypatch.setattr(vf, "seeded_checks", _no_seeded_checks)
+    measured = audit_weak_acuteness(_sheared(bad)(*reported)).min_offdiag_kij
+    whole = vf.CheckOutcome("structured_mesh_acuteness", False, measured, -1e-12,
+                            {"nx": reported[0], "ny": reported[1]}, seed=7)
+    assert measured < 0.0
+    assert dataclasses.replace(vf.acuteness_sweep_check(max_n=3), seed=7) == whole
+    assert vf.run_suite(seed=7, acuteness_max=3) == [whole]
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(vf, "ProcessPoolExecutor", lambda **kw: pytest.fail("a worker started"))
+    assert vf.run_suite(seed=7, acuteness_max=3) == [whole]
+
+
+def _sweep(passed, measured, witness):
+    return vf.CheckOutcome("structured_mesh_acuteness", passed, measured, -1e-12,
+                           None if witness is None else {"nx": witness[0], "ny": witness[1]})
+
+
+@pytest.mark.parametrize("a, b", [
+    # both pass: the smaller coupling
+    (_sweep(True, 0.5, (1, 1)), _sweep(True, 0.25, (2, 1))),
+    # both pass with the same coupling: the earlier mesh
+    (_sweep(True, 0.0, (2, 1)), _sweep(True, 0.0, (1, 3))),
+    # a share without meshes, as the worker's at acuteness_max=1
+    (_sweep(True, math.inf, None), _sweep(True, 0.0, (1, 1))),
+    # one fails: that one, a NaN coupling included
+    (_sweep(True, 0.0, (1, 1)), _sweep(False, math.nan, (3, 2))),
+    # both fail: the earlier mesh, not the smaller coupling
+    (_sweep(False, -1.0, (3, 1)), _sweep(False, -0.1, (1, 2))),
+])
+def test_merge_sweeps_gives_the_outcome_of_one_sweep(a, b):
+    assert vf.merge_sweeps(a, b) is b
+    assert vf.merge_sweeps(b, a) is b
+
+
+def test_split_sweep_fails_on_a_nan_coupling(monkeypatch):
+    # a sliver whose hat gradients overflow has the couplings (nan, inf, nan)
+    with np.errstate(all="ignore"):
+        sliver = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-310]]),
+                         np.array([[0, 1, 2]]))
+        monkeypatch.setattr(vf, "build_structured_mesh", lambda nx, ny: (
+            sliver if (nx, ny) == (2, 3) else build_structured_mesh(nx, ny)))
+        parts = [vf.acuteness_sweep_check(3, meshes=vf._sweep_share(3, worker))
+                 for worker in (False, True)]
+        whole = vf.acuteness_sweep_check(3)
+    merged = vf.merge_sweeps(*parts)
+    _assert_fails_on_nan(merged)
+    assert merged.witness == {"nx": 2, "ny": 3}
+    assert merged.to_json() == whole.to_json()
+
+
 def test_suite_raises_the_workers_exception_and_leaves_no_process():
     with pytest.raises(ValueError) as expected:
         np.random.default_rng(-1)
@@ -590,3 +674,25 @@ def test_quadrature_check_fails_on_nan(monkeypatch):
     monkeypatch.setattr(vf.quad, "TRI4_WEIGHTS", weights)
     with np.errstate(all="ignore"):
         _assert_fails_on_nan(vf.quadrature_exactness_check())
+
+
+def _step_report(closure=0.0, drops=(0.0, 0.0)):
+    """A hand-made step report: energy 1 before and after, nothing dissipated."""
+    energy = SimpleNamespace(total=1.0)
+    return SimpleNamespace(before=energy, after=energy, budget_residual=closure,
+                           closed_budget_residual=0.0, dissipation={"erk": 0.0},
+                           drop_eform=drops[0], drop_cform=drops[1])
+
+
+def test_energy_law_audit_fails_on_nan():
+    outcome = vf.energy_law_audit(1.0, [_step_report(), _step_report(closure=np.nan)])
+    _assert_fails_on_nan(outcome)
+    assert outcome.witness["step"] == 2
+
+
+def test_director_constraints_check_fails_on_nan():
+    final_state = SimpleNamespace(n=SimpleNamespace(values=np.array([[1.0, 0.0]])))
+    reports = [_step_report(), _step_report(drops=(np.nan, 0.0))]
+    outcome = vf.director_constraints_check(reports, final_state)
+    _assert_fails_on_nan(outcome)
+    assert math.isnan(outcome.witness["min_drop"])
